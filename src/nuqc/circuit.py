@@ -5,6 +5,8 @@ Unitary steps at full strength apply deterministically; everything else runs
 as a two-outcome measurement, optionally wrapped in the reversal protocol.
 ``run_branch`` follows the all-success branch analytically, ``run_sampled``
 draws one trajectory, and ``run_ensemble`` aggregates many seeded trials.
+Synthesized netlists are programs too, read and written by the same
+``parse`` and ``format_program``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,13 +49,44 @@ class CircuitStep:
     q: complex | None = None
     max_reversals: int = 0
 
+    @functools.cached_property
+    def prepared(self) -> tuple[MeasurementPair | None, ReversalPolicy | None]:
+        """Measurement pair and reversal policy, or ``(None, None)`` for a unitary step."""
+        if (
+            self.gate.is_unitary
+            and abs(self.c - 1.0) <= _FULL_STRENGTH_ATOL
+            and self.max_reversals == 0
+        ):
+            return None, None
+        pair = measure.build_pair(self.gate, self.c)
+        policy = None
+        if self.max_reversals > 0:
+            policy = measure.build_reversal(pair, q=self.q, max_reversals=self.max_reversals)
+        return pair, policy
+
 
 @dataclass
 class CircuitProgram:
+    """Register width, steps and initial state (default ``|0...0>``).
+
+    The step product, restricted to ``ancillas`` entering and leaving in |0>,
+    is ``scale**-1`` times the operator the program stands for.
+    """
+
     n_qubits: int
     steps: list[CircuitStep]
-    initial_state: StateVector
+    initial_state: StateVector | None = None
     init_label: str = "basis 0"
+    scale: float = 1.0
+    ancillas: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.initial_state is None:
+            self.initial_state = basis_state(self.n_qubits, 0)
+
+    @property
+    def gate_count(self) -> int:
+        return len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -90,28 +124,13 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-@functools.lru_cache(maxsize=256)
-def _prepare(step: CircuitStep) -> tuple[MeasurementPair | None, ReversalPolicy | None]:
-    if (
-        step.gate.is_unitary
-        and abs(step.c - 1.0) <= _FULL_STRENGTH_ATOL
-        and step.max_reversals == 0
-    ):
-        return None, None
-    pair = measure.build_pair(step.gate, step.c)
-    policy = None
-    if step.max_reversals > 0:
-        policy = measure.build_reversal(pair, q=step.q, max_reversals=step.max_reversals)
-    return pair, policy
-
-
 def run_branch(program: CircuitProgram) -> RunRecord:
     """Follow the all-success branch, multiplying protocol probabilities."""
     state = program.initial_state
     records: list[StepRecord] = []
     total = 1.0
     for i, step in enumerate(program.steps):
-        pair, policy = _prepare(step)
+        pair, policy = step.prepared
         if pair is None:
             state = apply_embedded(state, step.gate.matrix, step.targets)
             records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
@@ -143,7 +162,7 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
     records: list[StepRecord] = []
     total = 1.0
     for i, step in enumerate(program.steps):
-        pair, policy = _prepare(step)
+        pair, policy = step.prepared
         if pair is None:
             state = apply_embedded(state, step.gate.matrix, step.targets)
             records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
@@ -173,14 +192,22 @@ def _run_trials(program: CircuitProgram, seed: int, start: int,
     return successes, reversals, failures
 
 
+def _usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
                  jobs: int = 1) -> EnsembleStats:
-    """Run many independent trials; results do not depend on ``jobs``."""
+    """Run many independent trials; results do not depend on ``jobs``.
+
+    At most one worker process runs per usable core, whatever ``jobs`` asks.
+    """
     if trials < 1:
         raise CircuitError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise CircuitError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, trials)
+    jobs = min(jobs, trials, _usable_cores())
     if jobs == 1:
         successes, reversals, failures = _run_trials(program, seed, 0, trials)
     else:
@@ -212,7 +239,14 @@ def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
     )
 
 
-def _parse_attributes(tokens: list[str], lineno: int) -> tuple[float, float | None, int, bool]:
+def _number(text: str, kind: type, what: str, lineno: int):
+    try:
+        return kind(text)
+    except ValueError:
+        raise CircuitParseError(f"bad {what} {text!r}", lineno) from None
+
+
+def _parse_attributes(tokens: list[str], lineno: int) -> tuple[float, float | None, int]:
     c = 1.0
     q: float | None = None
     q_optimal = False
@@ -222,23 +256,14 @@ def _parse_attributes(tokens: list[str], lineno: int) -> tuple[float, float | No
         if not value:
             raise CircuitParseError(f"bad attribute {token!r}; expected name=value", lineno)
         if name == "c":
-            try:
-                c = float(value)
-            except ValueError:
-                raise CircuitParseError(f"bad strength c={value!r}", lineno) from None
+            c = _number(value, float, "strength c", lineno)
         elif name == "q":
             if value == "opt":
                 q_optimal = True
             else:
-                try:
-                    q = float(value)
-                except ValueError:
-                    raise CircuitParseError(f"bad reversal strength q={value!r}", lineno) from None
+                q = _number(value, float, "reversal strength q", lineno)
         elif name == "k":
-            try:
-                k = int(value)
-            except ValueError:
-                raise CircuitParseError(f"bad reversal count k={value!r}", lineno) from None
+            k = _number(value, int, "reversal count k", lineno)
             if k < 0:
                 raise CircuitParseError(f"k must be >= 0, got {k}", lineno)
         else:
@@ -255,44 +280,42 @@ def _parse_attributes(tokens: list[str], lineno: int) -> tuple[float, float | No
             )
     if q_optimal:
         q = float(np.sqrt(1.0 - c * c))
-    return c, q, k, q_optimal
+    return c, q, k
 
 
-def _step_targets(tokens: list[str], gate: GateSpec, n_qubits: int,
-                  lineno: int) -> tuple[int, ...]:
+def _qubit_list(tokens: list[str], n_qubits: int, lineno: int,
+                what: str = "target") -> tuple[int, ...]:
     try:
-        targets = tuple(int(t) for t in tokens)
+        qubits = tuple(int(t) for t in tokens)
     except ValueError:
-        raise CircuitParseError(f"bad target list {tokens!r}", lineno) from None
-    if len(targets) != gate.arity:
-        raise CircuitParseError(
-            f"gate {gate.label} expects {gate.arity} targets, got {len(targets)}", lineno
-        )
-    for t in targets:
+        raise CircuitParseError(f"bad {what} list {tokens!r}", lineno) from None
+    for t in qubits:
         if not 0 <= t < n_qubits:
-            raise CircuitParseError(f"target qubit {t} out of range", lineno)
-    if len(set(targets)) != len(targets):
-        raise CircuitParseError(f"duplicate targets in {targets}", lineno)
-    return targets
+            raise CircuitParseError(f"{what} qubit {t} out of range", lineno)
+    if len(set(qubits)) != len(qubits):
+        raise CircuitParseError(f"duplicate {what}s in {qubits}", lineno)
+    return qubits
 
 
 def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
     """Parse the circuit text format.
 
-    Lines: ``qubits <n>``, then optionally one ``init basis <i> | uniform |
-    file <path>``, then ``gate <LABEL> <targets...> [c=] [q=real|opt] [k=]``
-    or ``matrixgate <path> <targets...> [...]``.  ``#`` starts a comment.
-    Paths resolve relative to ``base_dir``.
+    Lines: ``qubits <n>``; then, in any order and each at most once, ``init
+    basis <i> | uniform | file <path>``, ``scale <s>`` and ``ancillas <q...>``;
+    then steps ``[gate] <LABEL> <targets...> [c=] [q=real|opt] [k=]`` or
+    ``matrixgate <path> <targets...> [...]``.  ``#`` starts a comment.  Paths
+    resolve relative to ``base_dir``.
     """
 
     def resolve(path: str) -> str:
-        if base_dir and not os.path.isabs(path):
-            return os.path.join(base_dir, path)
-        return path
+        return os.path.join(base_dir or "", path)  # absolute paths stay as they are
 
     n_qubits: int | None = None
     init_state: StateVector | None = None
     init_label = "basis 0"
+    scale = 1.0
+    ancillas: tuple[int, ...] = ()
+    headers: set[str] = set()
     steps: list[CircuitStep] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -304,11 +327,8 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
             if n_qubits is not None:
                 raise CircuitParseError("duplicate qubits line", lineno)
             if len(tokens) != 2:
-                raise CircuitParseError("expected 'qubits <n>'", lineno)
-            try:
-                n_qubits = int(tokens[1])
-            except ValueError:
-                raise CircuitParseError(f"bad qubit count {tokens[1]!r}", lineno) from None
+                raise CircuitParseError("expected 'qubits <n>' alone on its line", lineno)
+            n_qubits = _number(tokens[1], int, "qubit count", lineno)
             if not 1 <= n_qubits <= MAX_QUBITS:
                 raise CircuitParseError(
                     f"qubit count must lie in [1, {MAX_QUBITS}], got {n_qubits}", lineno
@@ -316,18 +336,17 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
             continue
         if n_qubits is None:
             raise CircuitParseError("the qubits line must come first", lineno)
-        if keyword == "init":
-            if init_state is not None:
-                raise CircuitParseError("duplicate init line", lineno)
+        if keyword in ("init", "scale", "ancillas"):
+            if keyword in headers:
+                raise CircuitParseError(f"duplicate {keyword} line", lineno)
             if steps:
-                raise CircuitParseError("init must precede gate lines", lineno)
+                raise CircuitParseError(f"{keyword} must precede gate lines", lineno)
+            headers.add(keyword)
+        if keyword == "init":
             if len(tokens) >= 2 and tokens[1] == "basis":
                 if len(tokens) != 3:
                     raise CircuitParseError("expected 'init basis <index>'", lineno)
-                try:
-                    index = int(tokens[2])
-                except ValueError:
-                    raise CircuitParseError(f"bad basis index {tokens[2]!r}", lineno) from None
+                index = _number(tokens[2], int, "basis index", lineno)
                 if not 0 <= index < (1 << n_qubits):
                     raise CircuitParseError(f"basis index {index} out of range", lineno)
                 init_state = basis_state(n_qubits, index)
@@ -349,6 +368,22 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
                     "expected 'init basis <i>', 'init uniform' or 'init file <path>'", lineno
                 )
             continue
+        if keyword == "scale":
+            if len(tokens) != 2:
+                raise CircuitParseError("expected 'scale <s>'", lineno)
+            scale = _number(tokens[1], float, "scale", lineno)
+            if not 0.0 < scale < float("inf"):
+                raise CircuitParseError(f"scale must be positive and finite, got {scale!r}",
+                                        lineno)
+            continue
+        if keyword == "ancillas":
+            ancillas = _qubit_list(tokens[1:], n_qubits, lineno, "ancilla")
+            if not ancillas:
+                raise CircuitParseError("expected 'ancillas <q...>'", lineno)
+            continue
+        if keyword[0].isupper():  # a bare step line: the gate keyword is optional
+            tokens.insert(0, "gate")
+            keyword = "gate"
         if keyword in ("gate", "matrixgate"):
             if len(tokens) < 2:
                 raise CircuitParseError(f"missing gate label on '{keyword}' line", lineno)
@@ -365,16 +400,54 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
                 raise CircuitParseError(str(exc), lineno) from None
             except OSError as exc:
                 raise CircuitParseError(f"cannot read matrix file: {exc}", lineno) from None
-            targets = _step_targets(target_tokens, gate, n_qubits, lineno)
-            c, q, k, _ = _parse_attributes(attr_tokens, lineno)
+            targets = _qubit_list(target_tokens, n_qubits, lineno)
+            if len(targets) != gate.arity:
+                raise CircuitParseError(
+                    f"gate {gate.label} expects {gate.arity} targets, got {len(targets)}", lineno
+                )
+            c, q, k = _parse_attributes(attr_tokens, lineno)
             steps.append(CircuitStep(gate, targets, c=c, q=q, max_reversals=k))
             continue
         raise CircuitParseError(f"unknown directive {keyword!r}", lineno)
     if n_qubits is None:
         raise CircuitParseError("missing qubits line", 1)
-    if init_state is None:
-        init_state = basis_state(n_qubits, 0)
-    return CircuitProgram(n_qubits, steps, init_state, init_label)
+    return CircuitProgram(n_qubits, steps, init_state, init_label, scale, ancillas)
+
+
+MatNamer = Callable[[int, np.ndarray], str]
+
+
+def format_program(program: CircuitProgram, mat_namer: MatNamer | None = None) -> str:
+    """Render ``program`` in the text format that :func:`parse` reads back.
+
+    ``mat_namer(i, matrix)`` stores the matrix of ``MAT(...)`` step ``i`` and
+    returns its path; without one, a raw ``MAT(@...)`` step raises ``DomainError``.
+    """
+    lines = [f"qubits {program.n_qubits}"]
+    if program.scale != 1.0:
+        lines.append(f"scale {program.scale!r}")
+    if program.ancillas:
+        lines.append("ancillas " + " ".join(str(q) for q in program.ancillas))
+    if program.init_label != "basis 0":
+        if program.init_label.partition(" ")[0] not in ("basis", "uniform", "file"):
+            raise DomainError(f"initial state {program.init_label!r} has no text form")
+        lines.append(f"init {program.init_label}")
+    for i, step in enumerate(program.steps):
+        label = step.gate.label
+        if label.startswith("MAT("):
+            if mat_namer is not None:
+                label = f"MAT({mat_namer(i, step.gate.matrix)})"
+            elif "@" in label:
+                raise DomainError("program contains raw-matrix gates; write it to a file instead")
+        fields = ["gate", label] + [str(t) for t in step.targets]
+        if step.c != 1.0:
+            fields.append(f"c={step.c!r}")
+        if step.q is not None:
+            fields.append(f"q={step.q!r}")
+        if step.max_reversals:
+            fields.append(f"k={step.max_reversals}")
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"
 
 
 def parse_file(path) -> CircuitProgram:

@@ -116,17 +116,22 @@ def _print_stats(stats: circuit.EnsembleStats, as_json: bool) -> None:
         print(f"failures by step: {parts}")
 
 
-def _cmd_simulate(args) -> int:
-    program = circuit.parse_file(args.circuit)
+def _run(program: circuit.CircuitProgram, args):
+    """Run ``program`` in ``args.mode``; mc prints its statistics and returns None."""
     if args.mode == "mc":
         stats = circuit.run_ensemble(program, seed=args.seed, trials=args.trials,
                                      jobs=args.jobs)
         _print_stats(stats, args.json)
-        return EXIT_OK
+        return None
     if args.mode == "branch":
-        record = circuit.run_branch(program)
-    else:
-        record = circuit.run_sampled(program, seed=args.seed)
+        return circuit.run_branch(program)
+    return circuit.run_sampled(program, seed=args.seed)
+
+
+def _cmd_simulate(args) -> int:
+    record = _run(circuit.parse_file(args.circuit), args)
+    if record is None:
+        return EXIT_OK
     _print_record(record, args.json)
     return EXIT_OK if record.outcome == "success" else EXIT_RUN_FAILED
 
@@ -136,12 +141,16 @@ def _cmd_synth(args) -> int:
     gate = gates.normalize_gate(read_matrix(args.matrix), label=f"MAT({name})")
     netlist = synth.synthesize(gate, mode=args.mode)
     residual = synth.reconstruction_residual(netlist, gate.matrix)
+    if residual > args.tolerance:
+        print(f"error: reconstruction residual {residual!r} exceeds tolerance "
+              f"{args.tolerance!r}; nothing written", file=sys.stderr)
+        return EXIT_USAGE
     body = None
     if args.out:
         synth.write_netlist(netlist, args.out)
     else:
         try:
-            body = synth.format_netlist(netlist)
+            body = circuit.format_program(netlist)
         except NuqcError:
             print("netlist contains raw-matrix gates; rerun with --out", file=sys.stderr)
             return EXIT_USAGE
@@ -167,9 +176,6 @@ def _cmd_synth(args) -> int:
             print(f"netlist written to {args.out}")
         elif body:
             sys.stdout.write(body)
-    if residual > args.tolerance:
-        print(f"residual exceeds tolerance {args.tolerance!r}", file=sys.stderr)
-        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -210,15 +216,9 @@ def _cmd_demo_nand(args) -> int:
     program = apps.compile_nand(netlist, args.m, c=args.c, input_bits=bits)
     layout = apps.nand_layout(netlist, args.m)
     savings = apps.qubit_savings(netlist, args.m)
-    if args.mode == "mc":
-        stats = circuit.run_ensemble(program, seed=args.seed, trials=args.trials,
-                                     jobs=args.jobs)
-        _print_stats(stats, args.json)
+    record = _run(program, args)
+    if record is None:
         return EXIT_OK
-    if args.mode == "branch":
-        record = circuit.run_branch(program)
-    else:
-        record = circuit.run_sampled(program, seed=args.seed)
     output_bits = None
     if record.outcome == "success":
         output_bits = {

@@ -8,8 +8,6 @@ the domain checks and ordering conventions the rest of the package relies on.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -48,23 +46,9 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def max_abs(a) -> float:
@@ -78,20 +62,6 @@ def max_abs(a) -> float:
 def is_hermitian(a, tol: float = ATOL_EXACT) -> bool:
     a = require_square(a)
     return max_abs(a - a.conj().T) <= tol
-
-
-def eigh(a, tol: float = ATOL_EXACT) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` sorted in descending order and
-    ``v[:, i]`` the eigenvector for ``w[i]``.  Raises ``DomainError`` when the
-    input is not Hermitian within ``tol``.
-    """
-    a = require_square(a)
-    if not is_hermitian(a, tol):
-        raise DomainError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

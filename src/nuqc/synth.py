@@ -8,24 +8,25 @@ are provided: a bare route that rewrites them over one- and two-qubit gates
 proportionality constant), and an ancilla route that defers the nonunitary
 part to a single measured ancilla.
 
-Every netlist records that constant: the product of its embedded step
-matrices, restricted to ancillas entering and leaving in |0>, equals
-``scale**-1`` times the target operator.
+Every netlist is a :class:`~nuqc.circuit.CircuitProgram` that records that
+constant as its ``scale``: the product of its embedded step matrices,
+restricted to its ``ancillas`` entering and leaving in |0>, equals
+``scale**-1`` times the target operator.  ``nuqc simulate`` runs it as is.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import gates
-from .errors import CircuitParseError, DomainError, SearchBudgetError, ShapeError
+from .circuit import CircuitProgram, CircuitStep, format_program, parse_file
+from .errors import DomainError, SearchBudgetError, ShapeError
 from .gates import GateSpec
-from .linops import max_abs, read_matrix, svd, write_matrix
+from .linops import max_abs, svd, write_matrix
 from .qstate import embedded_matrix
 
 ZERO_ATOL = 1e-12
@@ -33,31 +34,6 @@ UNIT_ATOL = 1e-12
 RESIDUAL_ATOL = 1e-8
 NORMALIZED_SLACK = 1e-9
 DEFAULT_EXPONENT_BUDGET = 10**7
-
-
-@dataclass(frozen=True, eq=False)
-class NetlistStep:
-    gate: GateSpec
-    targets: tuple[int, ...]
-
-
-@dataclass
-class GateNetlist:
-    """Ordered gate applications realizing a target up to a recorded scale.
-
-    Applying the steps first to last (equivalently, multiplying their embedded
-    matrices last to first) and restricting to ancilla qubits in |0> on both
-    sides yields ``scale**-1`` times the target operator.
-    """
-
-    n_qubits: int
-    steps: list[NetlistStep] = field(default_factory=list)
-    scale: float = 1.0
-    ancillas: tuple[int, ...] = ()
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.steps)
 
 
 def svd_split(gate: GateSpec) -> tuple[GateSpec, np.ndarray, GateSpec]:
@@ -102,11 +78,11 @@ def factor_diagonal(d: Sequence[float]) -> list[tuple[int, float]]:
     return out
 
 
-def _x_step(qubit: int) -> NetlistStep:
-    return NetlistStep(gates.x(), (qubit,))
+def _x_step(qubit: int) -> CircuitStep:
+    return CircuitStep(gates.x(), (qubit,))
 
 
-def _inverse_cn1_steps(v: float, control: int, target: int) -> tuple[list[NetlistStep], float]:
+def _inverse_cn1_steps(v: float, control: int, target: int) -> tuple[list[CircuitStep], float]:
     """Steps realizing v * controlled-diag(1, 1/v), i.e. diag(v, v, v, 1).
 
     Mirrors :func:`decompose_cn1` with the diagonal parameter inverted via the
@@ -116,19 +92,19 @@ def _inverse_cn1_steps(v: float, control: int, target: int) -> tuple[list[Netlis
     root = math.sqrt(v)
     steps = [
         _x_step(target),
-        NetlistStep(gates.n1(root), (target,)),
+        CircuitStep(gates.n1(root), (target,)),
         _x_step(target),
-        NetlistStep(gates.cnot(), (control, target)),
-        NetlistStep(gates.n1(root), (target,)),
-        NetlistStep(gates.cnot(), (control, target)),
+        CircuitStep(gates.cnot(), (control, target)),
+        CircuitStep(gates.n1(root), (target,)),
+        CircuitStep(gates.cnot(), (control, target)),
         _x_step(control),
-        NetlistStep(gates.n1(root), (control,)),
+        CircuitStep(gates.n1(root), (control,)),
         _x_step(control),
     ]
     return steps, 1.0 / v
 
 
-def decompose_cn1(a_prime: float) -> GateNetlist:
+def decompose_cn1(a_prime: float) -> CircuitProgram:
     """Rewrite controlled-diag(1, a') over one-qubit gates and CNOTs.
 
     Control is qubit 0, target qubit 1.  The emitted product equals
@@ -138,18 +114,18 @@ def decompose_cn1(a_prime: float) -> GateNetlist:
         raise DomainError(f"a' must lie in (0, 1), got {a_prime!r}")
     root = math.sqrt(a_prime)
     steps = [
-        NetlistStep(gates.n1(root), (1,)),
-        NetlistStep(gates.cnot(), (0, 1)),
+        CircuitStep(gates.n1(root), (1,)),
+        CircuitStep(gates.cnot(), (0, 1)),
         _x_step(1),
-        NetlistStep(gates.n1(root), (1,)),
+        CircuitStep(gates.n1(root), (1,)),
         _x_step(1),
-        NetlistStep(gates.cnot(), (0, 1)),
-        NetlistStep(gates.n1(root), (0,)),
+        CircuitStep(gates.cnot(), (0, 1)),
+        CircuitStep(gates.n1(root), (0,)),
     ]
-    return GateNetlist(2, steps, 1.0 / root, ())
+    return CircuitProgram(2, steps, scale=1.0 / root)
 
 
-def decompose_mcn1_bare(a: float, n_controls: int) -> GateNetlist:
+def decompose_mcn1_bare(a: float, n_controls: int) -> CircuitProgram:
     """Rewrite a diag(1, a) on the target controlled by ``n_controls`` qubits.
 
     Controls are qubits 0..n_controls-1, target is qubit n_controls.  Walks a
@@ -167,7 +143,7 @@ def decompose_mcn1_bare(a: float, n_controls: int) -> GateNetlist:
     k = n_controls
     target = k
     root = a ** (1.0 / (1 << (k - 1)))
-    steps: list[NetlistStep] = []
+    steps: list[CircuitStep] = []
     scale = 1.0
     last = 0
     for j in range(1, 1 << k):
@@ -176,18 +152,18 @@ def decompose_mcn1_bare(a: float, n_controls: int) -> GateNetlist:
         if last:
             changed = (pattern ^ last).bit_length() - 1
             source = (last.bit_length() - 1) if changed == wire else changed
-            steps.append(NetlistStep(gates.cnot(), (source, wire)))
+            steps.append(CircuitStep(gates.cnot(), (source, wire)))
         if bin(pattern).count("1") % 2 == 1:
-            steps.append(NetlistStep(gates.cn1(root), (wire, target)))
+            steps.append(CircuitStep(gates.cn1(root), (wire, target)))
         else:
             inv, factor = _inverse_cn1_steps(root, wire, target)
             steps.extend(inv)
             scale *= factor
         last = pattern
-    return GateNetlist(k + 1, steps, scale, ())
+    return CircuitProgram(k + 1, steps, scale=scale)
 
 
-def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False) -> GateNetlist:
+def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False) -> CircuitProgram:
     """Realize a multi-controlled diag(1, a) by deferring it to an ancilla.
 
     Controls are qubits 0..n_controls-1 and the target is qubit n_controls;
@@ -207,66 +183,68 @@ def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False) -> 
     if k == 0:
         if keep_n1:
             steps = [
-                NetlistStep(gates.cnot(), (0, 1)),
-                NetlistStep(gates.n1(a), (1,)),
-                NetlistStep(gates.cnot(), (0, 1)),
+                CircuitStep(gates.cnot(), (0, 1)),
+                CircuitStep(gates.n1(a), (1,)),
+                CircuitStep(gates.cnot(), (0, 1)),
             ]
         else:
             steps = [
-                NetlistStep(gates.cu1(a), (0, 1)),
-                NetlistStep(gates.n1(0.0), (1,)),
+                CircuitStep(gates.cu1(a), (0, 1)),
+                CircuitStep(gates.n1(0.0), (1,)),
             ]
-        return GateNetlist(2, steps, 1.0, (1,))
+        return CircuitProgram(2, steps, ancillas=(1,))
     mark = k + 1
-    flag = NetlistStep(gates.ckx(k + 1), tuple(range(k + 1)) + (mark,))
+    flag = CircuitStep(gates.ckx(k + 1), tuple(range(k + 1)) + (mark,))
     if keep_n1:
-        steps = [flag, NetlistStep(gates.n1(a), (mark,)), flag]
-        return GateNetlist(k + 2, steps, 1.0, (mark,))
+        steps = [flag, CircuitStep(gates.n1(a), (mark,)), flag]
+        return CircuitProgram(k + 2, steps, ancillas=(mark,))
     sink = k + 2
     steps = [
         flag,
-        NetlistStep(gates.cu1(a), (mark, sink)),
-        NetlistStep(gates.n1(0.0), (sink,)),
+        CircuitStep(gates.cu1(a), (mark, sink)),
+        CircuitStep(gates.n1(0.0), (sink,)),
         flag,
     ]
-    return GateNetlist(k + 3, steps, 1.0, (mark, sink))
+    return CircuitProgram(k + 3, steps, ancillas=(mark, sink))
 
 
-def project_all(n_qubits: int) -> GateNetlist:
+def project_all(n_qubits: int) -> CircuitProgram:
     """Success-branch projector onto |11...1>, one X diag(1,0) X per qubit."""
     if n_qubits < 1:
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
-    steps: list[NetlistStep] = []
-    for q in range(n_qubits):
-        steps.append(_x_step(q))
-        steps.append(NetlistStep(gates.n1(0.0), (q,)))
-        steps.append(_x_step(q))
-    return GateNetlist(n_qubits, steps, 1.0, ())
+    steps = [step for q in range(n_qubits)
+             for step in (_x_step(q), CircuitStep(gates.n1(0.0), (q,)), _x_step(q))]
+    return CircuitProgram(n_qubits, steps)
 
 
-def _power_block(value: float, power: int, qubit: int) -> tuple[list[NetlistStep], float]:
+def _power_block(value: float, power: int, qubit: int) -> tuple[list[CircuitStep], float]:
     """|power| copies of diag(1, value), X-conjugated when the power is negative.
 
     Returns the steps and the block's scale contribution: the emitted product
     for a negative power is value**|power| * diag(1, value**power), so the
     convention product = scale**-1 * target makes that contribution
-    value**-|power|.
+    value**-|power|, or ``inf`` when that overflows a float.
     """
-    steps = [NetlistStep(gates.n1(value), (qubit,)) for _ in range(abs(power))]
+    steps = [CircuitStep(gates.n1(value), (qubit,)) for _ in range(abs(power))]
     if power >= 0:
         return steps, 1.0
-    return [_x_step(qubit)] + steps + [_x_step(qubit)], value ** (-abs(power))
+    try:
+        contribution = value ** (-abs(power))
+    except OverflowError:
+        contribution = math.inf
+    return [_x_step(qubit)] + steps + [_x_step(qubit)], contribution
 
 
 def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
-                   budget: int = DEFAULT_EXPONENT_BUDGET) -> tuple[int, int, GateNetlist]:
+                   budget: int = DEFAULT_EXPONENT_BUDGET) -> tuple[int, int, CircuitProgram]:
     """Approximate diag(1, a) with powers of just diag(1, alpha**gamma) and diag(1, alpha).
 
     Searches for integers (m, l) with |log_alpha(a) - (m*gamma + l)| < epsilon,
     trying |m| = 0, 1, 2, ... with the positive sign first and picking l by
     rounding.  Negative powers are realized through X conjugation, which costs
     a known proportionality constant folded into the netlist scale.  Raises
-    ``SearchBudgetError`` once |m| exceeds ``budget``.
+    ``SearchBudgetError`` once |m| exceeds ``budget``, and ``DomainError``
+    when that scale overflows a float.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"a must lie in (0, 1), got {a!r}")
@@ -293,7 +271,7 @@ def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
                 f"no (m, l) within epsilon={epsilon!r} for |m| <= {budget}"
             )
     m, l = found
-    steps: list[NetlistStep] = []
+    steps: list[CircuitStep] = []
     scale = 1.0
     strong = alpha ** gamma
     for value, power in ((alpha, l), (strong, m)):
@@ -302,10 +280,12 @@ def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
         block, contribution = _power_block(value, power, 0)
         steps.extend(block)
         scale *= contribution
-    return m, l, GateNetlist(1, steps, scale, ())
+    if math.isinf(scale):
+        raise DomainError(f"the netlist scale for (m, l) = ({m}, {l}) overflows a float")
+    return m, l, CircuitProgram(1, steps, scale=scale)
 
 
-def synthesize(gate: GateSpec, mode: str = "bare") -> GateNetlist:
+def synthesize(gate: GateSpec, mode: str = "bare") -> CircuitProgram:
     """Compile a normalized gate to a netlist over the universal set.
 
     ``bare`` keeps the register width equal to the gate arity and accepts the
@@ -325,19 +305,16 @@ def synthesize(gate: GateSpec, mode: str = "bare") -> GateNetlist:
     if not factors:
         steps = []
         if max_abs(gate.matrix - np.eye(1 << n)) > UNIT_ATOL:
-            steps.append(NetlistStep(gates.from_matrix(gate.matrix, "MAT(@gate)"), data))
-        return GateNetlist(n, steps, 1.0, ())
-    if mode == "ancilla":
-        width = n + 1 if n == 1 else n + 2
-        ancillas = tuple(range(n, width))
-    else:
-        width = n
-        ancillas = ()
+            steps.append(CircuitStep(gates.from_matrix(gate.matrix, "MAT(@gate)"), data))
+        return CircuitProgram(n, steps)
+    # a one-qubit factor needs one ancilla, a controlled one a marker and a sink
+    width = n if mode == "bare" else n + (1 if n == 1 else 2)
+    ancillas = tuple(range(n, width))
     steps = []
     scale = 1.0
     eye = np.eye(1 << n)
     if right is not None and max_abs(right.matrix - eye) > UNIT_ATOL:
-        steps.append(NetlistStep(right, data))
+        steps.append(CircuitStep(right, data))
     for mask, a in factors:
         conjugation = [_x_step(q) for q in range(n) if (mask >> q) & 1]
         steps.extend(conjugation)
@@ -346,8 +323,8 @@ def synthesize(gate: GateSpec, mode: str = "bare") -> GateNetlist:
         scale *= sub.scale
         steps.extend(conjugation)
     if left is not None and max_abs(left.matrix - eye) > UNIT_ATOL:
-        steps.append(NetlistStep(left, data))
-    return GateNetlist(width, steps, scale, ancillas)
+        steps.append(CircuitStep(left, data))
+    return CircuitProgram(width, steps, scale=scale, ancillas=ancillas)
 
 
 def _split_or_passthrough(gate: GateSpec):
@@ -368,27 +345,27 @@ def _split_or_passthrough(gate: GateSpec):
     return svd_split(gate)
 
 
-def _factor_core(a: float, n: int, mode: str) -> GateNetlist:
+def _factor_core(a: float, n: int, mode: str) -> CircuitProgram:
     """Netlist for diag(1,...,1,a) on an n-qubit register (controls 0..n-2, target n-1)."""
     if mode == "ancilla":
         return decompose_mcn1_ancilla(a, n - 1)
     if n == 1:
-        return GateNetlist(1, [NetlistStep(gates.n1(a), (0,))], 1.0, ())
+        return CircuitProgram(1, [CircuitStep(gates.n1(a), (0,))])
     if a < ZERO_ATOL:
         # a projective factor has no legal parameter-inverted mirror, so emit
         # it as a single gate and let the runtime realize it as a measurement
         if n == 2:
-            step = NetlistStep(gates.cn1(0.0), (0, 1))
+            step = CircuitStep(gates.cn1(0.0), (0, 1))
         else:
             entries = [1.0] * ((1 << n) - 1) + [0.0]
-            step = NetlistStep(gates.diagonal(entries), tuple(reversed(range(n))))
-        return GateNetlist(n, [step], 1.0, ())
+            step = CircuitStep(gates.diagonal(entries), tuple(reversed(range(n))))
+        return CircuitProgram(n, [step])
     if n == 2:
         return decompose_cn1(a)
     return decompose_mcn1_bare(a, n - 1)
 
 
-def netlist_matrix(netlist: GateNetlist) -> np.ndarray:
+def netlist_matrix(netlist: CircuitProgram) -> np.ndarray:
     """Dense product of the embedded step matrices (last step leftmost)."""
     dim = 1 << netlist.n_qubits
     acc = np.eye(dim, dtype=np.complex128)
@@ -397,105 +374,37 @@ def netlist_matrix(netlist: GateNetlist) -> np.ndarray:
     return acc
 
 
-def realized_operator(netlist: GateNetlist) -> np.ndarray:
+def realized_operator(netlist: CircuitProgram) -> np.ndarray:
     """Netlist product restricted to ancillas entering and leaving in |0>."""
-    full = netlist_matrix(netlist)
-    if not netlist.ancillas:
-        return full
-    anc_mask = 0
-    for q in netlist.ancillas:
-        anc_mask |= 1 << q
-    keep = [i for i in range(1 << netlist.n_qubits) if not (i & anc_mask)]
-    return full[np.ix_(keep, keep)]
+    anc_mask = sum(1 << q for q in netlist.ancillas)
+    keep = [i for i in range(1 << netlist.n_qubits) if not i & anc_mask]
+    return netlist_matrix(netlist)[np.ix_(keep, keep)]
 
 
-def reconstruction_residual(netlist: GateNetlist, target) -> float:
-    """Max-norm distance between the realized operator and scale**-1 * target."""
-    return max_abs(realized_operator(netlist) - np.asarray(target) / netlist.scale)
+def reconstruction_residual(netlist: CircuitProgram, target) -> float:
+    """Distance of the scaled realized operator from ``target``, relative to it.
 
-
-MatNamer = Callable[[int, np.ndarray], str]
-
-
-def format_netlist(netlist: GateNetlist, mat_namer: MatNamer | None = None) -> str:
-    """Render a netlist in the text format: header line, then one gate per line.
-
-    Raw-matrix steps need a ``mat_namer`` that stores the matrix and returns a
-    path for the MAT(...) label; :func:`write_netlist` provides one.
+    Measured in the target's frame, ``max|scale * realized - target| /
+    max|target|``, so a wrong step shows at any scale.
     """
-    lines = [f"qubits {netlist.n_qubits} scale {netlist.scale!r}"]
-    if netlist.ancillas:
-        lines.append("# ancilla " + " ".join(str(q) for q in netlist.ancillas))
-    for i, step in enumerate(netlist.steps):
-        label = step.gate.label
-        if label.startswith("MAT("):
-            if mat_namer is not None:
-                label = f"MAT({mat_namer(i, step.gate.matrix)})"
-            elif "@" in label:
-                raise DomainError(
-                    "netlist contains raw-matrix gates; write it to a file instead"
-                )
-        lines.append(label + " " + " ".join(str(t) for t in step.targets))
-    return "\n".join(lines) + "\n"
+    target = np.asarray(target)
+    return max_abs(netlist.scale * realized_operator(netlist) - target) / max_abs(target)
 
 
-def write_netlist(netlist: GateNetlist, path) -> None:
+def write_netlist(netlist: CircuitProgram, path) -> None:
     """Write the netlist to ``path``, dumping raw-matrix gates as sidecar files."""
-    directory = os.path.dirname(os.fspath(path))
-    base = os.path.basename(os.fspath(path))
+    directory, base = os.path.split(os.fspath(path))
 
     def namer(index: int, matrix: np.ndarray) -> str:
         name = f"{base}.g{index}.mat"
-        write_matrix(os.path.join(directory, name) if directory else name, matrix)
+        write_matrix(os.path.join(directory, name), matrix)
         return name
 
-    text = format_netlist(netlist, namer)
+    text = format_program(netlist, namer)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def read_netlist(path) -> GateNetlist:
-    """Parse a netlist file; MAT(...) paths resolve relative to it."""
-    directory = os.path.dirname(os.fspath(path))
-
-    def loader(name: str) -> np.ndarray:
-        return read_matrix(os.path.join(directory, name) if directory else name)
-
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    header: tuple[int, float] | None = None
-    ancillas: tuple[int, ...] = ()
-    steps: list[NetlistStep] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        stripped = raw.strip()
-        if stripped.startswith("# ancilla"):
-            try:
-                ancillas = tuple(int(t) for t in stripped.split()[2:])
-            except ValueError:
-                raise CircuitParseError(f"bad ancilla comment {raw!r}", lineno) from None
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 4 or tokens[0] != "qubits" or tokens[2] != "scale":
-                raise CircuitParseError("expected header 'qubits <n> scale <s>'", lineno)
-            try:
-                header = (int(tokens[1]), float(tokens[3]))
-            except ValueError:
-                raise CircuitParseError(f"bad header {raw!r}", lineno) from None
-            continue
-        try:
-            gate = gates.parse_label(tokens[0], loader)
-            targets = tuple(int(t) for t in tokens[1:])
-        except (DomainError, ValueError, OSError) as exc:
-            raise CircuitParseError(str(exc), lineno) from None
-        if len(targets) != gate.arity:
-            raise CircuitParseError(
-                f"gate {tokens[0]} expects {gate.arity} targets, got {len(targets)}", lineno
-            )
-        steps.append(NetlistStep(gate, targets))
-    if header is None:
-        raise CircuitParseError("empty netlist file", 1)
-    return GateNetlist(header[0], steps, header[1], ancillas)
+def read_netlist(path) -> CircuitProgram:
+    """Read a netlist file; it is a circuit file like any other."""
+    return parse_file(path)

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from nuqc import circuit, gates
-from nuqc.errors import CircuitError, CircuitParseError
+from nuqc import circuit, gates, measure
+from nuqc.errors import CircuitError, CircuitParseError, DomainError
 from nuqc.qstate import basis_state, dump_state, uniform_state
 
 NAND_REVERSAL = """
@@ -80,6 +81,14 @@ def test_parse_matrixgate(tmp_path):
         ("qubits 2\ngate NAND 0 1 c=0.6 q=0.9\n", "q must lie"),
         ("qubits 2\ngate NAND 0 1 c=0.6 wat=3\n", "unknown attribute"),
         ("qubits 2\nfrobnicate\n", "unknown directive"),
+        ("qubits 2 scale 1.0\n", "expected 'qubits <n>' alone"),
+        ("qubits 2\nscale 0\n", "scale must be positive"),
+        ("qubits 2\nscale nan\n", "scale must be positive"),
+        ("qubits 2\nscale 2\nscale 2\n", "duplicate scale"),
+        ("qubits 2\ngate X 0\nancillas 1\n", "ancillas must precede"),
+        ("qubits 2\nancillas 2\n", "ancilla qubit 2 out of range"),
+        ("qubits 2\nancillas 1 1\n", "duplicate ancillas"),
+        ("qubits 2\nancillas\n", "expected 'ancillas <q...>'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -240,3 +249,79 @@ def test_final_state_dump_is_clean():
     text = dump_state(record.final_state)
     # plain floats only in the dump
     assert "np." not in text
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
+
+
+def _step_view(step):
+    return (step.gate.label, step.targets, step.gate.matrix.tolist(), step.c, step.q,
+            step.max_reversals)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(DEMOS) if n.endswith(".qc")))
+def test_format_program_round_trips_demos(name):
+    prog = circuit.parse_file(os.path.join(DEMOS, name))
+    text = circuit.format_program(prog)
+    again = circuit.parse(text, base_dir=DEMOS)
+    assert (again.n_qubits, again.init_label, again.scale, again.ancillas) == (
+        prog.n_qubits, prog.init_label, prog.scale, prog.ancillas)
+    assert np.array_equal(again.initial_state.amplitudes, prog.initial_state.amplitudes)
+    assert [_step_view(s) for s in again.steps] == [_step_view(s) for s in prog.steps]
+    assert circuit.format_program(again) == text
+
+
+def test_parse_netlist_directives_and_bare_steps():
+    prog = circuit.parse("qubits 3\nscale 2.5\nancillas 2\nN1(0.5) 1\ngate CNOT 0 2\n")
+    assert prog.scale == 2.5
+    assert prog.ancillas == (2,)
+    assert [(s.gate.label, s.targets) for s in prog.steps] == [("N1(0.5)", (1,)),
+                                                              ("CNOT", (0, 2))]
+    assert prog.gate_count == 2
+    assert circuit.parse(circuit.format_program(prog)).ancillas == (2,)
+
+
+def test_format_program_rejects_unwritable_initial_state():
+    prog = circuit.CircuitProgram(1, [], uniform_state(1), "oracle superposition")
+    with pytest.raises(DomainError):
+        circuit.format_program(prog)
+
+
+def test_prepared_pairs_are_built_once_per_step(monkeypatch):
+    # more measured steps than any fixed-size cache would hold
+    calls = []
+    original = measure.build_pair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "build_pair", counting)
+    prog = circuit.parse("qubits 1\n" + "gate N1(0.999) 0\n" * 300)
+    circuit.run_branch(prog)
+    circuit.run_branch(prog)
+    assert len(calls) == 300
+
+
+def test_ensemble_clamps_jobs_to_usable_cores(monkeypatch):
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(circuit, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(circuit, "_usable_cores", lambda: 2)
+    prog = circuit.parse(NAND_REVERSAL)
+    stats = circuit.run_ensemble(prog, seed=5, trials=50, jobs=5000)
+    assert seen == [2]
+    assert stats == circuit.run_ensemble(prog, seed=5, trials=50, jobs=1)

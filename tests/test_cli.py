@@ -171,6 +171,31 @@ def test_synth_unnormalized_input_is_rescaled(tmp_path, capsys):
     assert doc["normalization_scale"] == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["bare", "ancilla"])
+def test_synth_out_runs_under_simulate(tmp_path, capsys, mode):
+    rng = np.random.default_rng(4)
+    mat = tmp_path / "m.mat"
+    write_matrix(mat, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    out_path = tmp_path / "f.nl"
+    code, _, _ = run_cli(capsys, "synth", str(mat), "--mode", mode, "--out", str(out_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "simulate", str(out_path))
+    assert code == 0
+    assert "outcome: success" in out
+
+
+def test_synth_over_tolerance_writes_nothing(tmp_path, capsys):
+    mat = tmp_path / "nand.mat"
+    write_matrix(mat, gates.nand().matrix)
+    out_path = tmp_path / "nand.netlist"
+    code, _, err = run_cli(capsys, "synth", str(mat), "--out", str(out_path),
+                           "--tolerance", "1e-300")
+    assert code == 1
+    assert "exceeds tolerance" in err
+    assert not out_path.exists()
+    assert not list(tmp_path.glob("nand.netlist.g*.mat"))
+
+
 def test_approx_reference_point(capsys):
     code, out, _ = run_cli(capsys, "approx", "--a", "0.3", "--alpha", "0.5",
                            "--gamma", str(np.sqrt(2.0)), "--eps", "0.01", "--json")
@@ -186,6 +211,13 @@ def test_approx_budget_exhaustion(capsys):
                            "--budget", "40")
     assert code == 1
     assert "error" in err
+
+
+def test_approx_scale_overflow_is_an_error(capsys):
+    code, _, err = run_cli(capsys, "approx", "--a", "0.3", "--alpha", "0.5",
+                           "--gamma", "1.4142135623730951", "--eps", "1e-4")
+    assert code == 1
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_demo_nand(netlist_file, capsys):

@@ -5,11 +5,8 @@ from nuqc.errors import DomainError, ShapeError
 from nuqc.linops import (
     adjoint,
     as_matrix,
-    eigh,
     format_matrix,
     is_hermitian,
-    kron,
-    matmul,
     max_abs,
     parse_matrix_text,
     read_matrix,
@@ -46,22 +43,9 @@ def test_require_square():
         require_square(as_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
-def test_matmul_checks_inner_dimension():
-    a = np.ones((2, 3))
-    b = np.ones((2, 2))
-    with pytest.raises(ShapeError):
-        matmul(a, b)
-
-
 def test_adjoint_is_conjugate_transpose():
     a = np.array([[1 + 2j, 3], [4j, 5]])
     assert np.allclose(adjoint(a), a.conj().T)
-
-
-def test_kron_matches_numpy():
-    a = np.array([[0, 1], [1, 0]])
-    b = np.eye(2)
-    assert np.allclose(kron(a, b), np.kron(a, b))
 
 
 def test_max_abs():
@@ -71,18 +55,6 @@ def test_max_abs():
 def test_is_hermitian():
     assert is_hermitian(np.array([[2, 1j], [-1j, 5]]))
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
-
-
-def test_eigh_descending_order():
-    w, v = eigh(np.diag([1.0, 3.0, 2.0]))
-    assert np.allclose(w, [3.0, 2.0, 1.0])
-    # columns stay matched with their eigenvalues
-    assert np.allclose(np.diag([1.0, 3.0, 2.0]) @ v, v @ np.diag(w))
-
-
-def test_eigh_rejects_nonhermitian():
-    with pytest.raises(DomainError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_svd_reconstructs():

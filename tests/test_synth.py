@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nuqc import gates, synth
+from nuqc import circuit, gates, synth
+from nuqc.circuit import CircuitProgram, CircuitStep
 from nuqc.errors import CircuitParseError, DomainError, SearchBudgetError, ShapeError
-from nuqc.qstate import embedded_matrix
+from nuqc.qstate import StateVector, embedded_matrix
 
 
 def controlled_diag(a, n_qubits):
@@ -238,9 +239,9 @@ def test_synthesize_random_round_trips(mode):
 
 
 def test_netlist_matrix_is_ordered_product():
-    net = synth.GateNetlist(2, [
-        synth.NetlistStep(gates.x(), (0,)),
-        synth.NetlistStep(gates.cnot(), (0, 1)),
+    net = CircuitProgram(2, [
+        CircuitStep(gates.x(), (0,)),
+        CircuitStep(gates.cnot(), (0, 1)),
     ])
     want = embedded_matrix(gates.cnot().matrix, (0, 1), 2) @ embedded_matrix(
         gates.x().matrix, (0,), 2
@@ -250,17 +251,17 @@ def test_netlist_matrix_is_ordered_product():
 
 def test_format_netlist_plain():
     net = synth.decompose_cn1(0.25)
-    text = synth.format_netlist(net)
+    text = circuit.format_program(net)
     lines = text.strip().splitlines()
-    assert lines[0] == f"qubits 2 scale {net.scale!r}"
-    assert lines[1] == "N1(0.5) 1"
-    assert len(lines) == 1 + net.gate_count
+    assert lines[:3] == ["qubits 2", f"scale {net.scale!r}", "gate N1(0.5) 1"]
+    assert len(lines) == 2 + net.gate_count
+    assert circuit.format_program(circuit.parse(text)) == text
 
 
 def test_format_netlist_needs_namer_for_raw_matrices():
     net = synth.synthesize(gates.nand(), mode="bare")
     with pytest.raises(DomainError):
-        synth.format_netlist(net)
+        circuit.format_program(net)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -285,15 +286,16 @@ def test_write_read_round_trip_with_sidecars(tmp_path):
     sidecars = sorted(p.name for p in tmp_path.glob("rand.netlist.g*.mat"))
     assert sidecars  # the svd unitaries go to companion files
     again = synth.read_netlist(path)
+    assert again.scale == net.scale
     assert synth.reconstruction_residual(again, g.matrix) < 1e-8
 
 
 def test_read_netlist_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.netlist"
-    path.write_text("qubits 2 scale 1.0\nWAT 0\n", encoding="utf-8")
+    path.write_text("qubits 2\nscale 1.0\nWAT 0\n", encoding="utf-8")
     with pytest.raises(CircuitParseError) as err:
         synth.read_netlist(path)
-    assert "line 2" in str(err.value)
+    assert "line 3" in str(err.value)
 
 
 def test_read_netlist_rejects_bad_header(tmp_path):
@@ -301,3 +303,53 @@ def test_read_netlist_rejects_bad_header(tmp_path):
     path.write_text("scale 1.0\n", encoding="utf-8")
     with pytest.raises(CircuitParseError):
         synth.read_netlist(path)
+
+
+def test_read_netlist_rejects_the_old_header_form(tmp_path):
+    # the former netlist header kept ancillas in a comment; reading it as a
+    # circuit would silently drop them, so it must fail instead
+    path = tmp_path / "old.netlist"
+    path.write_text("qubits 4 scale 1.0\n# ancilla 2 3\nX 0\n", encoding="utf-8")
+    with pytest.raises(CircuitParseError) as err:
+        synth.read_netlist(path)
+    assert str(err.value).startswith("line 1:")
+
+
+def test_residual_catches_a_stray_projector_at_large_scale():
+    rng = np.random.default_rng(0)
+    g = gates.normalize_gate(rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+    net = synth.synthesize(g, mode="bare")
+    assert net.scale > 1e10
+    assert synth.reconstruction_residual(net, g.matrix) < 1e-12
+    net.steps.append(CircuitStep(gates.n1(0.0), (0,)))  # wipes out half the operator
+    assert synth.reconstruction_residual(net, g.matrix) > 0.1
+
+
+def test_approximate_n1_scale_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        synth.approximate_n1(0.3, 0.5, np.sqrt(2.0), 1e-4)
+
+
+@pytest.mark.parametrize("mode", ["bare", "ancilla"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_synthesized_netlist_runs_as_measured_gates(n, mode):
+    # the all-success branch of the synthesized program, started from psi with
+    # every ancilla in |0>, is M psi / |M psi| and leaves the ancillas in |0>
+    rng = np.random.default_rng(40 + n)
+    dim = 1 << n
+    g = gates.normalize_gate(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    net = synth.synthesize(g, mode=mode)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    amplitudes = np.zeros(1 << net.n_qubits, dtype=complex)
+    amplitudes[:dim] = psi  # ancillas are the high qubits
+    net.initial_state = StateVector(net.n_qubits, amplitudes)
+    record = circuit.run_branch(net)
+    assert record.outcome == "success"
+    final = record.final_state.amplitudes
+    want = g.matrix @ psi
+    fidelity = abs(np.vdot(want / np.linalg.norm(want), final[:dim])) ** 2
+    assert fidelity >= 1 - 1e-9
+    assert np.sum(np.abs(final[dim:]) ** 2) <= 1e-12
+    expected = np.linalg.norm(want) ** 2 / net.scale**2
+    assert record.total_probability == pytest.approx(expected, rel=1e-6)
