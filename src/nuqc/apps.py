@@ -277,10 +277,11 @@ def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
 
 def qubit_bit(state: StateVector, qubit: int) -> int:
     """Round the marginal of one qubit to a classical bit."""
-    prob_one = 0.0
-    for idx, amp in enumerate(state.amplitudes):
-        if (idx >> qubit) & 1:
-            prob_one += abs(amp) ** 2
+    if not 0 <= qubit < state.n_qubits:
+        raise ShapeError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
+    # axis 1 of this view is the bit of ``qubit`` in the basis index
+    upper = state.amplitudes.reshape(-1, 2, 1 << qubit)[:, 1, :]
+    prob_one = float(np.sum(np.abs(upper) ** 2))
     total = norm_sq(state)
     return int(prob_one / total > 0.5)
 

@@ -11,7 +11,6 @@ Synthesized netlists are programs too, read and written by the same
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from collections import Counter
@@ -31,6 +30,7 @@ from .qstate import (
     StateVector,
     apply_embedded,
     basis_state,
+    live_amplitudes,
     load_state,
     normalize,
     uniform_state,
@@ -48,21 +48,6 @@ class CircuitStep:
     c: complex = 1.0
     q: complex | None = None
     max_reversals: int = 0
-
-    @functools.cached_property
-    def prepared(self) -> tuple[MeasurementPair | None, ReversalPolicy | None]:
-        """Measurement pair and reversal policy, or ``(None, None)`` for a unitary step."""
-        if (
-            self.gate.is_unitary
-            and abs(self.c - 1.0) <= _FULL_STRENGTH_ATOL
-            and self.max_reversals == 0
-        ):
-            return None, None
-        pair = measure.build_pair(self.gate, self.c)
-        policy = None
-        if self.max_reversals > 0:
-            policy = measure.build_reversal(pair, q=self.q, max_reversals=self.max_reversals)
-        return pair, policy
 
 
 @dataclass
@@ -83,10 +68,37 @@ class CircuitProgram:
     def __post_init__(self):
         if self.initial_state is None:
             self.initial_state = basis_state(self.n_qubits, 0)
+        self._prepared: dict[tuple, tuple[MeasurementPair | None, ReversalPolicy | None]] = {}
 
     @property
     def gate_count(self) -> int:
         return len(self.steps)
+
+    def prepared(self, step: CircuitStep) -> tuple[MeasurementPair | None, ReversalPolicy | None]:
+        """Measurement pair and reversal policy of ``step``, or ``(None, None)`` if unitary.
+
+        Built once per distinct gate object, ``c``, ``q`` and ``k`` and shared
+        by every step that has them, whatever its targets.  Gates are keyed by
+        identity, never by label: one label can name different matrices.
+        """
+        key = (step.gate, step.c, step.q, step.max_reversals)
+        found = self._prepared.get(key)
+        if found is not None:
+            return found
+        if (
+            step.gate.is_unitary
+            and abs(step.c - 1.0) <= _FULL_STRENGTH_ATOL
+            and step.max_reversals == 0
+        ):
+            found = None, None
+        else:
+            pair = measure.build_pair(step.gate, step.c)
+            policy = None
+            if step.max_reversals > 0:
+                policy = measure.build_reversal(pair, q=step.q, max_reversals=step.max_reversals)
+            found = pair, policy
+        self._prepared[key] = found
+        return found
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,7 @@ def run_branch(program: CircuitProgram) -> RunRecord:
     records: list[StepRecord] = []
     total = 1.0
     for i, step in enumerate(program.steps):
-        pair, policy = step.prepared
+        pair, policy = program.prepared(step)
         if pair is None:
             state = apply_embedded(state, step.gate.matrix, step.targets)
             records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
@@ -162,7 +174,7 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
     records: list[StepRecord] = []
     total = 1.0
     for i, step in enumerate(program.steps):
-        pair, policy = step.prepared
+        pair, policy = program.prepared(step)
         if pair is None:
             state = apply_embedded(state, step.gate.matrix, step.targets)
             records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
@@ -317,6 +329,8 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
     ancillas: tuple[int, ...] = ()
     headers: set[str] = set()
     steps: list[CircuitStep] = []
+    # one GateSpec per distinct label, so that its steps share one prepared pair
+    known_gates: dict[tuple[str, str], GateSpec] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -389,17 +403,20 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
                 raise CircuitParseError(f"missing gate label on '{keyword}' line", lineno)
             attr_tokens = [t for t in tokens[2:] if "=" in t]
             target_tokens = [t for t in tokens[2:] if "=" not in t]
-            try:
-                if keyword == "gate":
-                    gate = gates.parse_label(tokens[1], lambda p: read_matrix(resolve(p)))
-                else:
-                    gate = gates.normalize_gate(
-                        read_matrix(resolve(tokens[1])), label=f"MAT({tokens[1]})"
-                    )
-            except (DomainError, ValueError) as exc:
-                raise CircuitParseError(str(exc), lineno) from None
-            except OSError as exc:
-                raise CircuitParseError(f"cannot read matrix file: {exc}", lineno) from None
+            gate = known_gates.get((keyword, tokens[1]))
+            if gate is None:
+                try:
+                    if keyword == "gate":
+                        gate = gates.parse_label(tokens[1], lambda p: read_matrix(resolve(p)))
+                    else:
+                        gate = gates.normalize_gate(
+                            read_matrix(resolve(tokens[1])), label=f"MAT({tokens[1]})"
+                        )
+                except (DomainError, ValueError) as exc:
+                    raise CircuitParseError(str(exc), lineno) from None
+                except OSError as exc:
+                    raise CircuitParseError(f"cannot read matrix file: {exc}", lineno) from None
+                known_gates[(keyword, tokens[1])] = gate
             targets = _qubit_list(target_tokens, n_qubits, lineno)
             if len(targets) != gate.arity:
                 raise CircuitParseError(
@@ -460,9 +477,8 @@ def record_to_json(record: RunRecord) -> dict:
     final = None
     if record.final_state is not None:
         final = [
-            {"index": i, "re": float(a.real), "im": float(a.imag)}
-            for i, a in enumerate(record.final_state.amplitudes)
-            if abs(a) > 1e-12
+            {"index": i, "re": re, "im": im}
+            for i, re, im in live_amplitudes(record.final_state)
         ]
     doc = {
         "outcome": record.outcome,

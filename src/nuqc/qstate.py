@@ -107,6 +107,36 @@ def _check_targets(n_qubits: int, targets: Sequence[int]) -> tuple[int, ...]:
     return targets
 
 
+def _check_operator(n_qubits: int, op,
+                    targets: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    targets = _check_targets(n_qubits, targets)
+    op = np.asarray(op, dtype=np.complex128)
+    k = len(targets)
+    if op.shape != (1 << k, 1 << k):
+        raise ShapeError(f"operator shape {op.shape} does not match {k} targets")
+    return op, targets
+
+
+def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """The state kernel: ``op`` on ``targets`` of a ``(2**n,)`` or ``(2**n, cols)`` array.
+
+    Each column is one register state.  Unchecked; callers validate through
+    :func:`_check_operator`.
+    """
+    n = amps.shape[0].bit_length() - 1
+    k = len(targets)
+    psi = amps.reshape((2,) * n + amps.shape[1:])
+    # the target axes first, as np.moveaxis would put them, without its
+    # axis normalization, which costs more than the rest on small registers
+    axes = [n - 1 - t for t in targets]
+    order = axes + [a for a in range(psi.ndim) if a not in axes]
+    moved = psi.transpose(order)
+    block = moved.reshape(1 << k, -1)
+    out = (op @ block).reshape(moved.shape)
+    inverse = sorted(range(psi.ndim), key=order.__getitem__)
+    return out.transpose(inverse).reshape(amps.shape)
+
+
 def apply_embedded(state: StateVector, op, targets: Sequence[int]) -> StateVector:
     """Apply a k-qubit operator to the chosen targets of a wider register.
 
@@ -115,33 +145,35 @@ def apply_embedded(state: StateVector, op, targets: Sequence[int]) -> StateVecto
     O(2**n * 2**k) time without forming the embedded full-register matrix.
     """
     n = state.n_qubits
-    targets = _check_targets(n, targets)
-    op = np.asarray(op, dtype=np.complex128)
-    k = len(targets)
-    if op.shape != (1 << k, 1 << k):
-        raise ShapeError(f"operator shape {op.shape} does not match {k} targets")
-    psi = state.amplitudes.reshape((2,) * n)
-    axes = [n - 1 - t for t in targets]
-    moved = np.moveaxis(psi, axes, range(k))
-    block = moved.reshape(1 << k, -1)
-    out = (op @ block).reshape((2,) * n)
-    result = np.moveaxis(out, range(k), axes).reshape(-1)
-    return StateVector(n, result, copy=False)
+    op, targets = _check_operator(n, op, targets)
+    return StateVector(n, _apply(state.amplitudes, op, targets), copy=False)
+
+
+def apply_columns(columns, op, targets: Sequence[int]) -> np.ndarray:
+    """Apply a k-qubit operator to every column of a ``(2**n, cols)`` array.
+
+    Column j of the result is :func:`apply_embedded` of column j, computed by
+    the same kernel for all columns at once; unnormalized, like it.
+    """
+    columns = np.asarray(columns, dtype=np.complex128)
+    n = columns.shape[0].bit_length() - 1 if columns.ndim == 2 else 0
+    if not 1 <= n <= MAX_QUBITS or columns.shape[0] != 1 << n:
+        raise ShapeError(f"expected a (2**n, cols) array with 1 <= n <= {MAX_QUBITS}, "
+                         f"got shape {columns.shape}")
+    op, targets = _check_operator(n, op, targets)
+    return _apply(columns, op, targets)
 
 
 def embedded_matrix(op, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     """Dense full-register matrix of an operator embedded on ``targets``.
 
     Built entry by entry from the index arithmetic, so it serves as an
-    independent cross-check for :func:`apply_embedded` and as the verification
-    route for synthesized gate netlists.  Exponential in ``n_qubits``; meant
-    for small registers.
+    independent test oracle for the state kernel behind :func:`apply_embedded`
+    and :func:`apply_columns`.  Exponential in ``n_qubits``; meant for small
+    registers.
     """
-    targets = _check_targets(n_qubits, targets)
-    op = np.asarray(op, dtype=np.complex128)
+    op, targets = _check_operator(n_qubits, op, targets)
     k = len(targets)
-    if op.shape != (1 << k, 1 << k):
-        raise ShapeError(f"operator shape {op.shape} does not match {k} targets")
     dim = 1 << n_qubits
     clear = 0
     for t in targets:
@@ -161,13 +193,18 @@ def embedded_matrix(op, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     return full
 
 
+def live_amplitudes(state: StateVector,
+                    threshold: float = DUMP_THRESHOLD) -> list[tuple[int, float, float]]:
+    """``(index, re, im)`` of each amplitude with magnitude above ``threshold``, by index."""
+    amps = state.amplitudes
+    live = np.flatnonzero(np.abs(amps) > threshold)
+    return list(zip(live.tolist(), amps.real[live].tolist(), amps.imag[live].tolist()))
+
+
 def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD) -> str:
     """Text dump, one ``binary_index re im`` line per non-negligible amplitude."""
     n = state.n_qubits
-    lines = []
-    for idx, amp in enumerate(state.amplitudes):
-        if abs(amp) > threshold:
-            lines.append(f"{idx:0{n}b} {float(amp.real)!r} {float(amp.imag)!r}")
+    lines = [f"{idx:0{n}b} {re!r} {im!r}" for idx, re, im in live_amplitudes(state, threshold)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -27,7 +27,7 @@ from .circuit import CircuitProgram, CircuitStep, format_program, parse_file
 from .errors import DomainError, SearchBudgetError, ShapeError
 from .gates import GateSpec
 from .linops import max_abs, svd, write_matrix
-from .qstate import embedded_matrix
+from .qstate import apply_columns
 
 ZERO_ATOL = 1e-12
 UNIT_ATOL = 1e-12
@@ -365,20 +365,30 @@ def _factor_core(a: float, n: int, mode: str) -> CircuitProgram:
     return decompose_mcn1_bare(a, n - 1)
 
 
+def _push_columns(netlist: CircuitProgram, columns: np.ndarray) -> np.ndarray:
+    """Every column of ``columns`` after the netlist's steps, in order, through the state kernel."""
+    for step in netlist.steps:
+        columns = apply_columns(columns, step.gate.matrix, step.targets)
+    return columns
+
+
 def netlist_matrix(netlist: CircuitProgram) -> np.ndarray:
     """Dense product of the embedded step matrices (last step leftmost)."""
-    dim = 1 << netlist.n_qubits
-    acc = np.eye(dim, dtype=np.complex128)
-    for step in netlist.steps:
-        acc = embedded_matrix(step.gate.matrix, step.targets, netlist.n_qubits) @ acc
-    return acc
+    return _push_columns(netlist, np.eye(1 << netlist.n_qubits, dtype=np.complex128))
 
 
 def realized_operator(netlist: CircuitProgram) -> np.ndarray:
-    """Netlist product restricted to ancillas entering and leaving in |0>."""
-    anc_mask = sum(1 << q for q in netlist.ancillas)
-    keep = [i for i in range(1 << netlist.n_qubits) if not i & anc_mask]
-    return netlist_matrix(netlist)[np.ix_(keep, keep)]
+    """Netlist product restricted to ancillas entering and leaving in |0>.
+
+    Only the 2**n basis columns with every ancilla in |0> go through the
+    steps, so the cost is O(steps * 2**width * 2**n) rather than a dense
+    2**width-square product per step.
+    """
+    index = np.arange(1 << netlist.n_qubits)
+    keep = index[(index & sum(1 << q for q in netlist.ancillas)) == 0]
+    columns = np.zeros((index.size, keep.size), dtype=np.complex128)
+    columns[keep, np.arange(keep.size)] = 1.0
+    return _push_columns(netlist, columns)[keep]
 
 
 def reconstruction_residual(netlist: CircuitProgram, target) -> float:

@@ -11,6 +11,7 @@ from nuqc.errors import (
     ShapeError,
     UnsupportedInstanceError,
 )
+from nuqc.qstate import StateVector, basis_state, norm_sq
 
 XOR_NETLIST = """
 inputs 2
@@ -279,8 +280,28 @@ def test_failure_operator_variant_is_complete():
 
 
 def test_qubit_bit_reads_marginals():
-    from nuqc.qstate import basis_state
-
     assert apps.qubit_bit(basis_state(3, 0b101), 0) == 1
     assert apps.qubit_bit(basis_state(3, 0b101), 1) == 0
     assert apps.qubit_bit(basis_state(3, 0b101), 2) == 1
+
+
+def _qubit_bit_by_loop(state, qubit):
+    """The per-amplitude loop qubit_bit replaced, kept as its reference."""
+    prob_one = 0.0
+    for idx, amp in enumerate(state.amplitudes):
+        if (idx >> qubit) & 1:
+            prob_one += abs(amp) ** 2
+    return int(prob_one / norm_sq(state) > 0.5)
+
+
+def test_qubit_bit_matches_the_per_amplitude_loop():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 9):
+        for _ in range(10):
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amps *= rng.uniform(0.1, 10.0, size=1 << n)  # uneven marginals
+            state = StateVector(n, amps)
+            for qubit in range(n):
+                assert apps.qubit_bit(state, qubit) == _qubit_bit_by_loop(state, qubit)
+    with pytest.raises(ShapeError):
+        apps.qubit_bit(basis_state(3, 0), 3)

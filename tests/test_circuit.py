@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from nuqc import circuit, gates, measure
+from nuqc import circuit, cli, gates, measure
 from nuqc.errors import CircuitError, CircuitParseError, DomainError
+from nuqc.linops import write_matrix
 from nuqc.qstate import basis_state, dump_state, uniform_state
 
 NAND_REVERSAL = """
@@ -287,8 +288,8 @@ def test_format_program_rejects_unwritable_initial_state():
         circuit.format_program(prog)
 
 
-def test_prepared_pairs_are_built_once_per_step(monkeypatch):
-    # more measured steps than any fixed-size cache would hold
+def test_prepared_pairs_are_built_once_per_distinct_gate(monkeypatch):
+    # more measured steps than any fixed-size cache would hold, all one gate
     calls = []
     original = measure.build_pair
 
@@ -300,7 +301,44 @@ def test_prepared_pairs_are_built_once_per_step(monkeypatch):
     prog = circuit.parse("qubits 1\n" + "gate N1(0.999) 0\n" * 300)
     circuit.run_branch(prog)
     circuit.run_branch(prog)
-    assert len(calls) == 300
+    assert len(calls) == 1
+
+
+def test_prepared_pairs_are_keyed_by_gate_not_label():
+    first = gates.normalize_gate(np.diag([1.0, 0.5]))
+    second = gates.normalize_gate(np.diag([0.5, 1.0]))
+    assert first.label == second.label
+    prog = circuit.CircuitProgram(
+        1, [circuit.CircuitStep(first, (0,)), circuit.CircuitStep(second, (0,))],
+        initial_state=uniform_state(1),
+    )
+    record = circuit.run_branch(prog)
+    # diag(0.5, 1) diag(1, 0.5) is 0.5 I, which leaves the direction unchanged
+    assert np.allclose(record.final_state.amplitudes, uniform_state(1).amplitudes, atol=1e-12)
+    assert record.total_probability == pytest.approx(0.25)
+
+
+def test_parsed_synth_netlist_builds_one_pair_per_distinct_measured_gate(tmp_path,
+                                                                         monkeypatch):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "m4.mat"
+    write_matrix(path, rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    out = tmp_path / "m4.nl"
+    assert cli.main(["synth", str(path), "--out", str(out)]) == 0
+    calls = []
+    original = measure.build_pair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "build_pair", counting)
+    prog = circuit.parse_file(out)
+    measured = {(s.gate.label, s.c, s.q, s.max_reversals) for s in prog.steps
+                if not s.gate.is_unitary}
+    assert prog.gate_count > 500 and len(measured) < prog.gate_count / 10
+    circuit.run_branch(prog)
+    assert len(calls) == len(measured)
 
 
 def test_ensemble_clamps_jobs_to_usable_cores(monkeypatch):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from nuqc import circuit
 from nuqc.errors import AnnihilatedStateError, ShapeError
 from nuqc.qstate import (
+    DUMP_THRESHOLD,
     StateVector,
+    apply_columns,
     apply_embedded,
     basis_state,
     dump_state,
@@ -156,6 +159,96 @@ def test_embedded_matrix_agrees_with_apply():
     psi = StateVector(3, amps)
     full = embedded_matrix(op, (2, 0), 3)
     assert np.allclose(full @ amps, apply_embedded(psi, op, (2, 0)).amplitudes)
+
+
+def test_apply_columns_applies_the_kernel_to_each_column():
+    rng = np.random.default_rng(45)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            k = int(rng.integers(1, min(n, 3) + 1))
+            targets = tuple(rng.permutation(n)[:k].tolist())
+            op = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+            cols = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+            got = apply_columns(cols, op, targets)
+            assert got.shape == cols.shape
+            for j in range(3):
+                want = apply_embedded(StateVector(n, cols[:, j]), op, targets).amplitudes
+                # a batched product may round differently from a vector one
+                assert np.allclose(got[:, j], want, rtol=1e-13, atol=1e-13)
+
+
+def test_apply_columns_validation():
+    cols = np.eye(4, dtype=complex)
+    with pytest.raises(ShapeError):
+        apply_columns(cols, X, (2,))
+    with pytest.raises(ShapeError):
+        apply_columns(cols, CNOT, (0, 0))
+    with pytest.raises(ShapeError):
+        apply_columns(cols, X, (0, 1))
+    with pytest.raises(ShapeError):
+        apply_columns(np.ones(4, dtype=complex), X, (0,))  # one state, not columns
+    with pytest.raises(ShapeError):
+        apply_columns(np.ones((6, 2), dtype=complex), X, (0,))
+
+
+def _dump_state_by_loop(state, threshold=DUMP_THRESHOLD):
+    """The per-amplitude loop dump_state replaced, kept as its reference."""
+    n = state.n_qubits
+    lines = []
+    for idx, amp in enumerate(state.amplitudes):
+        if abs(amp) > threshold:
+            lines.append(f"{idx:0{n}b} {float(amp.real)!r} {float(amp.imag)!r}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def edge_amplitudes(n, rng):
+    """Amplitudes around DUMP_THRESHOLD, with signed zeros, on an n-qubit register."""
+    amps = np.zeros(1 << n, dtype=complex)
+    edge = [
+        complex(DUMP_THRESHOLD, 0.0),
+        complex(np.nextafter(DUMP_THRESHOLD, 1.0), -0.0),
+        complex(np.nextafter(DUMP_THRESHOLD, 0.0), 0.0),
+        complex(-0.0, np.nextafter(DUMP_THRESHOLD, 1.0)),
+        complex(0.6, -0.0),
+        complex(-0.0, -0.8),
+        complex(0.7e-12, 0.8e-12),
+        complex(-0.3, 0.1),
+    ]
+    idx = rng.permutation(1 << n)[: len(edge)]
+    amps[idx] = edge[: idx.size]
+    if n > 3:
+        rest = rng.permutation(1 << n)[:200]
+        amps[rest] = rng.normal(size=200) * 10.0 ** rng.integers(-14, 0, size=200)
+    return amps
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_dump_state_matches_the_per_amplitude_loop(n):
+    rng = np.random.default_rng(n)
+    state = StateVector(n, edge_amplitudes(n, rng))
+    text = dump_state(state)
+    assert text == _dump_state_by_loop(state)
+    assert "-0.0" in text
+    assert dump_state(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
+    empty = StateVector(n, np.zeros(1 << n))
+    assert dump_state(empty) == _dump_state_by_loop(empty) == ""
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_record_json_matches_the_per_amplitude_loop(n):
+    rng = np.random.default_rng(100 + n)
+    state = StateVector(n, edge_amplitudes(n, rng))
+    record = circuit.RunRecord("success", 0.5, [], state)
+    by_loop = [
+        {"index": i, "re": float(a.real), "im": float(a.imag)}
+        for i, a in enumerate(state.amplitudes)
+        if abs(a) > 1e-12
+    ]
+    doc = circuit.record_to_json(record)
+    assert doc["final_state"] == by_loop
+    assert all(type(e["index"]) is int and type(e["re"]) is float for e in doc["final_state"])
+    want = circuit.dumps_json(dict(doc, final_state=by_loop))
+    assert circuit.dumps_json(doc) == want
 
 
 def test_dump_load_round_trip():

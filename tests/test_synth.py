@@ -1,9 +1,13 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
-from nuqc import circuit, gates, synth
+from nuqc import circuit, cli, gates, qstate, synth
 from nuqc.circuit import CircuitProgram, CircuitStep
 from nuqc.errors import CircuitParseError, DomainError, SearchBudgetError, ShapeError
+from nuqc.linops import write_matrix
 from nuqc.qstate import StateVector, embedded_matrix
 
 
@@ -238,6 +242,66 @@ def test_synthesize_random_round_trips(mode):
             assert synth.reconstruction_residual(net, g.matrix) < 1e-8
 
 
+def _ordered_product(net):
+    """The step product built from embedded_matrix, the oracle for netlist_matrix."""
+    acc = np.eye(1 << net.n_qubits, dtype=complex)
+    for step in net.steps:
+        acc = embedded_matrix(step.gate.matrix, step.targets, net.n_qubits) @ acc
+    return acc
+
+
+def _random_netlist(rng, width, ancillas):
+    fixed = [gates.h(), gates.x(), gates.cnot(), gates.ckx(2)]
+    steps = []
+    for i in range(14):
+        k = int(rng.integers(1, min(width, 3) + 1))
+        targets = tuple(rng.permutation(width)[:k].tolist())
+        if k >= 2 and i % 3 == 0:
+            targets = tuple(sorted(targets, reverse=True))  # descending, never sorted
+        if i % 4 == 0:
+            gate = next(g for g in fixed if g.arity == k)
+        else:
+            raw = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+            gate = gates.normalize_gate(raw)
+        steps.append(CircuitStep(gate, targets))
+    return CircuitProgram(width, steps, ancillas=ancillas)
+
+
+@pytest.mark.parametrize("width, ancillas", [
+    (1, ()), (2, ()), (2, (1,)), (3, (0, 2)), (4, (0, 2)), (4, (3, 1)), (5, (0, 2)),
+    (5, (4,)), (5, ()),
+])
+def test_batched_verification_matches_the_embedded_matrix_product(width, ancillas):
+    rng = np.random.default_rng(60 + 7 * width + len(ancillas))
+    for _ in range(3):
+        net = _random_netlist(rng, width, ancillas)
+        want = _ordered_product(net)
+        assert np.max(np.abs(synth.netlist_matrix(net) - want)) <= 1e-12
+        mask = sum(1 << q for q in ancillas)
+        keep = [i for i in range(1 << width) if not i & mask]
+        realized = synth.realized_operator(net)
+        assert realized.shape == (len(keep), len(keep))
+        assert np.max(np.abs(realized - want[np.ix_(keep, keep)])) <= 1e-12
+
+
+def test_synth_cli_never_calls_the_test_oracle(tmp_path, monkeypatch, capsys):
+    # embedded_matrix checks the verification path, so that path must not use it
+    original = qstate.embedded_matrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embedded_matrix is a test oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nuqc") and getattr(module, "embedded_matrix", None) is original:
+            monkeypatch.setattr(module, "embedded_matrix", refuse)
+    rng = np.random.default_rng(3)
+    path = tmp_path / "m3.mat"
+    write_matrix(path, rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    out = tmp_path / "m3.nl"
+    assert cli.main(["synth", str(path), "--mode", "ancilla", "--out", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
+
+
 def test_netlist_matrix_is_ordered_product():
     net = CircuitProgram(2, [
         CircuitStep(gates.x(), (0,)),
@@ -330,17 +394,10 @@ def test_approximate_n1_scale_overflow_is_a_domain_error():
         synth.approximate_n1(0.3, 0.5, np.sqrt(2.0), 1e-4)
 
 
-@pytest.mark.parametrize("mode", ["bare", "ancilla"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_synthesized_netlist_runs_as_measured_gates(n, mode):
+def _assert_runs_as_measured_gates(g, net, psi):
     # the all-success branch of the synthesized program, started from psi with
     # every ancilla in |0>, is M psi / |M psi| and leaves the ancillas in |0>
-    rng = np.random.default_rng(40 + n)
-    dim = 1 << n
-    g = gates.normalize_gate(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    net = synth.synthesize(g, mode=mode)
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi /= np.linalg.norm(psi)
+    dim = psi.size
     amplitudes = np.zeros(1 << net.n_qubits, dtype=complex)
     amplitudes[:dim] = psi  # ancillas are the high qubits
     net.initial_state = StateVector(net.n_qubits, amplitudes)
@@ -353,3 +410,28 @@ def test_synthesized_netlist_runs_as_measured_gates(n, mode):
     assert np.sum(np.abs(final[dim:]) ** 2) <= 1e-12
     expected = np.linalg.norm(want) ** 2 / net.scale**2
     assert record.total_probability == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["bare", "ancilla"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_synthesized_netlist_runs_as_measured_gates(n, mode):
+    rng = np.random.default_rng(40 + n)
+    dim = 1 << n
+    g = gates.normalize_gate(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    net = synth.synthesize(g, mode=mode)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    _assert_runs_as_measured_gates(g, net, psi / np.linalg.norm(psi))
+
+
+def test_six_qubit_synthesis_verifies_and_runs():
+    # too slow to verify in the suite through dense embedded matrices
+    rng = np.random.default_rng(0)
+    g = gates.normalize_gate(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    bare = synth.synthesize(g, mode="bare")
+    assert bare.n_qubits == 6 and bare.gate_count > 10000
+    assert synth.reconstruction_residual(bare, g.matrix) < 1e-8
+    net = synth.synthesize(g, mode="ancilla")
+    assert net.n_qubits == 8 and net.ancillas == (6, 7)
+    assert synth.reconstruction_residual(net, g.matrix) < 1e-8
+    psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+    _assert_runs_as_measured_gates(g, net, psi / np.linalg.norm(psi))
