@@ -4,7 +4,8 @@ A program is a register width, an initial state, and a list of gate steps.
 Unitary steps at full strength apply deterministically; everything else runs
 as a two-outcome measurement, optionally wrapped in the reversal protocol.
 ``run_branch`` follows the all-success branch analytically, ``run_sampled``
-draws one trajectory, and ``run_ensemble`` aggregates many seeded trials.
+draws one trajectory, and ``run_ensemble`` aggregates many seeded trials,
+each drawn against thresholds from a single branch pass.
 Synthesized netlists are programs too, read and written by the same
 ``parse`` and ``format_program``.
 """
@@ -32,6 +33,7 @@ from .qstate import (
     basis_state,
     live_amplitudes,
     load_state,
+    norm_sq,
     normalize,
     uniform_state,
 )
@@ -138,6 +140,17 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 def run_branch(program: CircuitProgram) -> RunRecord:
     """Follow the all-success branch, multiplying protocol probabilities."""
+    return _follow_branch(program, None)
+
+
+Plan = list[tuple[int, measure.Thresholds]]
+
+
+def _follow_branch(program: CircuitProgram, plan: Plan | None) -> RunRecord:
+    """``run_branch``; with a ``plan`` list, also append each measured step's thresholds.
+
+    The plan ends at a step whose branch is annihilated: no trial passes it.
+    """
     state = program.initial_state
     records: list[StepRecord] = []
     total = 1.0
@@ -147,8 +160,11 @@ def run_branch(program: CircuitProgram) -> RunRecord:
             state = apply_embedded(state, step.gate.matrix, step.targets)
             records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
             continue
-        p = measure.analytic_success(pair, state, step.targets, policy)
         branch = apply_embedded(state, pair.m0, step.targets)
+        mass = norm_sq(branch)
+        if plan is not None:
+            plan.append((i, measure.thresholds(pair, policy, state, step.targets, mass)))
+        p = measure.protocol_success(mass, policy)
         try:
             state = normalize(branch)
         except AnnihilatedStateError:
@@ -179,8 +195,8 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
             state = apply_embedded(state, step.gate.matrix, step.targets)
             records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
             continue
-        p = measure.analytic_success(pair, state, step.targets, policy)
         result = measure.run_with_reversal(pair, policy, state, step.targets, rng)
+        p = measure.protocol_success(result.first_success_mass, policy)
         records.append(StepRecord(step.gate.label, step.targets, p, result.reversals))
         if result.outcome == measure.FAILURE:
             return RunRecord("failure", 0.0, records, None, failed_step=i)
@@ -189,18 +205,34 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
     return RunRecord("success", total, records, state)
 
 
-def _run_trials(program: CircuitProgram, seed: int, start: int,
-                stop: int) -> tuple[int, int, Counter]:
+def _trial(plan: Plan, rng) -> tuple[int | None, int]:
+    """Failed step (``None`` on success) and reversals of one trial drawn against ``plan``.
+
+    Every surviving trial sits on the all-success branch state (a restored
+    reversal gives back the state exactly), so a trial only compares its
+    uniforms against the plan's thresholds and evolves no state.  It draws
+    the same uniforms as ``run_sampled`` does from the same ``rng``.
+    """
+    reversals = 0
+    for i, th in plan:
+        passed, used = measure.replay(th, rng)
+        reversals += used
+        if not passed:
+            return i, reversals
+    return None, reversals
+
+
+def _run_trials(plan: Plan, seed: int, start: int, stop: int) -> tuple[int, int, Counter]:
     successes = 0
     reversals = 0
     failures: Counter = Counter()
     for t in range(start, stop):
-        record = run_sampled(program, rng=trial_rng(seed, t))
-        reversals += sum(r.reversals for r in record.steps)
-        if record.outcome == "success":
+        failed, used = _trial(plan, trial_rng(seed, t))
+        reversals += used
+        if failed is None:
             successes += 1
         else:
-            failures[record.failed_step] += 1
+            failures[failed] += 1
     return successes, reversals, failures
 
 
@@ -220,8 +252,10 @@ def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
     if jobs < 1:
         raise CircuitError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, trials, _usable_cores())
+    plan: Plan = []
+    analytic = _follow_branch(program, plan).total_probability
     if jobs == 1:
-        successes, reversals, failures = _run_trials(program, seed, 0, trials)
+        successes, reversals, failures = _run_trials(plan, seed, 0, trials)
     else:
         bounds = [(trials * j) // jobs for j in range(jobs + 1)]
         successes, reversals = 0, 0
@@ -229,7 +263,7 @@ def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = pool.map(
                 _run_trials,
-                [program] * jobs,
+                [plan] * jobs,
                 [seed] * jobs,
                 bounds[:-1],
                 bounds[1:],
@@ -247,7 +281,7 @@ def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
         std_error=std_error,
         mean_reversals=reversals / trials,
         failures_by_step=dict(sorted(failures.items())),
-        analytic_probability=run_branch(program).total_probability,
+        analytic_probability=analytic,
     )
 
 

@@ -65,6 +65,22 @@ class ProtocolResult(NamedTuple):
     state: StateVector
     attempts: int
     reversals: int
+    first_success_mass: float
+
+
+class Thresholds(NamedTuple):
+    """Branch masses that decide the protocol on one fixed pre-measurement state.
+
+    ``restore`` and ``spoil`` are the reversal masses |R0 psi'|^2 and
+    |R1 psi'|^2 on psi' = normalize(M1 psi); both are 0 when the budget is 0
+    or the failure branch is degenerate, since no reversal is then drawn.
+    """
+
+    success: float
+    failure: float
+    restore: float
+    spoil: float
+    budget: int
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -92,9 +108,19 @@ def success_prob(pair: MeasurementPair, state: StateVector, targets: Sequence[in
     return norm_sq(apply_embedded(state, pair.m0, targets))
 
 
-def _sample_two_outcome(op_success, op_failure, state, targets, rng) -> tuple[str, StateVector]:
-    kept = apply_embedded(state, op_success, targets)
-    p = norm_sq(kept)
+def _check_mass(outcome: str, mass: float) -> None:
+    if mass < DEGENERATE_MASS:
+        raise DegenerateBranchError(
+            f"sampled {outcome} branch carries probability {mass:.3e}"
+        )
+
+
+def _sample_two_outcome(op_success, op_failure, state, targets, rng,
+                        success=None) -> tuple[str, StateVector]:
+    if success is None:
+        kept = apply_embedded(state, op_success, targets)
+        success = kept, norm_sq(kept)
+    kept, p = success
     if rng.random() < p:
         branch, mass = kept, p
         outcome = SUCCESS
@@ -102,17 +128,19 @@ def _sample_two_outcome(op_success, op_failure, state, targets, rng) -> tuple[st
         branch = apply_embedded(state, op_failure, targets)
         mass = norm_sq(branch)
         outcome = FAILURE
-    if mass < DEGENERATE_MASS:
-        raise DegenerateBranchError(
-            f"sampled {outcome} branch carries probability {mass:.3e}"
-        )
+    _check_mass(outcome, mass)
     return outcome, normalize(branch)
 
 
 def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
-           rng: np.random.Generator) -> tuple[str, StateVector]:
-    """Draw one outcome; consumes exactly one uniform variate from ``rng``."""
-    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng)
+           rng: np.random.Generator,
+           success: tuple[StateVector, float] | None = None) -> tuple[str, StateVector]:
+    """Draw one outcome; consumes exactly one uniform variate from ``rng``.
+
+    ``success``, when given, is ``(M0 state, |M0 state|^2)`` already computed
+    by the caller, and is used instead of applying ``M0`` again.
+    """
+    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng, success)
 
 
 def build_reversal(pair: MeasurementPair, q: complex | None = None,
@@ -166,40 +194,97 @@ def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
 
     ``attempts`` counts main-measurement samples, ``reversals`` counts
     reversing samples.  The returned state is the post-measurement state of
-    whichever branch ended the protocol.
+    whichever branch ended the protocol.  ``first_success_mass`` is
+    |M0 state|^2, the single-attempt success probability.
     """
     budget = policy.max_reversals if policy is not None else 0
     current = state
     attempts = 0
     reversals = 0
+    kept = apply_embedded(state, pair.m0, targets)
+    first_mass = norm_sq(kept)
+    success = kept, first_mass
+    del kept
     while True:
         attempts += 1
-        outcome, post = sample(pair, current, targets, rng)
+        outcome, post = sample(pair, current, targets, rng, success)
+        success = None  # frees M0 state before a reversal allocates its own
         if outcome == SUCCESS:
-            return ProtocolResult(SUCCESS, post, attempts, reversals)
+            return ProtocolResult(SUCCESS, post, attempts, reversals, first_mass)
         if policy is None or reversals >= budget:
-            return ProtocolResult(FAILURE, post, attempts, reversals)
+            return ProtocolResult(FAILURE, post, attempts, reversals, first_mass)
         reversals += 1
         r_outcome, r_post = sample_reversal(policy, post, targets, rng)
         if r_outcome == FAILURE:
-            return ProtocolResult(FAILURE, r_post, attempts, reversals)
+            return ProtocolResult(FAILURE, r_post, attempts, reversals, first_mass)
         current = r_post
 
 
-def analytic_success(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
-                     policy: ReversalPolicy | None = None) -> float:
-    """Overall protocol success probability, including budgeted reversals.
+def thresholds(pair: MeasurementPair, policy: ReversalPolicy | None, state: StateVector,
+               targets: Sequence[int], success_mass: float) -> Thresholds:
+    """Branch masses of the protocol on ``state``, given its ``success_mass`` |M0 state|^2.
 
-    With k allowed reversals the single-attempt probability p grows to
-    p * (1 - |q|^(2k+2)) / (1 - |q|^2); at the optimal q this approaches the
-    strength-1 probability as k grows.
+    Each mass comes from the same operations ``run_with_reversal`` performs
+    on its first attempt, so comparing the same uniforms against them gives
+    the same outcomes.  A successful reversal restores ``state`` exactly
+    (R0 M1 = q I), so the masses hold for every retry too.
     """
-    p = success_prob(pair, state, targets)
+    failed = apply_embedded(state, pair.m1, targets)
+    failure = norm_sq(failed)
+    budget = policy.max_reversals if policy is not None else 0
+    if budget == 0 or failure < DEGENERATE_MASS:
+        return Thresholds(success_mass, failure, 0.0, 0.0, budget)
+    failed = normalize(failed)
+    return Thresholds(
+        success_mass,
+        failure,
+        norm_sq(apply_embedded(failed, policy.r0, targets)),
+        norm_sq(apply_embedded(failed, policy.r1, targets)),
+        budget,
+    )
+
+
+def replay(th: Thresholds, rng: np.random.Generator) -> tuple[bool, int]:
+    """Draw the protocol against ``th``: ``(succeeded, reversals)``.
+
+    Consumes one uniform per main measurement and one per reversal, in the
+    order ``run_with_reversal`` does, and raises ``DegenerateBranchError``
+    under the same conditions.  No state is evolved.
+    """
+    success, failure, restore, spoil, budget = th
+    reversals = 0
+    while True:
+        if rng.random() < success:
+            _check_mass(SUCCESS, success)
+            return True, reversals
+        _check_mass(FAILURE, failure)
+        if reversals >= budget:
+            return False, reversals
+        reversals += 1
+        if rng.random() < restore:
+            _check_mass(SUCCESS, restore)
+        else:
+            _check_mass(FAILURE, spoil)
+            return False, reversals
+
+
+def protocol_success(p: float, policy: ReversalPolicy | None) -> float:
+    """Overall success probability from the single-attempt probability ``p``.
+
+    With k allowed reversals it grows to p * (1 - |q|^(2k+2)) / (1 - |q|^2);
+    at the optimal q this approaches the strength-1 probability as k grows.
+    """
     if policy is None or policy.max_reversals == 0:
         return p
     q_sq = abs(policy.q) ** 2
     k = policy.max_reversals
     return p * (1.0 - q_sq ** (k + 1)) / (1.0 - q_sq)
+
+
+def analytic_success(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
+                     policy: ReversalPolicy | None = None) -> float:
+    """Overall protocol success probability on ``state``, including budgeted reversals."""
+    return protocol_success(success_prob(pair, state, targets), policy)
 
 
 def completeness_defect(pair: MeasurementPair) -> float:

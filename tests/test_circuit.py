@@ -1,18 +1,35 @@
+import itertools
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nuqc import circuit, cli, gates, measure
-from nuqc.errors import CircuitError, CircuitParseError, DomainError
+from nuqc import apps, circuit, cli, gates, measure, qstate
+from nuqc.errors import CircuitError, CircuitParseError, DegenerateBranchError, DomainError
 from nuqc.linops import write_matrix
-from nuqc.qstate import basis_state, dump_state, uniform_state
+from nuqc.qstate import StateVector, basis_state, dump_state, uniform_state
 
 NAND_REVERSAL = """
 qubits 2
 init basis 3
 gate NAND 1 0 c=0.6 q=opt k=1
+"""
+
+# non-optimal q, budgets up to 4, a measured step without reversal and
+# unitary steps between the measured ones
+MULTI_STEP = """
+qubits 3
+init uniform
+gate H 0
+gate NAND 1 0 c=0.7 q=0.5 k=4
+gate CNOT 1 2
+gate N1(0.4) 2 c=0.9
+gate AL 0 1 c=0.8 q=opt k=2
+gate X 1
+gate NAND 2 1 c=0.6 q=0.3 k=3
+gate CN1(0.5) 0 2 c=0.95 q=0.2 k=1
 """
 
 
@@ -151,11 +168,14 @@ def test_run_sampled_is_deterministic():
 
 
 def test_run_sampled_matches_ensemble_trial_zero():
-    prog = circuit.parse(NAND_REVERSAL)
-    for seed in range(6):
-        single = circuit.run_sampled(prog, seed=seed)
-        stats = circuit.run_ensemble(prog, seed=seed, trials=1)
-        assert stats.successes == (1 if single.outcome == "success" else 0)
+    for prog in (circuit.parse(NAND_REVERSAL), circuit.parse(MULTI_STEP)):
+        for seed in range(6):
+            single = circuit.run_sampled(prog, seed=seed)
+            stats = circuit.run_ensemble(prog, seed=seed, trials=1)
+            assert stats.successes == (1 if single.outcome == "success" else 0)
+            failed = {} if single.failed_step is None else {single.failed_step: 1}
+            assert stats.failures_by_step == failed
+            assert stats.mean_reversals == sum(r.reversals for r in single.steps)
 
 
 def test_run_sampled_success_probability_is_branch_value():
@@ -179,10 +199,10 @@ def test_ensemble_agrees_with_analytic():
 
 
 def test_ensemble_independent_of_jobs():
-    prog = circuit.parse(NAND_REVERSAL)
-    a = circuit.run_ensemble(prog, seed=5, trials=600, jobs=1)
-    b = circuit.run_ensemble(prog, seed=5, trials=600, jobs=3)
-    assert a == b
+    for prog in (circuit.parse(NAND_REVERSAL), circuit.parse(MULTI_STEP)):
+        a = circuit.run_ensemble(prog, seed=5, trials=600, jobs=1)
+        b = circuit.run_ensemble(prog, seed=5, trials=600, jobs=3)
+        assert a == b
 
 
 def test_ensemble_counts_failures_by_step():
@@ -363,3 +383,152 @@ def test_ensemble_clamps_jobs_to_usable_cores(monkeypatch):
     stats = circuit.run_ensemble(prog, seed=5, trials=50, jobs=5000)
     assert seen == [2]
     assert stats == circuit.run_ensemble(prog, seed=5, trials=50, jobs=1)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` under every nuqc module name that holds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for holder in (qstate, measure, circuit, apps):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counting)
+    return calls
+
+
+def test_measured_step_applies_m0_once(monkeypatch):
+    prog = circuit.parse_file(os.path.join(DEMOS, "interference.qc"))
+    calls = _count_calls(monkeypatch, qstate, "apply_embedded")
+    # one H step, one measured NAND: each is one kernel pass
+    circuit.run_branch(prog)
+    assert len(calls) == 2
+    calls.clear()
+    # a first-attempt success needs no further pass either
+    record = circuit.run_sampled(prog, rng=SimpleNamespace(random=lambda: 0.0))
+    assert record.outcome == "success"
+    assert len(calls) == 2
+
+
+def _parity_programs():
+    xor = apps.parse_nand_netlist(open(os.path.join(DEMOS, "xor.nl"), encoding="utf-8").read())
+    return {
+        "nand_reversal": circuit.parse_file(os.path.join(DEMOS, "nand_reversal.qc")),
+        "interference": circuit.parse_file(os.path.join(DEMOS, "interference.qc")),
+        "xor": apps.compile_nand(xor, m=2, c=0.8),
+        "multi_step": circuit.parse(MULTI_STEP),
+    }
+
+
+def _plan(prog):
+    plan = []
+    circuit._follow_branch(prog, plan)
+    return plan
+
+
+def _oracle(prog, rng):
+    record = circuit.run_sampled(prog, rng=rng)
+    return record.failed_step, sum(r.reversals for r in record.steps)
+
+
+@pytest.mark.parametrize("name", ["nand_reversal", "interference", "xor", "multi_step"])
+def test_fast_trials_match_the_state_vector_sampler(name):
+    prog = _parity_programs()[name]
+    plan = _plan(prog)
+    outcomes = set()
+    for seed in (0, 11):
+        for t in range(5000):
+            fast = circuit._trial(plan, circuit.trial_rng(seed, t))
+            assert fast == _oracle(prog, circuit.trial_rng(seed, t)), (seed, t)
+            outcomes.add(fast[0])
+    # the trials reach both outcomes, so the comparison covers each
+    assert None in outcomes and len(outcomes) > 1
+
+
+def _scripted(draws):
+    """Stand-in rng serving ``draws`` in order, then 0.5 for ever."""
+    return SimpleNamespace(random=itertools.chain(draws, itertools.repeat(0.5)).__next__)
+
+
+def _one_step(gate, state, c, q=None, k=0):
+    step = circuit.CircuitStep(gate, (0,), c=c, q=q, max_reversals=k)
+    return circuit.CircuitProgram(1, [step], StateVector(1, state / np.linalg.norm(state)))
+
+
+def _fast(prog, rng):
+    return circuit._trial(_plan(prog), rng)
+
+
+def _or_degenerate(run, prog, draws):
+    try:
+        return run(prog, _scripted(draws))
+    except DegenerateBranchError:
+        return "degenerate"
+
+
+ALMOST_ONE = 1.0 - 2.0 ** -53
+
+DEGENERATE_CASES = {
+    # |M0 psi|^2 = 0.25e-14: drawing success lands on a negligible branch
+    "success": (_one_step(gates.n1(1e-7), np.array([0.0, 1.0]), c=0.5), [0.0]),
+    # M1 = diag(0, 1) leaves the failure branch 1e-14 of the mass
+    "failure": (_one_step(gates.n1(0.0), np.array([1.0, 1e-7]), c=1.0), [ALMOST_ONE]),
+    # q = 1e-7 leaves the reversal q^2 / |M1 psi|^2 ~ 1e-14 to restore
+    "reversal success": (_one_step(gates.n1(0.5), np.array([0.0, 1.0]), c=0.6, q=1e-7, k=1),
+                         [0.99, 0.0]),
+    # q just below its optimum 0.8 leaves |R1 psi'|^2 = 1e-14 on |0>
+    "reversal failure": (_one_step(gates.n1(0.5), np.array([1.0, 0.0]), c=0.6,
+                                   q=0.8 * np.sqrt(1.0 - 1e-14), k=1),
+                         [0.99, ALMOST_ONE]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+def test_degenerate_branches_raise_exactly_when_the_sampler_does(case):
+    prog, draws = DEGENERATE_CASES[case]
+    assert _or_degenerate(_oracle, prog, draws) == "degenerate"
+    assert _or_degenerate(_fast, prog, draws) == "degenerate"
+    # the other draws at each decision stay clear of the negligible branch
+    for other in ([0.0], [0.5], [ALMOST_ONE], [0.99, 0.0, 0.0], [0.99, 0.5, 0.5],
+                  [0.99, ALMOST_ONE], [0.99, 0.0, 0.99, 0.0, 0.0]):
+        assert _or_degenerate(_fast, prog, other) == _or_degenerate(_oracle, prog, other), other
+
+
+def test_annihilated_branch_ends_every_trial_like_the_sampler():
+    # step 2 projects |1> away entirely, so no trial gets past it
+    prog = circuit.parse(
+        "qubits 1\n"
+        "gate N1(0.5) 0 c=0.8 q=opt k=1\n"
+        "gate X 0\n"
+        "gate N1(0) 0 c=0.6 q=opt k=2\n"
+        "gate N1(0.5) 0 c=0.9\n"
+    )
+    assert circuit.run_branch(prog).failed_step == 2
+    stats = circuit.run_ensemble(prog, seed=2, trials=2000)
+    expected = {}
+    reversals = 0
+    for t in range(2000):
+        failed, used = _oracle(prog, circuit.trial_rng(2, t))
+        expected[failed] = expected.get(failed, 0) + 1
+        reversals += used
+    assert stats.successes == 0 and None not in expected
+    assert stats.failures_by_step == dict(sorted(expected.items()))
+    assert set(expected) == {0, 2}
+    assert stats.mean_reversals == reversals / 2000
+
+
+def test_ensemble_kernel_work_does_not_grow_with_trials(monkeypatch):
+    prog = circuit.parse(MULTI_STEP)
+    applies = _count_calls(monkeypatch, qstate, "apply_embedded")
+    rngs = _count_calls(monkeypatch, circuit, "trial_rng")
+    counts = []
+    for trials in (10, 1000):
+        applies.clear()
+        rngs.clear()
+        circuit.run_ensemble(prog, seed=4, trials=trials)
+        counts.append(len(applies))
+        assert len(rngs) == trials
+    assert counts[0] == counts[1] > 0

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ def test_degenerate_branch_exit_code(circuit_file, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", str(circuit_file), "--mode", "sampled")
     assert code == 3
     assert "branch" in err
+
+
+def test_degenerate_branch_exit_code_from_an_ensemble(tmp_path, capsys, monkeypatch):
+    # |M0|1>|^2 = 0.25e-14, so a drawn success lands on a negligible branch
+    path = tmp_path / "tiny.qc"
+    path.write_text("qubits 1\ninit basis 1\ngate N1(1e-7) 0 c=0.5\n", encoding="utf-8")
+    monkeypatch.setattr(cli.circuit, "trial_rng",
+                        lambda seed, index: SimpleNamespace(random=lambda: 0.0))
+    code, out, err = run_cli(capsys, "simulate", str(path), "--mode", "mc", "--trials", "5")
+    assert code == 3
+    assert "branch" in err and out == ""
 
 
 def test_usage_errors(capsys):

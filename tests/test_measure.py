@@ -171,6 +171,31 @@ def test_run_with_reversal_attempt_accounting():
     assert res.outcome == "failure"
     assert res.attempts == 1
     assert res.reversals == 1
+    assert res.first_success_mass == measure.success_prob(pair, psi, (1, 0))
+
+
+def test_thresholds_follow_the_reversal_identity():
+    # R0 M1 = q I, so a reversal restores with probability |q|^2 / (1 - p)
+    c, q = 0.6, 0.5
+    pair = measure.build_pair(gates.nand(), c)
+    policy = measure.build_reversal(pair, q=q, max_reversals=2)
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi = StateVector(2, amps / np.linalg.norm(amps))
+    p = measure.success_prob(pair, psi, (1, 0))
+    th = measure.thresholds(pair, policy, psi, (1, 0), p)
+    assert th.success == p and th.budget == 2
+    assert th.failure == pytest.approx(1.0 - p, abs=1e-12)
+    assert th.restore == pytest.approx(q * q / (1.0 - p), abs=1e-12)
+    assert th.restore + th.spoil == pytest.approx(1.0, abs=1e-12)
+    # fail, restore, fail, lose the reversal: two reversals spent
+    assert measure.replay(th, FixedRng([0.99, 0.0, 0.99, 0.99])) == (False, 2)
+    # fail, restore, succeed
+    assert measure.replay(th, FixedRng([0.99, 0.0, 0.0])) == (True, 1)
+    # without a budget the failure branch ends the protocol and no reversal is drawn
+    bare = measure.thresholds(pair, None, psi, (1, 0), p)
+    assert (bare.restore, bare.spoil, bare.budget) == (0.0, 0.0, 0)
+    assert measure.replay(bare, FixedRng([0.99])) == (False, 0)
 
 
 def test_analytic_success_zero_reversals_is_plain_probability():
