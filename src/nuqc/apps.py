@@ -341,9 +341,8 @@ def search_program(oracle: TruthTableOracle) -> CircuitProgram:
     n = oracle.n
     width = n + 1
     amps = np.zeros(1 << width, dtype=np.complex128)
-    weight = 1.0 / math.sqrt(1 << n)
-    for x in range(1 << n):
-        amps[(x << 1) | oracle.table[x]] = weight
+    flags = np.fromiter(oracle.table, dtype=np.intp, count=1 << n)
+    amps[(np.arange(1 << n) << 1) | flags] = 1.0 / math.sqrt(1 << n)
     init = StateVector(width, amps, copy=False)
     gate = gates.abrams_lloyd()
     steps = [CircuitStep(gate, (i, 0)) for i in range(1, width)]
@@ -377,9 +376,7 @@ def flag_basis_fidelity(state: StateVector, s: int) -> float:
     """Fidelity of ``state`` against (uniform data register) x |s> on the flag."""
     n = state.n_qubits - 1
     amps = np.zeros(1 << state.n_qubits, dtype=np.complex128)
-    weight = 1.0 / math.sqrt(1 << n)
-    for x in range(1 << n):
-        amps[(x << 1) | s] = weight
+    amps[s::2] = 1.0 / math.sqrt(1 << n)  # the indices (x << 1) | s
     return fidelity(state, StateVector(state.n_qubits, amps, copy=False))
 
 

@@ -5,7 +5,10 @@ Unitary steps at full strength apply deterministically; everything else runs
 as a two-outcome measurement, optionally wrapped in the reversal protocol.
 ``run_branch`` follows the all-success branch analytically, ``run_sampled``
 draws one trajectory, and ``run_ensemble`` aggregates many seeded trials,
-each drawn against thresholds from a single branch pass.
+each drawn against thresholds from a single branch pass.  The ensemble runs
+in this process as array passes over chunks of trials; it reproduces each
+trial's ``trial_rng`` stream bit for bit, so its output equals that of
+running the trials one by one.
 Synthesized netlists are programs too, read and written by the same
 ``parse`` and ``format_program``.
 """
@@ -13,9 +16,9 @@ Synthesized netlists are programs too, read and written by the same
 from __future__ import annotations
 
 import json
+import operator
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -222,56 +225,203 @@ def _trial(plan: Plan, rng) -> tuple[int | None, int]:
     return None, reversals
 
 
-def _run_trials(plan: Plan, seed: int, start: int, stop: int) -> tuple[int, int, Counter]:
+# Trials per array pass: bounds the stream state's memory at any trial count.
+_CHUNK = 1 << 16
+
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence: O'Neill's seed_seq_fe hash over a pool of 4 words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# the PCG64 multiplier 0x2360ED051FC65DA44385DF649FCCF645 in 64-bit halves,
+# and the low half in 32-bit limbs
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> 32
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of ``value``, as ``SeedSequence`` takes them (0 is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One seed_seq_fe hash of the uint32 ``value`` under ``const``, and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & _M32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _seed_pool(seed: int, indices: np.ndarray) -> list[np.ndarray]:
+    """The 4-word pool of ``SeedSequence((seed, t))`` for every ``t`` in ``indices``."""
+    n = len(indices)
+    t_high = (indices >> 32).astype(np.uint32)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy += [(indices & _M32).astype(np.uint32), t_high]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value, hash_const = _hash(value, hash_const, _MULT_A)
+        return value
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return result ^ (result >> np.uint32(16))
+
+    # A pool slot without a word hashes 0, so a zero high word of t acts as an
+    # absent one there.  Past the pool it does not: such a word is mixed in
+    # only where t has it.
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        has_word = t_high != 0 if src == len(entropy) - 1 else True
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(has_word, mix(pool[dst], hashmix(entropy[src])), pool[dst])
+    return pool
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 state step ``s * multiplier + inc mod 2^128`` on (high, low) halves."""
+    a0, a1 = lo & _M32, lo >> 32
+    p00, p01 = a0 * _PCG_LO0, a0 * _PCG_LO1
+    p10, p11 = a1 * _PCG_LO0, a1 * _PCG_LO1
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    prod_lo = (mid << 32) | (p00 & _M32)
+    prod_hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * _PCG_HI + hi * _PCG_LO
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+
+class _TrialStreams:
+    """The streams of ``trial_rng(seed, t)`` for every ``t`` in the uint64 ``indices``.
+
+    ``draw(rows)`` returns the next ``random()`` of each selected stream and
+    advances only those.  Seeding follows numpy's ``SeedSequence`` and the
+    generator is its PCG64 (XSL-RR 128/64, O'Neill, HMC-CS-2014-0905), so
+    every draw equals the scalar generator's bit for bit.
+    """
+
+    def __init__(self, seed: int, indices: np.ndarray):
+        pool = _seed_pool(seed, indices)
+        # generate_state(4, uint64): 8 words cycled from the pool, paired low word first
+        hash_const = _INIT_B
+        words = []
+        for i in range(8):
+            value, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+            words.append(value.astype(np.uint64))
+        init_hi, init_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << 32)
+                                            for k in range(4))
+        # srandom: inc = seq << 1 | 1; s = inc; s += initstate; step
+        self._inc_hi = (seq_hi << 1) | (seq_lo >> 63)
+        self._inc_lo = (seq_lo << 1) | 1
+        lo = self._inc_lo + init_lo
+        hi = self._inc_hi + init_hi + (lo < init_lo)
+        self._hi, self._lo = _pcg_step(hi, lo, self._inc_hi, self._inc_lo)
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        hi, lo = _pcg_step(self._hi[rows], self._lo[rows], self._inc_hi[rows],
+                           self._inc_lo[rows])
+        self._hi[rows] = hi
+        self._lo[rows] = lo
+        rot = hi >> 58
+        x = hi ^ lo
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        return (x >> 11).astype(np.float64) * 2.0 ** -53
+
+
+def _surviving(rows: np.ndarray, outcome: str, mass: float, raised: list) -> np.ndarray:
+    """``rows`` that drew a branch of ``mass``; none if that branch is degenerate.
+
+    Trials landing on a degenerate branch stop there, as ``measure.replay``
+    raises for them; ``raised`` keeps the lowest of them with the branch.
+    """
+    if mass < measure.DEGENERATE_MASS and rows.size:
+        raised.append((int(rows.min()), outcome, mass))
+        return rows[:0]
+    return rows
+
+
+def _run_chunk(plan: Plan, streams, n: int) -> tuple[int, int, Counter]:
+    """``_trial`` for trials ``0..n-1`` of ``streams``, one array pass per draw.
+
+    Each trial still alive at a step draws from its own stream exactly when
+    ``measure.replay`` would, so every trial ends as it does alone.  If any
+    trial lands on a degenerate branch, the lowest such trial's error is
+    raised, as the trial-by-trial loop would.
+    """
+    alive = np.arange(n)
+    reversals = 0
+    failures: Counter = Counter()
+    raised: list = []
+    for i, (success, failure, restore, spoil, budget) in plan:
+        passed = []
+        failed = 0
+        pending = alive
+        used = 0
+        while pending.size:
+            hit = streams.draw(pending) < success
+            passed.append(_surviving(pending[hit], measure.SUCCESS, success, raised))
+            missed = _surviving(pending[~hit], measure.FAILURE, failure, raised)
+            if used == budget:
+                failed += missed.size
+                break
+            used += 1
+            reversals += missed.size
+            back = streams.draw(missed) < restore
+            pending = _surviving(missed[back], measure.SUCCESS, restore, raised)
+            failed += _surviving(missed[~back], measure.FAILURE, spoil, raised).size
+        if failed:
+            failures[i] += failed
+        alive = np.sort(np.concatenate(passed))
+        if not alive.size:
+            break
+    if raised:
+        measure._check_mass(*min(raised)[1:])
+    return alive.size, reversals, failures
+
+
+def _run_trials(plan: Plan, seed: int, trials: int) -> tuple[int, int, Counter]:
     successes = 0
     reversals = 0
     failures: Counter = Counter()
-    for t in range(start, stop):
-        failed, used = _trial(plan, trial_rng(seed, t))
-        reversals += used
-        if failed is None:
-            successes += 1
-        else:
-            failures[failed] += 1
+    for start in range(0, trials, _CHUNK):
+        stop = min(start + _CHUNK, trials)
+        streams = _TrialStreams(seed, np.arange(start, stop, dtype=np.uint64))
+        s, r, f = _run_chunk(plan, streams, stop - start)
+        successes += s
+        reversals += r
+        failures.update(f)
     return successes, reversals, failures
-
-
-def _usable_cores() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
                  jobs: int = 1) -> EnsembleStats:
-    """Run many independent trials; results do not depend on ``jobs``.
+    """Run many independent trials; trial ``t`` draws from ``trial_rng(seed, t)``.
 
-    At most one worker process runs per usable core, whatever ``jobs`` asks.
+    The trials run in this process, as array passes over chunks of trials.
+    ``jobs`` is validated and otherwise unused: results never depended on it.
     """
     if trials < 1:
         raise CircuitError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise CircuitError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, trials, _usable_cores())
     plan: Plan = []
     analytic = _follow_branch(program, plan).total_probability
-    if jobs == 1:
-        successes, reversals, failures = _run_trials(plan, seed, 0, trials)
-    else:
-        bounds = [(trials * j) // jobs for j in range(jobs + 1)]
-        successes, reversals = 0, 0
-        failures = Counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _run_trials,
-                [plan] * jobs,
-                [seed] * jobs,
-                bounds[:-1],
-                bounds[1:],
-            )
-            for s, r, f in parts:
-                successes += s
-                reversals += r
-                failures.update(f)
+    successes, reversals, failures = _run_trials(plan, seed, trials)
     rate = successes / trials
     std_error = float(np.sqrt(rate * (1.0 - rate) / trials))
     return EnsembleStats(

@@ -24,6 +24,9 @@ EXIT_RUN_FAILED = 2
 EXIT_DEGENERATE = 3
 
 
+_JOBS_HELP = "accepted for compatibility (must be >= 1); mc runs in this process"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nuqc",
@@ -36,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mode", choices=["branch", "sampled", "mc"], default="branch")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--trials", type=int, default=10000)
-    sim.add_argument("--jobs", type=int, default=1)
+    sim.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sim.add_argument("--json", action="store_true")
 
     syn = sub.add_parser("synth", help="compile a matrix file to a gate netlist")
@@ -62,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dn.add_argument("--mode", choices=["branch", "sampled", "mc"], default="branch")
     dn.add_argument("--seed", type=int, default=0)
     dn.add_argument("--trials", type=int, default=10000)
-    dn.add_argument("--jobs", type=int, default=1)
+    dn.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     dn.add_argument("--json", action="store_true")
 
     da = sub.add_parser("demo-al", help="run the satisfiability search")

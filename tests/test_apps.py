@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -202,6 +203,35 @@ def test_search_program_shape():
     assert all(step.gate.label == "AL" for step in prog.steps)
     # every step pairs one data qubit with the shared flag qubit 0
     assert [step.targets for step in prog.steps] == [(1, 0), (2, 0), (3, 0)]
+
+
+def _loop_search_amplitudes(oracle):
+    amps = np.zeros(1 << (oracle.n + 1), dtype=np.complex128)
+    weight = 1.0 / math.sqrt(1 << oracle.n)
+    for x in range(1 << oracle.n):
+        amps[(x << 1) | oracle.table[x]] = weight
+    return amps
+
+
+def _loop_flag_amplitudes(n_qubits, s):
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    weight = 1.0 / math.sqrt(1 << (n_qubits - 1))
+    for x in range(1 << (n_qubits - 1)):
+        amps[(x << 1) | s] = weight
+    return amps
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_search_amplitudes_equal_the_per_index_loop(n, monkeypatch):
+    table = np.random.default_rng(n).integers(0, 2, 1 << n).tolist()
+    oracle = apps.TruthTableOracle(n, tuple(table))
+    amps = apps.search_program(oracle).initial_state.amplitudes
+    assert amps.tobytes() == _loop_search_amplitudes(oracle).tobytes()
+    seen = []
+    monkeypatch.setattr(apps, "fidelity", lambda a, b: seen.append(b.amplitudes) or 0.0)
+    for s in (0, 1):
+        apps.flag_basis_fidelity(StateVector(n + 1, amps), s)
+        assert seen.pop().tobytes() == _loop_flag_amplitudes(n + 1, s).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,8 +203,8 @@ def test_ensemble_agrees_with_analytic():
 def test_ensemble_independent_of_jobs():
     for prog in (circuit.parse(NAND_REVERSAL), circuit.parse(MULTI_STEP)):
         a = circuit.run_ensemble(prog, seed=5, trials=600, jobs=1)
-        b = circuit.run_ensemble(prog, seed=5, trials=600, jobs=3)
-        assert a == b
+        for jobs in (3, 5000):
+            assert circuit.run_ensemble(prog, seed=5, trials=600, jobs=jobs) == a
 
 
 def test_ensemble_counts_failures_by_step():
@@ -361,28 +363,12 @@ def test_parsed_synth_netlist_builds_one_pair_per_distinct_measured_gate(tmp_pat
     assert len(calls) == len(measured)
 
 
-def test_ensemble_clamps_jobs_to_usable_cores(monkeypatch):
-    seen = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(circuit, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(circuit, "_usable_cores", lambda: 2)
-    prog = circuit.parse(NAND_REVERSAL)
-    stats = circuit.run_ensemble(prog, seed=5, trials=50, jobs=5000)
-    assert seen == [2]
-    assert stats == circuit.run_ensemble(prog, seed=5, trials=50, jobs=1)
+def test_importing_the_cli_loads_no_process_pool():
+    code = "import sys, nuqc.cli; print('concurrent.futures' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def _count_calls(monkeypatch, module, name):
@@ -414,7 +400,8 @@ def test_measured_step_applies_m0_once(monkeypatch):
 
 
 def _parity_programs():
-    xor = apps.parse_nand_netlist(open(os.path.join(DEMOS, "xor.nl"), encoding="utf-8").read())
+    with open(os.path.join(DEMOS, "xor.nl"), encoding="utf-8") as fh:
+        xor = apps.parse_nand_netlist(fh.read())
     return {
         "nand_reversal": circuit.parse_file(os.path.join(DEMOS, "nand_reversal.qc")),
         "interference": circuit.parse_file(os.path.join(DEMOS, "interference.qc")),
@@ -446,6 +433,45 @@ def test_fast_trials_match_the_state_vector_sampler(name):
             outcomes.add(fast[0])
     # the trials reach both outcomes, so the comparison covers each
     assert None in outcomes and len(outcomes) > 1
+
+
+STREAM_INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**64 + 1])
+def test_trial_streams_draw_what_trial_rng_draws(seed):
+    # seed 2^64 + 1 is 3 words, so t = 2^32 makes 5: one past the pool
+    streams = circuit._TrialStreams(seed, np.array(STREAM_INDICES, dtype=np.uint64))
+    rngs = [circuit.trial_rng(seed, t) for t in STREAM_INDICES]
+    every = np.arange(len(STREAM_INDICES))
+    # streams advance only when drawn from
+    for rows in (every, every, [1, 4], every, [4], [0, 5], every):
+        got = streams.draw(np.array(rows))
+        assert got.tolist() == [rngs[r].random() for r in rows], (seed, rows)
+
+
+def _sequential(prog, seed, trials):
+    plan = _plan(prog)
+    successes, reversals, failures = 0, 0, {}
+    for t in range(trials):
+        failed, used = circuit._trial(plan, circuit.trial_rng(seed, t))
+        reversals += used
+        if failed is None:
+            successes += 1
+        else:
+            failures[failed] = failures.get(failed, 0) + 1
+    return successes, reversals / trials, dict(sorted(failures.items()))
+
+
+@pytest.mark.parametrize("name", ["nand_reversal", "interference", "xor", "multi_step"])
+def test_ensemble_matches_the_trial_by_trial_loop(name, monkeypatch):
+    prog = _parity_programs()[name]
+    stats = circuit.run_ensemble(prog, seed=11, trials=700)
+    expected = _sequential(prog, 11, 700)
+    assert (stats.successes, stats.mean_reversals, stats.failures_by_step) == expected
+    # chunk boundaries change nothing, however the trials are cut
+    monkeypatch.setattr(circuit, "_CHUNK", 7)
+    assert circuit.run_ensemble(prog, seed=11, trials=700) == stats
 
 
 def _scripted(draws):
@@ -527,8 +553,56 @@ def test_ensemble_kernel_work_does_not_grow_with_trials(monkeypatch):
     counts = []
     for trials in (10, 1000):
         applies.clear()
-        rngs.clear()
         circuit.run_ensemble(prog, seed=4, trials=trials)
         counts.append(len(applies))
-        assert len(rngs) == trials
     assert counts[0] == counts[1] > 0
+    assert rngs == []
+
+
+class _ScriptedStreams:
+    """Stand-in for ``circuit._TrialStreams``: trial ``t`` draws ``_scripted(scripts[t])``."""
+
+    def __init__(self, scripts, indices):
+        self.sources = [_scripted(scripts.get(int(t), [])) for t in indices]
+
+    def draw(self, rows):
+        return np.array([self.sources[r].random() for r in rows])
+
+
+# step 0 passes at 0.0 and fails for good at 0.5, and its reversal lands on
+# a restore mass ~1e-14 at [0.99, 0.0]; step 2 fails onto a failure mass
+# ~1e-14 at ALMOST_ONE
+TWO_DEGENERACIES = """
+qubits 1
+init basis 1
+gate N1(0.5) 0 c=0.6 q=1e-7 k=1
+gate X 0
+gate N1(0.5) 0 c=0.999999999999995
+"""
+
+
+@pytest.mark.parametrize("scripts", [
+    # trial 3 raises at step 2, trial 5 (same chunk) already at step 0
+    {3: [0.0, ALMOST_ONE], 5: [0.99, 0.0]},
+    # trial 10 raises at step 0 in the second chunk
+    {3: [0.0, ALMOST_ONE], 10: [0.99, 0.0]},
+    {10: [0.99, 0.0], 12: [0.0, ALMOST_ONE]},
+    {12: [0.0, ALMOST_ONE], 13: [0.99, 0.0]},
+])
+def test_degenerate_error_is_the_lowest_raising_trials_first(scripts, monkeypatch):
+    prog = circuit.parse(TWO_DEGENERACIES)
+    plan = _plan(prog)
+    expected = None
+    for t in range(20):
+        try:
+            circuit._trial(plan, _scripted(scripts.get(t, [])))
+        except DegenerateBranchError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None
+    monkeypatch.setattr(circuit, "_TrialStreams",
+                        lambda seed, indices: _ScriptedStreams(scripts, indices))
+    monkeypatch.setattr(circuit, "_CHUNK", 7)
+    with pytest.raises(DegenerateBranchError) as raised:
+        circuit.run_ensemble(prog, seed=0, trials=20)
+    assert str(raised.value) == expected

@@ -115,11 +115,20 @@ def test_degenerate_branch_exit_code_from_an_ensemble(tmp_path, capsys, monkeypa
     # |M0|1>|^2 = 0.25e-14, so a drawn success lands on a negligible branch
     path = tmp_path / "tiny.qc"
     path.write_text("qubits 1\ninit basis 1\ngate N1(1e-7) 0 c=0.5\n", encoding="utf-8")
-    monkeypatch.setattr(cli.circuit, "trial_rng",
-                        lambda seed, index: SimpleNamespace(random=lambda: 0.0))
+    monkeypatch.setattr(cli.circuit, "_TrialStreams",
+                        lambda seed, indices: SimpleNamespace(
+                            draw=lambda rows: np.zeros(len(rows))))
     code, out, err = run_cli(capsys, "simulate", str(path), "--mode", "mc", "--trials", "5")
     assert code == 3
     assert "branch" in err and out == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_negative_seed_is_a_usage_error_in_an_ensemble(circuit_file, capsys, jobs):
+    code, out, err = run_cli(capsys, "simulate", str(circuit_file), "--mode", "mc",
+                             "--seed", "-1", "--trials", "5", "--jobs", jobs)
+    assert code == 1
+    assert (out, err) == ("", "error: expected non-negative integer\n")
 
 
 def test_usage_errors(capsys):
