@@ -203,8 +203,22 @@ def test_ensemble_agrees_with_analytic():
 def test_ensemble_independent_of_jobs():
     for prog in (circuit.parse(NAND_REVERSAL), circuit.parse(MULTI_STEP)):
         a = circuit.run_ensemble(prog, seed=5, trials=600, jobs=1)
-        for jobs in (3, 5000):
-            assert circuit.run_ensemble(prog, seed=5, trials=600, jobs=jobs) == a
+        b = circuit.run_ensemble(prog, seed=5, trials=600, jobs=3)
+        assert a == b
+
+
+def test_ensemble_clamps_jobs_to_usable_cores(monkeypatch):
+    # The ensemble runs in-process, so any jobs count starts no process at all.
+    import multiprocessing.process
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("run_ensemble started a process")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    prog = circuit.parse(NAND_REVERSAL)
+    stats = circuit.run_ensemble(prog, seed=5, trials=50, jobs=5000)
+    assert stats == circuit.run_ensemble(prog, seed=5, trials=50, jobs=1)
 
 
 def test_ensemble_counts_failures_by_step():
