@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     UnsupportedInstanceError,
 )
-from .qstate import StateVector, basis_state, fidelity, norm_sq
+from .qstate import StateVector, basis_state, check_memory, fidelity, norm_sq
 
 _WIRE_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -261,6 +261,7 @@ def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
             raise NetlistError(
                 f"input_state spans {input_state.n_qubits} qubits, netlist has {k} inputs"
             )
+        check_memory(n_qubits)
         amps = np.zeros(1 << n_qubits, dtype=np.complex128)
         amps[: 1 << k] = input_state.amplitudes
         init = StateVector(n_qubits, amps, copy=False)
@@ -300,25 +301,29 @@ class TruthTableOracle:
             raise ShapeError(
                 f"table length {len(self.table)} does not match n={self.n}"
             )
-        if set(self.table) - {0, 1}:
+        bits = np.array(self.table)
+        if ((bits != 0) & (bits != 1)).any():
             raise ShapeError("table entries must be bits")
+        object.__setattr__(self, "_bits", bits.astype(np.intp))
 
     @property
     def satisfying_count(self) -> int:
-        return sum(self.table)
+        return int(self._bits.sum())
 
 
 def parse_truth_table(text: str, n: int | None = None) -> TruthTableOracle:
     """Parse a truth table written as one line of 2^n bits, x ascending."""
     bits = text.strip()
-    if set(bits) - {"0", "1"}:
+    # a character other than 0 and 1 gives a byte above 1 here (uint8 wraps)
+    values = np.frombuffer(bits.encode(), dtype=np.uint8) - np.uint8(ord("0"))
+    if (values > 1).any():
         raise ShapeError(f"truth table must be a bit string, got {bits!r}")
     width = (len(bits) - 1).bit_length() if bits else 0
     if not bits or (1 << width) != len(bits):
         raise ShapeError(f"truth table length {len(bits)} is not a power of two")
     if n is not None and n != width:
         raise ShapeError(f"table has {len(bits)} rows, expected 2^{n}")
-    return TruthTableOracle(width, tuple(int(b) for b in bits))
+    return TruthTableOracle(width, tuple(values.tolist()))
 
 
 @dataclass
@@ -340,9 +345,9 @@ def search_program(oracle: TruthTableOracle) -> CircuitProgram:
     """
     n = oracle.n
     width = n + 1
+    check_memory(width)
     amps = np.zeros(1 << width, dtype=np.complex128)
-    flags = np.fromiter(oracle.table, dtype=np.intp, count=1 << n)
-    amps[(np.arange(1 << n) << 1) | flags] = 1.0 / math.sqrt(1 << n)
+    amps[(np.arange(1 << n) << 1) | oracle._bits] = 1.0 / math.sqrt(1 << n)
     init = StateVector(width, amps, copy=False)
     gate = gates.abrams_lloyd()
     steps = [CircuitStep(gate, (i, 0)) for i in range(1, width)]

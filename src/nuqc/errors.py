@@ -19,6 +19,10 @@ class AnnihilatedStateError(NuqcError):
     """A state vector with norm below the annihilation threshold cannot be normalized."""
 
 
+class StateMemoryError(NuqcError):
+    """A register's state vectors would not fit in the memory available."""
+
+
 class DegenerateBranchError(NuqcError):
     """A sampled measurement branch carries too little probability mass to trust numerically."""
 

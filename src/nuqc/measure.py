@@ -125,6 +125,7 @@ def _sample_two_outcome(op_success, op_failure, state, targets, rng,
         branch, mass = kept, p
         outcome = SUCCESS
     else:
+        kept = success = None  # frees a success branch computed here
         branch = apply_embedded(state, op_failure, targets)
         mass = norm_sq(branch)
         outcome = FAILURE
@@ -208,16 +209,17 @@ def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
     while True:
         attempts += 1
         outcome, post = sample(pair, current, targets, rng, success)
-        success = None  # frees M0 state before a reversal allocates its own
+        # frees M0 state and a restored state before a reversal allocates its own
+        success = current = None
         if outcome == SUCCESS:
             return ProtocolResult(SUCCESS, post, attempts, reversals, first_mass)
         if policy is None or reversals >= budget:
             return ProtocolResult(FAILURE, post, attempts, reversals, first_mass)
         reversals += 1
-        r_outcome, r_post = sample_reversal(policy, post, targets, rng)
+        r_outcome, current = sample_reversal(policy, post, targets, rng)
+        del post  # frees the failure branch before a retry allocates its own
         if r_outcome == FAILURE:
-            return ProtocolResult(FAILURE, r_post, attempts, reversals, first_mass)
-        current = r_post
+            return ProtocolResult(FAILURE, current, attempts, reversals, first_mass)
 
 
 def thresholds(pair: MeasurementPair, policy: ReversalPolicy | None, state: StateVector,

@@ -195,6 +195,40 @@ def test_truth_table_parse_errors():
         apps.parse_truth_table("0010", n=3)
 
 
+@pytest.mark.parametrize("text", ["00x0", "0120", "01 0", "0/10", "01\u00e90", "0:10", "2"])
+def test_truth_table_rejects_non_bit_characters(text):
+    with pytest.raises(ShapeError, match="must be a bit string"):
+        apps.parse_truth_table(text)
+
+
+@pytest.mark.parametrize("text", ["", "   ", "0", "011", "01010"])
+def test_truth_table_rejects_lengths_that_are_not_powers_of_two(text):
+    if text.strip() == "0":  # one row is 2^0, but n = 0 is no register
+        with pytest.raises(ShapeError, match="n must be >= 1"):
+            apps.parse_truth_table(text)
+        return
+    with pytest.raises(ShapeError, match="is not a power of two"):
+        apps.parse_truth_table(text)
+
+
+def test_truth_table_parse_matches_the_per_character_loop():
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 10):
+        text = "".join(rng.choice(["0", "1"], size=1 << n))
+        oracle = apps.parse_truth_table(f"  {text}\n")
+        assert oracle.table == tuple(int(b) for b in text)
+        assert all(type(b) is int for b in oracle.table)
+        assert oracle.satisfying_count == text.count("1")
+
+
+def test_truth_table_oracle_checks_its_entries():
+    assert apps.TruthTableOracle(1, (True, False)).satisfying_count == 1
+    assert apps.TruthTableOracle(1, (0.0, 1.0)).satisfying_count == 1
+    for table in ((0, 2), (0, -1), (0.5, 1), ("0", "1"), (None, 1)):
+        with pytest.raises(ShapeError, match="must be bits"):
+            apps.TruthTableOracle(1, table)
+
+
 def test_search_program_shape():
     oracle = apps.parse_truth_table("00100000")
     prog = apps.search_program(oracle)

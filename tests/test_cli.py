@@ -289,6 +289,24 @@ def test_demo_al_rejects_bad_table(capsys):
     assert "error" in err
 
 
+def test_register_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch):
+    from nuqc import qstate
+
+    monkeypatch.setattr(qstate, "_mem_available", lambda: 64 << 20)
+    path = tmp_path / "wide.qc"
+    path.write_text("qubits 22\ngate X 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    assert "22-qubit register needs about 448.0 MiB" in err
+    code, out, err = run_cli(capsys, "demo-al", "--table", "0" * (1 << 21))
+    assert (code, out) == (1, "")
+    assert "22-qubit register" in err
+    path.write_text("qubits 20\ngate X 0\n", encoding="utf-8")  # 112 MiB is too much too
+    assert run_cli(capsys, "simulate", str(path))[0] == 1
+    path.write_text("qubits 18\ngate X 0\n", encoding="utf-8")  # 28 MiB fits
+    assert run_cli(capsys, "simulate", str(path))[0] == 0
+
+
 def test_demo_al_sampled_failure(capsys):
     # p = 1/36; seed 0 fails
     code, out, _ = run_cli(capsys, "demo-al", "--table", "0010",

@@ -284,3 +284,228 @@ def test_load_state_rejects_garbage():
         load_state("01 1.0\n")
     with pytest.raises(ShapeError):
         load_state("2x 1.0 0.0\n")
+
+
+def _monomial_ops(rng):
+    """Real monomial operators on 1-3 targets: gates, measurement operators, random."""
+    from nuqc import gates, measure
+
+    ops = [gates.x().matrix, gates.cnot().matrix, gates.ckx(2).matrix]
+    for gate in (gates.n1(0.993), gates.cn1(0.97), gates.diagonal([0.3, 0.7])):
+        pair = measure.build_pair(gate, 0.9)
+        policy = measure.build_reversal(pair, max_reversals=1)
+        ops += [pair.m0, pair.m1, policy.r0, policy.r1]
+    for k in (1, 2, 3):
+        dim = 1 << k
+        op = np.zeros((dim, dim), dtype=complex)
+        coefs = rng.choice([0.0, 1.0, -1.0, 0.37, -2.5], size=dim)
+        op[np.arange(dim), rng.permutation(dim)] = coefs
+        ops.append(op)
+    return [np.asarray(op, dtype=complex) for op in ops]
+
+
+def _random_targets(rng, n, k):
+    """Unsorted, mostly non-adjacent targets."""
+    return tuple(int(t) for t in rng.permutation(n)[:k])
+
+
+def _random_amplitudes(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+def test_monomial_path_matches_embedded_matrix(cols):
+    from nuqc import qstate
+
+    rng = np.random.default_rng(50)
+    for op in _monomial_ops(rng):
+        real, rows = qstate._structure(op.tobytes())
+        assert real and rows is not None
+        k = op.shape[0].bit_length() - 1
+        for n in range(max(k, 1), 9):
+            targets = _random_targets(rng, n, k)
+            shape = (1 << n,) if cols is None else (1 << n, cols)
+            amps = _random_amplitudes(rng, shape)
+            got = qstate._apply_monomial(amps, rows, targets)
+            want = embedded_matrix(op, targets, n) @ amps
+            assert got.shape == amps.shape
+            assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_monomial_path_takes_non_contiguous_batches():
+    from nuqc import qstate
+
+    rng = np.random.default_rng(51)
+    op = np.asarray(CNOT)
+    batch = _random_amplitudes(rng, (5, 1 << 6)).T  # a (64, 5) view in Fortran order
+    got = qstate._apply_monomial(batch, qstate._structure(op.tobytes())[1], (4, 1))
+    assert np.allclose(got, embedded_matrix(op, (4, 1), 6) @ batch, rtol=1e-14, atol=1e-14)
+
+
+def test_structure_separates_monomial_dense_and_complex_operators():
+    from nuqc import qstate
+
+    assert qstate._structure(np.asarray(X).tobytes()) == (True, ((1, 1.0), (0, 1.0)))
+    zero_row = np.diag([0.0, 0.5]).astype(complex)
+    assert qstate._structure(zero_row.tobytes()) == (True, ((0, 0.0), (1, 0.5)))
+    assert qstate._structure(np.asarray(H).tobytes()) == (True, None)
+    phase = np.diag([1.0, 1j])
+    assert qstate._structure(phase.tobytes()) == (False, None)
+
+
+def test_low_block_path_matches_embedded_matrix():
+    from nuqc import qstate
+
+    rng = np.random.default_rng(52)
+    for k in (1, 2, 3):
+        for _ in range(8):
+            op = rng.normal(size=(1 << k, 1 << k)).astype(complex)
+            targets = _random_targets(rng, qstate.LOW_BLOCK_BITS, k)
+            for n in range(qstate.LOW_BLOCK_BITS, 9):
+                amps = _random_amplitudes(rng, 1 << n)
+                got = qstate._apply_low_block(amps, op.tobytes(), targets)
+                want = embedded_matrix(op, targets, n) @ amps
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def _wide_cases(rng):
+    """Operators and targets on 13-14 qubit states and 10-12 qubit batches."""
+    from nuqc import gates
+
+    dense = [np.asarray(H), gates.abrams_lloyd().matrix, gates.nand().matrix,
+             rng.normal(size=(8, 8)).astype(complex)]
+    complex_ops = [np.diag([1.0, 1j]), _random_amplitudes(rng, (4, 4))]
+    for n, cols in ((13, None), (14, None), (10, 4), (12, 3)):
+        for op in _monomial_ops(rng) + dense + complex_ops:
+            k = op.shape[0].bit_length() - 1
+            shape = (1 << n,) if cols is None else (1 << n, cols)
+            for targets in (_random_targets(rng, n, k), _random_targets(rng, 4, k),
+                            tuple(sorted(_random_targets(rng, 4, k), reverse=True))):
+                yield _random_amplitudes(rng, shape), op, targets
+
+
+def test_dispatch_above_the_crossover_equals_the_transpose_path():
+    from nuqc import qstate
+
+    rng = np.random.default_rng(53)
+    for amps, op, targets in _wide_cases(rng):
+        assert amps.size >= qstate.COPY_FREE_MIN_SIZE
+        got = qstate._apply(amps, op, targets)
+        want = qstate._apply_transposed(amps, op, targets)
+        # equal values; only the sign of an exactly zero part may differ
+        assert np.array_equal(got, want), (op, targets, amps.shape)
+
+
+def test_dispatch_takes_the_copy_free_paths(monkeypatch):
+    from nuqc import gates, qstate
+
+    def no_transpose(*args):
+        raise AssertionError("took the transpose path")
+
+    monkeypatch.setattr(qstate, "_apply_transposed", no_transpose)
+    state = uniform_state(14)
+    for op, targets in ((np.asarray(CNOT), (0, 13)), (gates.ckx(2).matrix, (5, 0, 9)),
+                        (np.asarray(H), (2,)), (gates.abrams_lloyd().matrix, (3, 0))):
+        apply_embedded(state, op, targets)
+    for op, targets in ((np.asarray(H), (9,)), (gates.abrams_lloyd().matrix, (0, 3)),
+                        (np.diag([1.0, 1j]), (4,))):
+        with pytest.raises(AssertionError, match="transpose path"):
+            apply_embedded(state, op, targets)
+    with pytest.raises(AssertionError, match="transpose path"):  # a batch of a dense gate
+        apply_columns(np.ones((1 << 10, 2), dtype=complex), H, (0,))
+    monkeypatch.undo()
+    small = uniform_state(int(np.log2(qstate.COPY_FREE_MIN_SIZE)) - 1)
+    calls = []
+    monkeypatch.setattr(qstate, "_apply_monomial", lambda *a: calls.append(a))
+    apply_embedded(small, CNOT, (0, 1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_operators_are_rejected(bad):
+    op = np.array(CNOT)
+    op[2, 3] = bad
+    for n in (2, 14):
+        with pytest.raises(ShapeError, match="finite"):
+            apply_embedded(uniform_state(n), op, (0, 1))
+    with pytest.raises(ShapeError, match="finite"):
+        apply_columns(np.eye(4, dtype=complex), op, (0, 1))
+    with pytest.raises(ShapeError, match="finite"):
+        embedded_matrix(op, (0, 1), 2)
+
+
+def _normalize_edge_amplitudes(rng, norm):
+    """Amplitudes of squared norm close to ``norm**2`` whose parts include ±0 and subnormals."""
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+    re = rng.choice(tiny, size=4096)
+    im = rng.choice(tiny, size=4096)
+    big = rng.permutation(4096)[:300]
+    re[big[:200]] = rng.normal(size=200)
+    im[big[100:]] = rng.normal(size=200)
+    amps = np.empty(4096, dtype=complex)
+    amps.real = re
+    amps.imag = im
+    return amps * (norm / np.linalg.norm(amps))
+
+
+def test_normalize_is_bitwise_the_divide():
+    rng = np.random.default_rng(54)
+    # norms below 2 take the multiply, 2 and above the divide
+    for norm in (1e-12, 0.3, 1.0, 1.5, 1.999, 2.0, 7.0, 1e10, 1e150):
+        state = StateVector(12, _normalize_edge_amplitudes(rng, norm))
+        nrm = np.sqrt(norm_sq(state))
+        want = state.amplitudes / nrm
+        got = normalize(state).amplitudes
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), norm
+        parts = got.view(np.float64)
+        assert np.signbit(parts[parts == 0]).any() and (~np.signbit(parts[parts == 0])).any()
+
+
+def test_normalize_rejects_a_non_finite_norm():
+    huge = StateVector(1, [1e200, 1e200])  # finite amplitudes, norm_sq overflows
+    with pytest.raises(ShapeError, match="norm"):
+        normalize(huge)
+
+
+def test_dump_state_memo_keeps_repeated_and_signed_values_apart():
+    rng = np.random.default_rng(55)
+    values = np.array([0.0, -0.0, 0.5, -0.5, 1e-12, np.nextafter(1e-12, 1.0), 0.1 + 0.2])
+    n = 10
+    amps = np.empty(1 << n, dtype=complex)
+    amps.real = rng.choice(values, size=1 << n)
+    amps.imag = rng.choice(values, size=1 << n)
+    state = StateVector(n, amps)
+    assert dump_state(state) == _dump_state_by_loop(state)
+    assert dump_state(state, threshold=0.3) == _dump_state_by_loop(state, threshold=0.3)
+
+
+def test_memory_guard_refuses_a_register_before_allocating(monkeypatch):
+    import tracemalloc
+
+    from nuqc import qstate
+    from nuqc.errors import NuqcError, StateMemoryError
+
+    monkeypatch.setattr(qstate, "_mem_available", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        for make in (lambda: basis_state(24, 0), lambda: qstate.uniform_state(24),
+                     lambda: load_state("1" * 24 + " 1.0 0.0\n")):
+            with pytest.raises(StateMemoryError, match="MiB") as info:
+                make()
+            assert isinstance(info.value, NuqcError)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(qstate, "_mem_available", lambda: 32 << 20)
+    qstate.check_memory(18)  # 2^18 * 16 B * LIVE_STATES = 28 MiB fits
+    with pytest.raises(StateMemoryError):
+        qstate.check_memory(19)  # 56 MiB does not
+
+    def unread():
+        raise AssertionError("read /proc/meminfo for a small register")
+
+    monkeypatch.setattr(qstate, "_mem_available", unread)
+    qstate.check_memory(17)  # 14 MiB: below MEMORY_CHECK_MIN_BYTES
+    monkeypatch.setattr(qstate, "_mem_available", lambda: None)  # unreadable: no check
+    qstate.check_memory(24)
