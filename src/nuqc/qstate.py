@@ -32,6 +32,11 @@ ANNIHILATION_THRESHOLD = 1e-14
 # Amplitudes below this magnitude are omitted from dumps.
 DUMP_THRESHOLD = 1e-12
 
+# Amplitudes formatted at a time by dump_state, so that its working arrays
+# keep a fixed size (a few MiB) on any register; formatted whole, a dump of
+# a uniform 16-qubit state peaked at 9.5 state sizes, above LIVE_STATES.
+DUMP_CHUNK = 1 << 14
+
 
 class StateVector:
     """Immutable amplitude vector for an ``n_qubits`` register."""
@@ -400,16 +405,28 @@ def live_amplitudes(state: StateVector,
 def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD) -> str:
     """Text dump, one ``binary_index re im`` line per non-negligible amplitude.
 
-    Floats print as ``repr`` does.  Each distinct float is formatted once,
-    keyed by its bit pattern, which keeps ``-0.0`` apart from ``0.0``, and
-    each distinct ``re im`` pair once; the lines are assembled as bytes.
+    Floats print as ``repr`` does.  The amplitudes are formatted
+    ``DUMP_CHUNK`` at a time, so beyond the returned text and the pieces it
+    is joined from, the dump holds arrays of a fixed size.
     """
     amps = state.amplitudes
+    return "".join([_dump_chunk(amps[start:start + DUMP_CHUNK], start, state.n_qubits, threshold)
+                    for start in range(0, amps.size, DUMP_CHUNK)])
+
+
+def _dump_chunk(amps: np.ndarray, start: int, n_qubits: int, threshold: float) -> str:
+    """The :func:`dump_state` lines of ``amps``, whose first basis index is ``start``.
+
+    Each distinct float is formatted once, keyed by its bit pattern, which
+    keeps ``-0.0`` apart from ``0.0``, and each distinct ``re im`` pair once;
+    the lines are assembled as bytes.
+    """
     live = np.flatnonzero(np.abs(amps) > threshold)
     if not live.size:
         return ""
-    n = state.n_qubits
-    digits = ((live[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8) + ord("0")
+    # the index's big-endian bytes unpacked to bits, the last n_qubits of them
+    index_bytes = (live + start).astype(">u4").view(np.uint8).reshape(-1, 4)
+    digits = np.unpackbits(index_bytes, axis=1)[:, 32 - n_qubits:] + ord("0")
     floats, float_of = np.unique(amps[live].view(np.uint64), return_inverse=True)
     texts = [repr(x) for x in floats.view(np.float64).tolist()]
     pairs, pair_of = np.unique(float_of[0::2] * floats.size + float_of[1::2],

@@ -16,6 +16,7 @@ restricted to its ``ancillas`` entering and leaving in |0>, equals
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import Sequence
@@ -27,7 +28,7 @@ from .circuit import CircuitProgram, CircuitStep, format_program, parse_file
 from .errors import DomainError, SearchBudgetError, ShapeError
 from .gates import GateSpec
 from .linops import max_abs, svd, write_matrix
-from .qstate import apply_columns
+from .qstate import _check_operator, _structure, apply_columns
 
 ZERO_ATOL = 1e-12
 UNIT_ATOL = 1e-12
@@ -78,33 +79,77 @@ def factor_diagonal(d: Sequence[float]) -> list[tuple[int, float]]:
     return out
 
 
-def _x_step(qubit: int) -> CircuitStep:
-    return CircuitStep(gates.x(), (qubit,))
+class GateMemo:
+    """One object per distinct gate and per distinct step, for one synthesis.
+
+    Steps that share a gate object share its prepared measurement pair when
+    the netlist runs and its index map when it is verified.  Gates are made
+    on first use, keyed by factory and parameter as the label prints it, and
+    steps, which are immutable, by gate and targets.  A memo lives for one
+    top-level call; a process-wide one would grow with every parameter ever
+    synthesized.
+    """
+
+    def __init__(self):
+        self._made: dict[tuple, GateSpec] = {}
+        self._steps: dict[tuple, CircuitStep] = {}
+
+    def step(self, gate: GateSpec, targets: tuple[int, ...]) -> CircuitStep:
+        step = self._steps.get((gate, targets))
+        if step is None:
+            step = self._steps[gate, targets] = CircuitStep(gate, targets)
+        return step
+
+    def _get(self, factory, *params) -> GateSpec:
+        key = (factory, *map(repr, params))
+        gate = self._made.get(key)
+        if gate is None:
+            gate = self._made[key] = factory(*params)
+        return gate
+
+    @functools.cached_property
+    def x(self) -> GateSpec:
+        return gates.x()
+
+    @functools.cached_property
+    def cnot(self) -> GateSpec:
+        return gates.cnot()
+
+    def ckx(self, n_controls: int) -> GateSpec:
+        return self._get(gates.ckx, n_controls)
+
+    def n1(self, a: float) -> GateSpec:
+        return self._get(gates.n1, a)
+
+    def cn1(self, a: float) -> GateSpec:
+        return self._get(gates.cn1, a)
+
+    def cu1(self, a: float) -> GateSpec:
+        return self._get(gates.cu1, a)
 
 
-def _inverse_cn1_steps(v: float, control: int, target: int) -> tuple[list[CircuitStep], float]:
+def _x_step(qubit: int, memo: GateMemo) -> CircuitStep:
+    return memo.step(memo.x, (qubit,))
+
+
+def _inverse_cn1_steps(v: float, control: int, target: int,
+                       memo: GateMemo) -> tuple[list[CircuitStep], float]:
     """Steps realizing v * controlled-diag(1, 1/v), i.e. diag(v, v, v, 1).
 
     Mirrors :func:`decompose_cn1` with the diagonal parameter inverted via the
     X-conjugation identity diag(1, 1/w) = (1/w) X diag(1, w) X; the dropped
     proportionality constant contributes 1/v to the netlist scale.
     """
-    root = math.sqrt(v)
-    steps = [
-        _x_step(target),
-        CircuitStep(gates.n1(root), (target,)),
-        _x_step(target),
-        CircuitStep(gates.cnot(), (control, target)),
-        CircuitStep(gates.n1(root), (target,)),
-        CircuitStep(gates.cnot(), (control, target)),
-        _x_step(control),
-        CircuitStep(gates.n1(root), (control,)),
-        _x_step(control),
-    ]
+    n1 = memo.n1(math.sqrt(v))
+    x_target, n1_target = _x_step(target, memo), memo.step(n1, (target,))
+    x_control = _x_step(control, memo)
+    cnot = memo.step(memo.cnot, (control, target))
+    steps = [x_target, n1_target, x_target, cnot, n1_target, cnot,
+             x_control, memo.step(n1, (control,)), x_control]
     return steps, 1.0 / v
 
 
-def decompose_cn1(a_prime: float) -> CircuitProgram:
+def decompose_cn1(a_prime: float, memo: GateMemo | None = None) -> CircuitProgram:
     """Rewrite controlled-diag(1, a') over one-qubit gates and CNOTs.
 
     Control is qubit 0, target qubit 1.  The emitted product equals
@@ -112,20 +157,17 @@ def decompose_cn1(a_prime: float) -> CircuitProgram:
     """
     if not 0.0 < a_prime < 1.0:
         raise DomainError(f"a' must lie in (0, 1), got {a_prime!r}")
+    memo = GateMemo() if memo is None else memo
     root = math.sqrt(a_prime)
-    steps = [
-        CircuitStep(gates.n1(root), (1,)),
-        CircuitStep(gates.cnot(), (0, 1)),
-        _x_step(1),
-        CircuitStep(gates.n1(root), (1,)),
-        _x_step(1),
-        CircuitStep(gates.cnot(), (0, 1)),
-        CircuitStep(gates.n1(root), (0,)),
-    ]
+    n1_target = memo.step(memo.n1(root), (1,))
+    x_target = _x_step(1, memo)
+    cnot = memo.step(memo.cnot, (0, 1))
+    steps = [n1_target, cnot, x_target, n1_target, x_target, cnot,
+             memo.step(memo.n1(root), (0,))]
     return CircuitProgram(2, steps, scale=1.0 / root)
 
 
-def decompose_mcn1_bare(a: float, n_controls: int) -> CircuitProgram:
+def decompose_mcn1_bare(a: float, n_controls: int, memo: GateMemo | None = None) -> CircuitProgram:
     """Rewrite a diag(1, a) on the target controlled by ``n_controls`` qubits.
 
     Controls are qubits 0..n_controls-1, target is qubit n_controls.  Walks a
@@ -140,9 +182,11 @@ def decompose_mcn1_bare(a: float, n_controls: int) -> CircuitProgram:
         raise DomainError(f"a must lie in (0, 1), got {a!r}")
     if n_controls < 2:
         raise DomainError("one control is handled by decompose_cn1 directly")
+    memo = GateMemo() if memo is None else memo
     k = n_controls
     target = k
     root = a ** (1.0 / (1 << (k - 1)))
+    cn1 = memo.cn1(root)
     steps: list[CircuitStep] = []
     scale = 1.0
     last = 0
@@ -152,18 +196,19 @@ def decompose_mcn1_bare(a: float, n_controls: int) -> CircuitProgram:
         if last:
             changed = (pattern ^ last).bit_length() - 1
             source = (last.bit_length() - 1) if changed == wire else changed
-            steps.append(CircuitStep(gates.cnot(), (source, wire)))
+            steps.append(memo.step(memo.cnot, (source, wire)))
         if bin(pattern).count("1") % 2 == 1:
-            steps.append(CircuitStep(gates.cn1(root), (wire, target)))
+            steps.append(memo.step(cn1, (wire, target)))
         else:
-            inv, factor = _inverse_cn1_steps(root, wire, target)
+            inv, factor = _inverse_cn1_steps(root, wire, target, memo)
             steps.extend(inv)
             scale *= factor
         last = pattern
     return CircuitProgram(k + 1, steps, scale=scale)
 
 
-def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False) -> CircuitProgram:
+def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False,
+                           memo: GateMemo | None = None) -> CircuitProgram:
     """Realize a multi-controlled diag(1, a) by deferring it to an ancilla.
 
     Controls are qubits 0..n_controls-1 and the target is qubit n_controls;
@@ -179,45 +224,48 @@ def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False) -> 
         raise DomainError(f"a must lie in [0, 1), got {a!r}")
     if n_controls < 0:
         raise DomainError(f"n_controls must be >= 0, got {n_controls}")
+    memo = GateMemo() if memo is None else memo
     k = n_controls
     if k == 0:
         if keep_n1:
             steps = [
-                CircuitStep(gates.cnot(), (0, 1)),
-                CircuitStep(gates.n1(a), (1,)),
-                CircuitStep(gates.cnot(), (0, 1)),
+                memo.step(memo.cnot, (0, 1)),
+                memo.step(memo.n1(a), (1,)),
+                memo.step(memo.cnot, (0, 1)),
             ]
         else:
             steps = [
-                CircuitStep(gates.cu1(a), (0, 1)),
-                CircuitStep(gates.n1(0.0), (1,)),
+                memo.step(memo.cu1(a), (0, 1)),
+                memo.step(memo.n1(0.0), (1,)),
             ]
         return CircuitProgram(2, steps, ancillas=(1,))
     mark = k + 1
-    flag = CircuitStep(gates.ckx(k + 1), tuple(range(k + 1)) + (mark,))
+    flag = memo.step(memo.ckx(k + 1), tuple(range(k + 1)) + (mark,))
     if keep_n1:
-        steps = [flag, CircuitStep(gates.n1(a), (mark,)), flag]
+        steps = [flag, memo.step(memo.n1(a), (mark,)), flag]
         return CircuitProgram(k + 2, steps, ancillas=(mark,))
     sink = k + 2
     steps = [
         flag,
-        CircuitStep(gates.cu1(a), (mark, sink)),
-        CircuitStep(gates.n1(0.0), (sink,)),
+        memo.step(memo.cu1(a), (mark, sink)),
+        memo.step(memo.n1(0.0), (sink,)),
         flag,
     ]
     return CircuitProgram(k + 3, steps, ancillas=(mark, sink))
 
 
-def project_all(n_qubits: int) -> CircuitProgram:
+def project_all(n_qubits: int, memo: GateMemo | None = None) -> CircuitProgram:
     """Success-branch projector onto |11...1>, one X diag(1,0) X per qubit."""
     if n_qubits < 1:
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
+    memo = GateMemo() if memo is None else memo
     steps = [step for q in range(n_qubits)
-             for step in (_x_step(q), CircuitStep(gates.n1(0.0), (q,)), _x_step(q))]
+             for step in (_x_step(q, memo), memo.step(memo.n1(0.0), (q,)), _x_step(q, memo))]
     return CircuitProgram(n_qubits, steps)
 
 
-def _power_block(value: float, power: int, qubit: int) -> tuple[list[CircuitStep], float]:
+def _power_block(value: float, power: int, qubit: int,
+                 memo: GateMemo) -> tuple[list[CircuitStep], float]:
     """|power| copies of diag(1, value), X-conjugated when the power is negative.
 
     Returns the steps and the block's scale contribution: the emitted product
@@ -225,14 +273,14 @@ def _power_block(value: float, power: int, qubit: int) -> tuple[list[CircuitStep
     convention product = scale**-1 * target makes that contribution
     value**-|power|, or ``inf`` when that overflows a float.
     """
-    steps = [CircuitStep(gates.n1(value), (qubit,)) for _ in range(abs(power))]
+    steps = [memo.step(memo.n1(value), (qubit,))] * abs(power)
     if power >= 0:
         return steps, 1.0
     try:
         contribution = value ** (-abs(power))
     except OverflowError:
         contribution = math.inf
-    return [_x_step(qubit)] + steps + [_x_step(qubit)], contribution
+    return [_x_step(qubit, memo)] + steps + [_x_step(qubit, memo)], contribution
 
 
 def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
@@ -274,10 +322,11 @@ def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
     steps: list[CircuitStep] = []
     scale = 1.0
     strong = alpha ** gamma
+    memo = GateMemo()
     for value, power in ((alpha, l), (strong, m)):
         if power == 0:
             continue
-        block, contribution = _power_block(value, power, 0)
+        block, contribution = _power_block(value, power, 0, memo)
         steps.extend(block)
         scale *= contribution
     if math.isinf(scale):
@@ -313,12 +362,13 @@ def synthesize(gate: GateSpec, mode: str = "bare") -> CircuitProgram:
     steps = []
     scale = 1.0
     eye = np.eye(1 << n)
+    memo = GateMemo()
     if right is not None and max_abs(right.matrix - eye) > UNIT_ATOL:
         steps.append(CircuitStep(right, data))
     for mask, a in factors:
-        conjugation = [_x_step(q) for q in range(n) if (mask >> q) & 1]
+        conjugation = [_x_step(q, memo) for q in range(n) if (mask >> q) & 1]
         steps.extend(conjugation)
-        sub = _factor_core(a, n, mode)
+        sub = _factor_core(a, n, mode, memo)
         steps.extend(sub.steps)
         scale *= sub.scale
         steps.extend(conjugation)
@@ -345,30 +395,102 @@ def _split_or_passthrough(gate: GateSpec):
     return svd_split(gate)
 
 
-def _factor_core(a: float, n: int, mode: str) -> CircuitProgram:
+def _factor_core(a: float, n: int, mode: str, memo: GateMemo) -> CircuitProgram:
     """Netlist for diag(1,...,1,a) on an n-qubit register (controls 0..n-2, target n-1)."""
     if mode == "ancilla":
-        return decompose_mcn1_ancilla(a, n - 1)
+        return decompose_mcn1_ancilla(a, n - 1, memo=memo)
     if n == 1:
-        return CircuitProgram(1, [CircuitStep(gates.n1(a), (0,))])
+        return CircuitProgram(1, [memo.step(memo.n1(a), (0,))])
     if a < ZERO_ATOL:
         # a projective factor has no legal parameter-inverted mirror, so emit
         # it as a single gate and let the runtime realize it as a measurement
         if n == 2:
-            step = CircuitStep(gates.cn1(0.0), (0, 1))
+            step = memo.step(memo.cn1(0.0), (0, 1))
         else:
             entries = [1.0] * ((1 << n) - 1) + [0.0]
             step = CircuitStep(gates.diagonal(entries), tuple(reversed(range(n))))
         return CircuitProgram(n, [step])
     if n == 2:
-        return decompose_cn1(a)
-    return decompose_mcn1_bare(a, n - 1)
+        return decompose_cn1(a, memo)
+    return decompose_mcn1_bare(a, n - 1, memo)
+
+
+class _Gathers(dict):
+    """Real monomial steps of one register as full-register gathers.
+
+    ``gathers[gate, targets]`` is ``(index, coef)`` when ``gate`` is real and
+    monomial (a diagonal or scaled permutation), and ``None`` otherwise: on
+    ``targets`` it maps a column ``v`` to ``coef * v[index]``, where
+    ``index`` is ``None`` for a diagonal and ``coef`` is ``None`` for a
+    permutation.  Each is built on first use per gate object and targets.
+    """
+
+    def __init__(self, n_qubits: int):
+        super().__init__()
+        self.n_qubits = n_qubits
+        self._everywhere = np.arange(1 << n_qubits)
+        # per targets, the local basis index of every register index
+        self._local: dict[tuple[int, ...], np.ndarray] = {}
+
+    def __missing__(self, key):
+        gate, targets = key
+        op, targets = _check_operator(self.n_qubits, gate.matrix, targets)
+        rows = _structure(op.tobytes())[1]
+        found = None
+        if rows is not None:
+            everywhere = self._everywhere
+            local = self._local.get(targets)
+            if local is None:
+                local = np.zeros_like(everywhere)
+                for t in targets:
+                    local = (local << 1) | ((everywhere >> t) & 1)
+                self._local[targets] = local
+            index = coef = None
+            if any(col != r for r, (col, _) in enumerate(rows)):
+                source = np.array([col for col, _ in rows])[local]
+                index = everywhere
+                for j, t in enumerate(reversed(targets)):
+                    index = (index & ~(1 << t)) | (((source >> j) & 1) << t)
+            if any(c != 1.0 for _, c in rows):
+                coef = np.array([c for _, c in rows])[local]
+            found = index, coef
+        self[key] = found
+        return found
 
 
 def _push_columns(netlist: CircuitProgram, columns: np.ndarray) -> np.ndarray:
-    """Every column of ``columns`` after the netlist's steps, in order, through the state kernel."""
+    """Every column of ``columns`` after the netlist's steps, in order.
+
+    A run of real monomial steps (X, CNOT, CKX, N1, CN1, real diagonals) is
+    composed into one gather, ``coef * columns[index]``, applied just before
+    the next other step, which goes through the state kernel, or at the end.
+    """
+    gathers = _Gathers(netlist.n_qubits)
+    index = coef = None  # the run so far; None is the identity
     for step in netlist.steps:
-        columns = apply_columns(columns, step.gate.matrix, step.targets)
+        found = gathers[step.gate, step.targets]
+        if found is None:
+            columns = _gather(columns, index, coef)
+            index = coef = None
+            columns = apply_columns(columns, step.gate.matrix, step.targets)
+            continue
+        # the run then the step: v -> c * (coef * v[index])[f]
+        f, c = found
+        if f is not None:
+            index = f if index is None else index[f]
+            coef = None if coef is None else coef[f]
+        if c is not None:
+            coef = c if coef is None else c * coef
+    return _gather(columns, index, coef)
+
+
+def _gather(columns: np.ndarray, index: np.ndarray | None,
+            coef: np.ndarray | None) -> np.ndarray:
+    """``coef[:, None] * columns[index]``, skipping an identity part."""
+    if index is not None:
+        columns = columns[index]
+    if coef is not None:
+        columns = coef[:, None] * columns
     return columns
 
 

@@ -479,6 +479,33 @@ def test_dump_state_memo_keeps_repeated_and_signed_values_apart():
     assert dump_state(state, threshold=0.3) == _dump_state_by_loop(state, threshold=0.3)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_dump_state_in_chunks_matches_the_per_amplitude_loop(chunk, monkeypatch):
+    from nuqc import qstate
+
+    monkeypatch.setattr(qstate, "DUMP_CHUNK", chunk)
+    rng = np.random.default_rng(56)
+    state = StateVector(8, edge_amplitudes(8, rng))
+    assert dump_state(state) == _dump_state_by_loop(state)
+    assert dump_state(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
+
+
+def test_dump_state_peak_stays_within_the_memory_budget():
+    import tracemalloc
+
+    from nuqc import qstate
+
+    state = qstate.uniform_state(16)
+    tracemalloc.start()
+    try:
+        text = dump_state(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 << 16
+    assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
+
+
 def test_memory_guard_refuses_a_register_before_allocating(monkeypatch):
     import tracemalloc
 

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from nuqc import circuit, cli, gates, qstate, synth
+from nuqc import circuit, cli, gates, measure, qstate, synth
 from nuqc.circuit import CircuitProgram, CircuitStep
 from nuqc.errors import CircuitParseError, DomainError, SearchBudgetError, ShapeError
 from nuqc.linops import write_matrix
@@ -282,6 +282,111 @@ def test_batched_verification_matches_the_embedded_matrix_product(width, ancilla
         realized = synth.realized_operator(net)
         assert realized.shape == (len(keep), len(keep))
         assert np.max(np.abs(realized - want[np.ix_(keep, keep)])) <= 1e-12
+
+
+def _random_monomial_netlist(rng, width, ancillas):
+    """Mostly real monomial steps in runs, broken by complex dense ones."""
+    def n1():
+        return gates.n1(0.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 0.95)))
+
+    def d(k):
+        return gates.diagonal(rng.choice([0.0, 0.3, 0.8, 1.0], size=1 << k).tolist())
+
+    def mat(k):
+        raw = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+        return gates.normalize_gate(raw)
+
+    makers = {1: [gates.x, n1, lambda: d(1), lambda: mat(1)],
+              2: [gates.cnot, lambda: gates.cn1(float(rng.uniform(0.0, 0.95))),
+                  lambda: d(2), lambda: mat(2)],
+              3: [lambda: gates.ckx(2), lambda: d(3)]}
+    steps = []
+    for _ in range(24):
+        k = int(rng.integers(1, min(width, 3) + 1))
+        targets = tuple(rng.permutation(width)[:k].tolist())
+        choices = makers[k][:-1] if k < 3 and rng.random() < 0.8 else makers[k]
+        steps.append(CircuitStep(choices[rng.integers(len(choices))](), targets))
+    # repeat a few steps so that gate objects and targets recur, as in synthesized netlists
+    steps += [steps[int(i)] for i in rng.integers(len(steps), size=8)]
+    return CircuitProgram(width, steps, ancillas=ancillas)
+
+
+@pytest.mark.parametrize("width, ancillas", [
+    (1, ()), (1, (0,)), (2, ()), (2, (1,)), (3, (0, 2)), (4, (0, 2)), (4, (3, 1)),
+    (5, (0, 2)), (5, ()),
+])
+def test_composed_verification_matches_the_embedded_matrix_product(width, ancillas):
+    rng = np.random.default_rng(90 + 7 * width + len(ancillas))
+    for _ in range(4):
+        net = _random_monomial_netlist(rng, width, ancillas)
+        want = _ordered_product(net)
+        assert np.max(np.abs(synth.netlist_matrix(net) - want)) <= 1e-12
+        mask = sum(1 << q for q in ancillas)
+        keep = [i for i in range(1 << width) if not i & mask]
+        realized = synth.realized_operator(net)
+        assert realized.shape == (len(keep), len(keep))
+        assert np.max(np.abs(realized - want[np.ix_(keep, keep)])) <= 1e-12
+
+
+def test_swapped_monomial_steps_fail_verification():
+    rng = np.random.default_rng(0)
+    g = gates.normalize_gate(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    net = synth.synthesize(g, mode="bare")
+    assert synth.reconstruction_residual(net, g.matrix) < 1e-12
+    # the first CNOT next to an X on its control: swapping them flips the
+    # target on the other half of the register
+    def x_on_control(cnot, x):
+        return cnot.gate.label == "CNOT" and x.gate.label == "X" and x.targets == cnot.targets[:1]
+
+    i = next(i for i, (a, b) in enumerate(zip(net.steps, net.steps[1:]))
+             if x_on_control(a, b) or x_on_control(b, a))
+    net.steps[i], net.steps[i + 1] = net.steps[i + 1], net.steps[i]
+    residual = synth.reconstruction_residual(net, g.matrix)
+    assert residual > 0.1
+    oracle = np.max(np.abs(net.scale * _ordered_product(net) - g.matrix))
+    assert residual == pytest.approx(oracle / np.max(np.abs(g.matrix)), rel=1e-9)
+
+
+def test_synthesize_makes_each_gate_once(monkeypatch):
+    rng = np.random.default_rng(0)
+    g = gates.normalize_gate(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    made = []
+
+    def counting(name, original):
+        def make(*params):
+            made.append((name, *params))
+            return original(*params)
+        return make
+
+    for name in ("x", "cnot", "n1", "cn1", "cu1", "ckx"):
+        monkeypatch.setattr(gates, name, counting(name, getattr(gates, name)))
+    net = synth.synthesize(g, mode="bare")
+    assert net.gate_count > 10000
+    assert len(made) == len(set(made))
+    labels = {step.gate.label for step in net.steps}
+    assert len(made) <= len(labels) and len(labels) < 200
+    assert {name for name, *_ in made} == {"x", "cnot", "n1", "cn1"}
+
+
+def test_in_memory_synthesis_shares_prepared_pairs(monkeypatch):
+    rng = np.random.default_rng(4)
+    g = gates.normalize_gate(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    net = synth.synthesize(g, mode="ancilla")
+    calls = []
+    original = measure.build_pair
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "build_pair", counting)
+    measured = [s for s in net.steps if not s.gate.is_unitary]
+    labels = {(s.gate.label, s.c, s.q, s.max_reversals) for s in measured}
+    assert len(labels) < len(measured) / 3
+    circuit.run_branch(net)
+    # as a parsed program would: one pair per distinct label
+    assert len(calls) == len(labels)
+    assert len(calls) == len({(s.gate, s.c, s.q, s.max_reversals) for s in measured})
 
 
 def test_synth_cli_never_calls_the_test_oracle(tmp_path, monkeypatch, capsys):
