@@ -169,7 +169,7 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None) -> RunRecord:
             plan.append((i, measure.thresholds(pair, policy, state, step.targets, mass)))
         p = measure.protocol_success(mass, policy)
         try:
-            state = normalize(branch)
+            state = normalize(branch, mass, consume=True)
         except AnnihilatedStateError:
             records.append(StepRecord(step.gate.label, step.targets, 0.0, 0))
             return RunRecord("failure", 0.0, records, None, failed_step=i)

@@ -102,7 +102,7 @@ def _print_record(record: circuit.RunRecord, as_json: bool) -> None:
     print(f"total probability: {record.total_probability!r}")
     if record.final_state is not None:
         print("final state:")
-        sys.stdout.write(dump_state(record.final_state))
+        dump_state(record.final_state, out=sys.stdout)
 
 
 def _print_stats(stats: circuit.EnsembleStats, as_json: bool) -> None:

@@ -115,22 +115,31 @@ def _check_mass(outcome: str, mass: float) -> None:
         )
 
 
+class _Owned(tuple):
+    """A ``success`` pair whose branch only the calling runner holds, and drops.
+
+    :func:`sample` scales such a branch in place when it normalizes it; a
+    plain pair from a caller outside this module is left untouched.
+    """
+
+
 def _sample_two_outcome(op_success, op_failure, state, targets, rng,
                         success=None) -> tuple[str, StateVector]:
     if success is None:
         kept = apply_embedded(state, op_success, targets)
-        success = kept, norm_sq(kept)
+        success = _Owned((kept, norm_sq(kept)))
     kept, p = success
     if rng.random() < p:
-        branch, mass = kept, p
+        branch, mass, owned = kept, p, isinstance(success, _Owned)
         outcome = SUCCESS
     else:
         kept = success = None  # frees a success branch computed here
         branch = apply_embedded(state, op_failure, targets)
         mass = norm_sq(branch)
+        owned = True
         outcome = FAILURE
     _check_mass(outcome, mass)
-    return outcome, normalize(branch)
+    return outcome, normalize(branch, mass, consume=owned)
 
 
 def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
@@ -139,7 +148,8 @@ def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
     """Draw one outcome; consumes exactly one uniform variate from ``rng``.
 
     ``success``, when given, is ``(M0 state, |M0 state|^2)`` already computed
-    by the caller, and is used instead of applying ``M0`` again.
+    by the caller, and is used instead of applying ``M0`` again; its state
+    is not modified.
     """
     return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng, success)
 
@@ -204,7 +214,7 @@ def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
     reversals = 0
     kept = apply_embedded(state, pair.m0, targets)
     first_mass = norm_sq(kept)
-    success = kept, first_mass
+    success = _Owned((kept, first_mass))
     del kept
     while True:
         attempts += 1
@@ -236,7 +246,7 @@ def thresholds(pair: MeasurementPair, policy: ReversalPolicy | None, state: Stat
     budget = policy.max_reversals if policy is not None else 0
     if budget == 0 or failure < DEGENERATE_MASS:
         return Thresholds(success_mass, failure, 0.0, 0.0, budget)
-    failed = normalize(failed)
+    failed = normalize(failed, failure, consume=True)
     return Thresholds(
         success_mass,
         failure,

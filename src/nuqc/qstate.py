@@ -10,7 +10,7 @@ matrices are written down.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -32,10 +32,13 @@ ANNIHILATION_THRESHOLD = 1e-14
 # Amplitudes below this magnitude are omitted from dumps.
 DUMP_THRESHOLD = 1e-12
 
-# Amplitudes formatted at a time by dump_state, so that its working arrays
-# keep a fixed size (a few MiB) on any register; formatted whole, a dump of
-# a uniform 16-qubit state peaked at 9.5 state sizes, above LIVE_STATES.
-DUMP_CHUNK = 1 << 14
+# dump_state scans DUMP_SCAN amplitudes at a time for the ones it prints and
+# formats at most DUMP_CHUNK of those at a time, so its working arrays keep a
+# fixed size (about 3 MiB) on any register and sparse states cost few
+# formatting calls.  Formatting 2^14 full-precision amplitudes at once took
+# 7.4 MiB; a dump formatted whole peaked at 9.5 uniform 16-qubit states.
+DUMP_SCAN = 1 << 16
+DUMP_CHUNK = 1 << 12
 
 
 class StateVector:
@@ -142,19 +145,30 @@ def norm_sq(state: StateVector) -> float:
     return float(np.real(np.vdot(a, a)))
 
 
-def normalize(state: StateVector) -> StateVector:
+def normalize(state: StateVector, mass: float | None = None, *,
+              consume: bool = False) -> StateVector:
     """``state`` divided by its norm.
 
-    Raises ``AnnihilatedStateError`` on a vanishing norm and ``ShapeError``
-    on a non-finite one, which is how an overflow in the kernel surfaces.
+    ``mass``, when given, is ``norm_sq(state)`` as the caller computed it,
+    which saves a pass over the amplitudes.  With ``consume`` the caller
+    hands ``state`` over and never uses it again, and its amplitudes are
+    scaled in place instead of copied; the runners do this with branches
+    they computed themselves.  Raises ``AnnihilatedStateError`` on a
+    vanishing norm and ``ShapeError`` on a non-finite one, which is how an
+    overflow in the kernel surfaces.
     """
-    nrm = np.sqrt(norm_sq(state))
+    nrm = np.sqrt(norm_sq(state) if mass is None else mass)
     if not np.isfinite(nrm):
         raise ShapeError(f"cannot normalize state with norm {nrm!r}")
     if nrm < ANNIHILATION_THRESHOLD:
         raise AnnihilatedStateError(f"cannot normalize state with norm {nrm:.3e}")
+    amps = state.amplitudes
+    out = None
+    if consume:
+        amps.flags.writeable = True
+        out = amps
     if nrm >= 2.0:
-        return StateVector._trusted(state.n_qubits, state.amplitudes / nrm)
+        return StateVector._trusted(state.n_qubits, np.divide(amps, nrm, out=out))
     # bit for bit ``amplitudes / nrm``, at a third of its cost: numpy divides
     # by a real as by complex(nrm, 0), computing (re + im*0) * s and
     # (im - re*0) * s with s = 1/nrm; multiplying by complex(s, -0.0) adds
@@ -162,7 +176,7 @@ def normalize(state: StateVector) -> StateVector:
     # the same bits unless a nonzero part underflows to zero, and that needs
     # s <= 0.5
     return StateVector._trusted(state.n_qubits,
-                                state.amplitudes * complex(1.0 / nrm, -0.0))
+                                np.multiply(amps, complex(1.0 / nrm, -0.0), out=out))
 
 
 def is_normalized(state: StateVector, atol: float = NORM_ATOL) -> bool:
@@ -211,25 +225,48 @@ COPY_FREE_MIN_SIZE = 1 << 10
 # qubits: a GEMM against a 16 x 16 matrix costs no more than its memory pass.
 LOW_BLOCK_BITS = 4
 
+# A dense operator on adjacent targets listed high to low, the lowest at
+# least ADJACENT_MIN_BIT, is one batched GEMM over (2^k, 2^t) blocks.  H at
+# n = 20 took 3.3 instead of 11.6 ms at t = 8, 8.3 instead of 16.1 at t = 5,
+# but 16-19 against 14-18 ms at t = 4, where each GEMM is too small.
+ADJACENT_MIN_BIT = 5
+
+# A monomial operator is one gather over a block of index bits, through a
+# table of 2^width entries cached per operator, targets and block.  Blocks
+# wider than MONOMIAL_BLOCK_BITS are gathered 2^MONOMIAL_BLOCK_BITS rows at a
+# time through tables built per call, so no table grows with the register.
+MONOMIAL_BLOCK_BITS = 14
+
+# When the contiguous run below the lowest target is shorter than FOLD_BELOW
+# entries, the low bits join the block, which then spans at least bits
+# 0..FOLD_BITS-1: a gather or multiply over short runs pays per run.
+FOLD_BELOW = 64
+FOLD_BITS = 10
+
 
 def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """The state kernel: ``op`` on ``targets`` of a ``(2**n,)`` or ``(2**n, cols)`` array.
 
     Each column is one register state.  Unchecked; callers validate through
-    :func:`_check_operator`.  From ``COPY_FREE_MIN_SIZE`` entries on, a real
-    ``op`` takes a path that never transposes the array: slice passes when
-    it is monomial, and for a state one GEMM when it is dense on low targets
-    listed high to low.  Both give the transpose path's values exactly (the
+    :func:`_check_operator`.  From ``COPY_FREE_MIN_SIZE`` entries on, the
+    kernel makes one pass over the array without transposing it: one gather
+    and scale when a real ``op`` is monomial, one batched GEMM when ``op``
+    is dense on adjacent targets listed high to low from ``ADJACENT_MIN_BIT``
+    up, and for a state one GEMM when a real ``op`` is dense on low targets
+    listed high to low.  All give the transpose path's values exactly (the
     sign of an exact zero aside): a real coefficient multiplies as zgemm
-    does, and targets listed high to low keep zgemm's summation order.
-    Complex operators and other target orders would round differently, and
-    a batch of columns would need one small GEMM per block, which is slower.
+    does, and the GEMMs keep zgemm's summation order.  Complex monomial
+    operators and dense low targets in other orders would round differently,
+    and a batch would need one small GEMM per low block, which is slower.
     """
     if amps.size >= COPY_FREE_MIN_SIZE:
         key = op.tobytes()
         real, rows = _structure(key)
         if rows is not None:
             return _apply_monomial(amps, rows, targets)
+        low = targets[-1]
+        if low >= ADJACENT_MIN_BIT and targets == tuple(range(targets[0], low - 1, -1)):
+            return _apply_adjacent(amps, op, targets)
         if (real and amps.ndim == 1 and targets[0] < LOW_BLOCK_BITS
                 and all(a > b for a, b in zip(targets, targets[1:]))):
             return _apply_low_block(amps, key, targets)
@@ -250,6 +287,12 @@ def _apply_transposed(amps: np.ndarray, op: np.ndarray,
     out = (op @ moved.reshape(1 << k, -1)).reshape(moved.shape)
     inverse = sorted(range(psi.ndim), key=order.__getitem__)
     return out.transpose(inverse).reshape(amps.shape)
+
+
+def _apply_adjacent(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """A dense operator on adjacent targets listed high to low, as one batched GEMM."""
+    run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
+    return np.matmul(op, amps.reshape(-1, op.shape[0], run)).reshape(amps.shape)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -273,49 +316,91 @@ def _structure(key: bytes) -> tuple[bool, tuple[tuple[int, float], ...] | None]:
     return True, tuple((int(c), float(op.real[r, c])) for r, c in enumerate(cols))
 
 
-@functools.lru_cache(maxsize=1024)
-def _target_view(shape: tuple[int, ...], targets: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """A view shape of a ``shape`` array with one length-2 axis per target bit, and its indices.
+def _gather_tables(rows, targets: tuple[int, ...], block: np.ndarray):
+    """``(index, factor)`` of a monomial operator at the block positions ``block``.
 
-    Reshaping to the view copies nothing.  Index ``r`` of the second result
-    selects the part of the view whose target bits spell local basis index
-    ``r`` (``targets[0]`` is its most significant bit).
+    ``targets`` are bit positions within the block.  Position ``b`` of the
+    result reads position ``index[b]`` times ``factor[b]``; ``index`` is
+    ``None`` for a diagonal and ``factor`` for a permutation.
     """
-    view: list[int] = []
-    axis = {}
-    high = shape[0].bit_length() - 1
-    for t in sorted(targets, reverse=True):
-        if high - t - 1:
-            view.append(1 << (high - t - 1))
-        view.append(2)
-        axis[t] = len(view) - 1
-        high = t
-    if high:
-        view.append(1 << high)
-    view += shape[1:]
-    k = len(targets)
-    indices = []
-    for local in range(1 << k):
-        idx: list = [slice(None)] * len(view)
-        for j, t in enumerate(targets):
-            idx[axis[t]] = (local >> (k - 1 - j)) & 1
-        indices.append((*idx, ...))  # the Ellipsis keeps a fully indexed part an array
-    return tuple(view), tuple(indices)
+    local = np.zeros_like(block)
+    for t in targets:
+        local = (local << 1) | ((block >> t) & 1)
+    cols, coefs = zip(*rows)
+    index = factor = None
+    if cols != tuple(range(len(cols))):
+        source = np.array(cols)[local]
+        index = block
+        for j, t in enumerate(reversed(targets)):
+            index = (index & ~(1 << t)) | (((source >> j) & 1) << t)
+    if any(c != 1.0 for c in coefs):
+        factor = np.array(coefs, dtype=np.complex128)[local]
+    return index, factor
+
+
+@functools.lru_cache(maxsize=128)
+def _monomial_block(rows, targets: tuple[int, ...], width: int):
+    """:func:`_gather_tables` over a whole block of ``width`` bits, read-only."""
+    tables = _gather_tables(rows, targets, np.arange(1 << width))
+    for table in tables:
+        if table is not None:
+            table.flags.writeable = False
+    return tables
 
 
 def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...]) -> np.ndarray:
-    """A monomial operator as one strided slice pass per local output row."""
-    view, index = _target_view(amps.shape, targets)
-    out = np.empty(amps.shape, dtype=np.complex128)
-    src = amps.reshape(view)
-    dst = out.reshape(view)
-    for put, (col, coef) in zip(index, rows):
-        if coef == 0:
-            dst[put] = 0
-        elif coef == 1:
-            dst[put] = src[index[col]]
-        else:
-            np.multiply(src[index[col]], coef, out=dst[put])
+    """A monomial operator as one gather and one scale over a block of index bits.
+
+    The array is viewed as ``(A, B, C)``: ``B`` spans the index bits from the
+    lowest target to the highest, or from bit 0 when the run below them is
+    short, and ``C`` the rest below, columns included.
+    """
+    n = amps.shape[0].bit_length() - 1
+    run = amps.size >> n
+    low, high = min(targets), max(targets)
+    if run << low < FOLD_BELOW and high < MONOMIAL_BLOCK_BITS:
+        low, high = 0, min(n - 1, max(FOLD_BITS - 1, high))
+    width = high - low + 1
+    view = amps.reshape(-1, 1 << width, run << low)
+    targets = tuple(t - low for t in targets)
+    if width > MONOMIAL_BLOCK_BITS:
+        return _apply_monomial_chunks(view.reshape(-1, run << low), rows,
+                                      targets).reshape(amps.shape)
+    index, factor = _monomial_block(rows, targets, width)
+    if index is None:
+        out = view * factor[:, None] if factor is not None else view.copy()
+    else:
+        out = np.take(view, index, axis=1, mode="clip")
+        if factor is not None:
+            out *= factor[:, None]
+    return out.reshape(amps.shape)
+
+
+def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...]) -> np.ndarray:
+    """:func:`_apply_monomial` on a ``(A * B, C)`` view whose block is too wide for one table.
+
+    A chunk of ``2**MONOMIAL_BLOCK_BITS`` rows fixes the target bits above
+    it, so one table per value of those bits, built here, serves every chunk.
+    """
+    size = 1 << MONOMIAL_BLOCK_BITS
+    high = sum(1 << t for t in targets if t >= MONOMIAL_BLOCK_BITS)
+    positions = np.arange(size)
+    tables = {}
+    out = np.empty(view.shape, dtype=np.complex128)
+    for start in range(0, view.shape[0], size):
+        part = slice(start, start + size)
+        fixed = start & high
+        if fixed not in tables:
+            tables[fixed] = _gather_tables(rows, targets, positions | fixed)
+        index, factor = tables[fixed]
+        source = view[part]
+        if index is not None:
+            source = np.take(view, index + (start & ~high), axis=0, mode="clip",
+                             out=out[part])
+        if factor is not None:
+            np.multiply(source, factor[:, None], out=out[part])
+        elif index is None:
+            out[part] = source
     return out
 
 
@@ -402,30 +487,40 @@ def live_amplitudes(state: StateVector,
     return list(zip(live.tolist(), amps.real[live].tolist(), amps.imag[live].tolist()))
 
 
-def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD) -> str:
+def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD,
+               out: TextIO | None = None) -> str | None:
     """Text dump, one ``binary_index re im`` line per non-negligible amplitude.
 
-    Floats print as ``repr`` does.  The amplitudes are formatted
-    ``DUMP_CHUNK`` at a time, so beyond the returned text and the pieces it
-    is joined from, the dump holds arrays of a fixed size.
+    Floats print as ``repr`` does.  Returns the text.  With ``out``, writes
+    the lines to it as they are formatted, ``DUMP_CHUNK`` amplitudes at a
+    time, and returns None: the text, 3.8 state sizes for full-precision
+    amplitudes, is then never held, let alone twice as the joined string
+    and its pieces.
     """
-    amps = state.amplitudes
-    return "".join([_dump_chunk(amps[start:start + DUMP_CHUNK], start, state.n_qubits, threshold)
-                    for start in range(0, amps.size, DUMP_CHUNK)])
+    chunks = _dump_chunks(state.amplitudes, state.n_qubits, threshold)
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
 
 
-def _dump_chunk(amps: np.ndarray, start: int, n_qubits: int, threshold: float) -> str:
-    """The :func:`dump_state` lines of ``amps``, whose first basis index is ``start``.
+def _dump_chunks(amps: np.ndarray, n_qubits: int, threshold: float):
+    for start in range(0, amps.size, DUMP_SCAN):
+        live = np.flatnonzero(np.abs(amps[start:start + DUMP_SCAN]) > threshold) + start
+        for first in range(0, live.size, DUMP_CHUNK):
+            yield _dump_lines(amps, live[first:first + DUMP_CHUNK], n_qubits)
+
+
+def _dump_lines(amps: np.ndarray, live: np.ndarray, n_qubits: int) -> str:
+    """The :func:`dump_state` lines of the amplitudes at the basis indices ``live``.
 
     Each distinct float is formatted once, keyed by its bit pattern, which
     keeps ``-0.0`` apart from ``0.0``, and each distinct ``re im`` pair once;
     the lines are assembled as bytes.
     """
-    live = np.flatnonzero(np.abs(amps) > threshold)
-    if not live.size:
-        return ""
     # the index's big-endian bytes unpacked to bits, the last n_qubits of them
-    index_bytes = (live + start).astype(">u4").view(np.uint8).reshape(-1, 4)
+    index_bytes = live.astype(">u4").view(np.uint8).reshape(-1, 4)
     digits = np.unpackbits(index_bytes, axis=1)[:, 32 - n_qubits:] + ord("0")
     floats, float_of = np.unique(amps[live].view(np.uint64), return_inverse=True)
     texts = [repr(x) for x in floats.view(np.float64).tolist()]

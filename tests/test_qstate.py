@@ -314,22 +314,25 @@ def _random_amplitudes(rng, shape):
 
 
 @pytest.mark.parametrize("cols", [None, 3])
-def test_monomial_path_matches_embedded_matrix(cols):
+def test_monomial_path_matches_embedded_matrix(cols, monkeypatch):
     from nuqc import qstate
 
     rng = np.random.default_rng(50)
-    for op in _monomial_ops(rng):
-        real, rows = qstate._structure(op.tobytes())
-        assert real and rows is not None
-        k = op.shape[0].bit_length() - 1
-        for n in range(max(k, 1), 9):
-            targets = _random_targets(rng, n, k)
-            shape = (1 << n,) if cols is None else (1 << n, cols)
-            amps = _random_amplitudes(rng, shape)
-            got = qstate._apply_monomial(amps, rows, targets)
-            want = embedded_matrix(op, targets, n) @ amps
-            assert got.shape == amps.shape
-            assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    # with 2-bit tables every block wider than 2 bits is gathered in chunks
+    for block_bits in (14, 2):
+        monkeypatch.setattr(qstate, "MONOMIAL_BLOCK_BITS", block_bits)
+        for op in _monomial_ops(rng):
+            real, rows = qstate._structure(op.tobytes())
+            assert real and rows is not None
+            k = op.shape[0].bit_length() - 1
+            for n in range(max(k, 1), 9):
+                targets = _random_targets(rng, n, k)
+                shape = (1 << n,) if cols is None else (1 << n, cols)
+                amps = _random_amplitudes(rng, shape)
+                got = qstate._apply_monomial(amps, rows, targets)
+                want = embedded_matrix(op, targets, n) @ amps
+                assert got.shape == amps.shape
+                assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 def test_monomial_path_takes_non_contiguous_batches():
@@ -375,12 +378,19 @@ def _wide_cases(rng):
     dense = [np.asarray(H), gates.abrams_lloyd().matrix, gates.nand().matrix,
              rng.normal(size=(8, 8)).astype(complex)]
     complex_ops = [np.diag([1.0, 1j]), _random_amplitudes(rng, (4, 4))]
-    for n, cols in ((13, None), (14, None), (10, 4), (12, 3)):
+    for n, cols in ((13, None), (14, None), (16, None), (10, 4), (12, 3)):
+        # wide spans, (0, n-1) among them; from 16 qubits on their monomial
+        # blocks are wider than one table and are gathered in chunks
+        spans = {1: [(0,), (n - 1,)], 2: [(0, n - 1), (n - 1, 0)],
+                 3: [(n - 1, 0, 1), (0, n - 1, 1)]}
         for op in _monomial_ops(rng) + dense + complex_ops:
             k = op.shape[0].bit_length() - 1
             shape = (1 << n,) if cols is None else (1 << n, cols)
+            # adjacent targets listed high to low at the crossover edge of the batched GEMM
+            adjacent = [tuple(range(low + k - 1, low - 1, -1)) for low in (4, 5)]
             for targets in (_random_targets(rng, n, k), _random_targets(rng, 4, k),
-                            tuple(sorted(_random_targets(rng, 4, k), reverse=True))):
+                            tuple(sorted(_random_targets(rng, 4, k), reverse=True)),
+                            *spans[k], *adjacent):
                 yield _random_amplitudes(rng, shape), op, targets
 
 
@@ -399,16 +409,22 @@ def test_dispatch_above_the_crossover_equals_the_transpose_path():
 def test_dispatch_takes_the_copy_free_paths(monkeypatch):
     from nuqc import gates, qstate
 
-    def no_transpose(*args):
-        raise AssertionError("took the transpose path")
+    transposed = qstate._apply_transposed
+
+    def no_transpose(amps, *args):
+        # the low block is built through the transpose path, on a small identity
+        if amps.size >= qstate.COPY_FREE_MIN_SIZE:
+            raise AssertionError("took the transpose path")
+        return transposed(amps, *args)
 
     monkeypatch.setattr(qstate, "_apply_transposed", no_transpose)
     state = uniform_state(14)
     for op, targets in ((np.asarray(CNOT), (0, 13)), (gates.ckx(2).matrix, (5, 0, 9)),
-                        (np.asarray(H), (2,)), (gates.abrams_lloyd().matrix, (3, 0))):
+                        (np.asarray(H), (2,)), (gates.abrams_lloyd().matrix, (3, 0)),
+                        (np.asarray(H), (9,)), (gates.abrams_lloyd().matrix, (6, 5))):
         apply_embedded(state, op, targets)
-    for op, targets in ((np.asarray(H), (9,)), (gates.abrams_lloyd().matrix, (0, 3)),
-                        (np.diag([1.0, 1j]), (4,))):
+    for op, targets in ((np.asarray(H), (4,)), (gates.abrams_lloyd().matrix, (0, 3)),
+                        (gates.abrams_lloyd().matrix, (9, 0)), (np.diag([1.0, 1j]), (4,))):
         with pytest.raises(AssertionError, match="transpose path"):
             apply_embedded(state, op, targets)
     with pytest.raises(AssertionError, match="transpose path"):  # a batch of a dense gate
@@ -419,6 +435,107 @@ def test_dispatch_takes_the_copy_free_paths(monkeypatch):
     monkeypatch.setattr(qstate, "_apply_monomial", lambda *a: calls.append(a))
     apply_embedded(small, CNOT, (0, 1))
     assert calls == []
+
+
+def test_no_cached_monomial_table_exceeds_the_block_bound(monkeypatch):
+    from nuqc import qstate
+
+    sizes = []
+    cached = qstate._monomial_block
+
+    def recording(*args):
+        tables = cached(*args)
+        sizes.extend(t.size for t in tables if t is not None)
+        return tables
+
+    monkeypatch.setattr(qstate, "_monomial_block", recording)
+    rng = np.random.default_rng(57)
+    for n, cols in ((17, None), (14, None), (12, 8)):
+        shape = (1 << n,) if cols is None else (1 << n, cols)
+        amps = _random_amplitudes(rng, shape)
+        for op in _monomial_ops(rng):
+            k = op.shape[0].bit_length() - 1
+            for targets in ((n - 1, 0, 2)[:k], (0, 3, 1)[:k], (n - 2, 2, n - 4)[:k]):
+                got = qstate._apply(amps, op, targets)
+                assert np.array_equal(got, qstate._apply_transposed(amps, op, targets))
+    assert sizes and max(sizes) <= 1 << qstate.MONOMIAL_BLOCK_BITS == 1 << 14
+
+
+def _kernel_path_cases():
+    """Operators and targets of a 16-qubit register that reach every kernel path."""
+    from nuqc import gates
+
+    al = gates.abrams_lloyd().matrix
+    return [(np.asarray(CNOT), (3, 9)), (np.asarray(CNOT), (0, 15)),
+            (gates.ckx(2).matrix, (15, 0, 1)), (np.diag([0.5, 0.25]).astype(complex), (0,)),
+            (np.asarray(H), (9,)), (al, (6, 5)), (al, (3, 0)), (al, (9, 0)),
+            (np.diag([1.0, 1j]), (4,))]
+
+
+def test_kernel_results_never_share_memory_with_their_input():
+    rng = np.random.default_rng(58)
+    state = StateVector(16, _random_amplitudes(rng, 1 << 16))
+    columns = _random_amplitudes(rng, (1 << 12, 16))
+    saved = state.amplitudes.copy(), columns.copy()
+    for op, targets in _kernel_path_cases():
+        out = apply_embedded(state, op, targets)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes), targets
+        batch_targets = tuple(t % 12 for t in targets)
+        out = apply_columns(columns, op, batch_targets)
+        assert not np.shares_memory(out, columns), batch_targets
+    assert np.array_equal(state.amplitudes.view(np.uint64), saved[0].view(np.uint64))
+    assert np.array_equal(columns.view(np.uint64), saved[1].view(np.uint64))
+
+
+def test_normalize_and_sample_leave_their_inputs_unchanged():
+    from nuqc import gates, measure
+
+    rng = np.random.default_rng(59)
+    state = StateVector(12, _random_amplitudes(rng, 1 << 12))
+    saved = state.amplitudes.copy()
+    mass = norm_sq(state)
+    for out in (normalize(state), normalize(state, mass)):
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert np.array_equal(out.amplitudes.view(np.uint64),
+                              (saved / np.sqrt(mass)).view(np.uint64))
+    assert np.array_equal(state.amplitudes.view(np.uint64), saved.view(np.uint64))
+
+    state = normalize(state)
+    pair = measure.build_pair(gates.n1(0.6), 0.9)
+    kept = apply_embedded(state, pair.m0, (3,))
+    kept_saved = kept.amplitudes.copy()
+    outcomes = set()
+    for seed in range(12):
+        outcome, post = measure.sample(pair, state, (3,), np.random.default_rng(seed),
+                                       success=(kept, norm_sq(kept)))
+        outcomes.add(outcome)
+        assert not np.shares_memory(post.amplitudes, kept.amplitudes)
+        assert not np.shares_memory(post.amplitudes, state.amplitudes)
+    assert outcomes == {"success", "failure"}
+    assert np.array_equal(kept.amplitudes.view(np.uint64), kept_saved.view(np.uint64))
+
+
+def test_runs_leave_the_program_state_unchanged():
+    from nuqc import gates, measure
+
+    rng = np.random.default_rng(60)
+    parsed = circuit.parse(
+        "qubits 11\ngate H 7\ngate N1(0.6) 3 c=0.9 q=opt k=3\n"
+        "gate CN1(0.7) 10 0 c=0.9 q=opt k=3\ngate CNOT 0 10\n")
+    # an unnormalized start, so that normalizing it in place would show
+    start = StateVector(11, 3.0 * _random_amplitudes(rng, 1 << 11))
+    saved = start.amplitudes.copy()
+    program = circuit.CircuitProgram(11, parsed.steps, start)
+    circuit.run_branch(program)
+    circuit.run_ensemble(program, trials=50, seed=1)
+    for seed in range(8):
+        circuit.run_sampled(program, seed=int(rng.integers(1 << 30)))
+    pair = measure.build_pair(gates.n1(0.6), 0.9)
+    policy = measure.build_reversal(pair, max_reversals=3)
+    measure.thresholds(pair, policy, start, (3,), 0.5)
+    for seed in range(8):
+        measure.run_with_reversal(pair, policy, start, (3,), np.random.default_rng(seed))
+    assert np.array_equal(start.amplitudes.view(np.uint64), saved.view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -457,6 +574,10 @@ def test_normalize_is_bitwise_the_divide():
         want = state.amplitudes / nrm
         got = normalize(state).amplitudes
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), norm
+        handed_over = StateVector(12, state.amplitudes)
+        in_place = normalize(handed_over, norm_sq(state), consume=True).amplitudes
+        assert np.shares_memory(in_place, handed_over.amplitudes)
+        assert np.array_equal(in_place.view(np.uint64), want.view(np.uint64)), norm
         parts = got.view(np.float64)
         assert np.signbit(parts[parts == 0]).any() and (~np.signbit(parts[parts == 0])).any()
 
@@ -486,8 +607,10 @@ def test_dump_state_in_chunks_matches_the_per_amplitude_loop(chunk, monkeypatch)
     monkeypatch.setattr(qstate, "DUMP_CHUNK", chunk)
     rng = np.random.default_rng(56)
     state = StateVector(8, edge_amplitudes(8, rng))
-    assert dump_state(state) == _dump_state_by_loop(state)
-    assert dump_state(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
+    for scan in (1, 24, 1 << 16):
+        monkeypatch.setattr(qstate, "DUMP_SCAN", scan)
+        assert dump_state(state) == _dump_state_by_loop(state)
+        assert dump_state(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
 
 
 def test_dump_state_peak_stays_within_the_memory_budget():
@@ -504,6 +627,44 @@ def test_dump_state_peak_stays_within_the_memory_budget():
         tracemalloc.stop()
     assert text.count("\n") == 1 << 16
     assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
+
+
+def test_streamed_dump_of_a_random_state_stays_within_the_memory_budget():
+    import tracemalloc
+
+    from nuqc import qstate
+
+    rng = np.random.default_rng(61)
+    state = normalize(StateVector(16, _random_amplitudes(rng, 1 << 16)))
+
+    class Sink:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        assert dump_state(state, out=sink) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 1 << 16
+    assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_streamed_dump_writes_the_dump_text(chunk, monkeypatch):
+    import io
+
+    from nuqc import qstate
+
+    monkeypatch.setattr(qstate, "DUMP_CHUNK", chunk)
+    state = StateVector(9, edge_amplitudes(9, np.random.default_rng(62)))
+    out = io.StringIO()
+    assert dump_state(state, out=out) is None
+    assert out.getvalue() == dump_state(state) == _dump_state_by_loop(state)
 
 
 def test_memory_guard_refuses_a_register_before_allocating(monkeypatch):
