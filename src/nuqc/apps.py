@@ -195,18 +195,19 @@ def qubit_savings(netlist: NandNetlist, m: int) -> QubitSavings:
     return QubitSavings(toffoli_route - m, toffoli_route, m)
 
 
-def _allocate(netlist: NandNetlist, m: int,
-              c: float) -> tuple[list[CircuitStep], dict[str, int], int]:
+def _allocate(netlist: NandNetlist,
+              m: int) -> tuple[list[tuple[str, tuple[int, ...]]], dict[str, int], int]:
+    """``(gate kind, targets)`` per step, the live wires' qubits and the register width."""
     wire_q = {f"in{i}": i for i in range(netlist.n_inputs)}
     next_q = netlist.n_inputs
-    steps: list[CircuitStep] = []
+    plan: list[tuple[str, tuple[int, ...]]] = []
     nand_seen = 0
     for node in netlist.nodes:
         if node.kind == "copy":
             src = wire_q.pop(node.inputs[0])
             fresh = next_q
             next_q += 1
-            steps.append(CircuitStep(gates.cnot(), (src, fresh)))
+            plan.append(("cnot", (src, fresh)))
             wire_q[node.outputs[0]] = src
             wire_q[node.outputs[1]] = fresh
             continue
@@ -214,21 +215,21 @@ def _allocate(netlist: NandNetlist, m: int,
         qb = wire_q.pop(node.inputs[1])
         nand_seen += 1
         if nand_seen <= m:
-            steps.append(CircuitStep(gates.nand(), (qa, qb), c=c))
+            plan.append(("nand", (qa, qb)))
             wire_q[node.outputs[0]] = qa
         else:
             fresh = next_q
             next_q += 1
-            steps.append(CircuitStep(gates.x(), (fresh,)))
-            steps.append(CircuitStep(gates.ckx(2), (qa, qb, fresh)))
+            plan.append(("x", (fresh,)))
+            plan.append(("ckx", (qa, qb, fresh)))
             wire_q[node.outputs[0]] = fresh
-    return steps, wire_q, next_q
+    return plan, wire_q, next_q
 
 
 def nand_layout(netlist: NandNetlist, m: int) -> NandLayout:
     """Register plan for :func:`compile_nand` with the same split."""
     _check_split(netlist, m)
-    _, wire_q, n_qubits = _allocate(netlist, m, 1.0)
+    _, wire_q, n_qubits = _allocate(netlist, m)
     return NandLayout(
         n_qubits=n_qubits,
         wire_qubits=wire_q,
@@ -249,13 +250,19 @@ def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
     Toffoli-stage NAND targets a fresh work qubit raised to |1> by an X gate;
     COPY becomes a CNOT onto a fresh qubit.  The initial register is either a
     basis state from ``input_bits`` (default all ones) or an arbitrary
-    ``input_state`` over the input wires with work qubits in |0>.
+    ``input_state`` over the input wires with work qubits in |0>.  Steps of
+    one kind share one gate object, and with it its prepared measurement.
     """
     _check_split(netlist, m)
     k = netlist.n_inputs
     if input_bits is not None and input_state is not None:
         raise NetlistError("give input_bits or input_state, not both")
-    steps, _, n_qubits = _allocate(netlist, m, c)
+    plan, _, n_qubits = _allocate(netlist, m)
+    factories = {"cnot": gates.cnot, "nand": gates.nand, "x": gates.x,
+                 "ckx": lambda: gates.ckx(2)}
+    made = {kind: factories[kind]() for kind in dict.fromkeys(kind for kind, _ in plan)}
+    steps = [CircuitStep(made[kind], targets, c=c if kind == "nand" else 1.0)
+             for kind, targets in plan]
     if input_state is not None:
         if input_state.n_qubits != k:
             raise NetlistError(

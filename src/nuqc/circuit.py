@@ -19,8 +19,8 @@ import json
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -633,7 +633,13 @@ def format_program(program: CircuitProgram, mat_namer: MatNamer | None = None) -
         if program.init_label.partition(" ")[0] not in ("basis", "uniform", "file"):
             raise DomainError(f"initial state {program.init_label!r} has no text form")
         lines.append(f"init {program.init_label}")
+    # a line per step object, which netlists share; MAT(...) steps are named per position
+    formatted: dict[int, str] = {}
     for i, step in enumerate(program.steps):
+        line = formatted.get(id(step))
+        if line is not None:
+            lines.append(line)
+            continue
         label = step.gate.label
         if label.startswith("MAT("):
             if mat_namer is not None:
@@ -648,6 +654,8 @@ def format_program(program: CircuitProgram, mat_namer: MatNamer | None = None) -
         if step.max_reversals:
             fields.append(f"k={step.max_reversals}")
         lines.append(" ".join(fields))
+        if not step.gate.label.startswith("MAT("):
+            formatted[id(step)] = lines[-1]
     return "\n".join(lines) + "\n"
 
 
@@ -662,7 +670,8 @@ def record_to_json(record: RunRecord) -> dict:
     if record.final_state is not None:
         final = [
             {"index": i, "re": re, "im": im}
-            for i, re, im in live_amplitudes(record.final_state)
+            for chunk in live_amplitudes(record.final_state)
+            for i, re, im in chunk
         ]
     doc = {
         "outcome": record.outcome,
@@ -676,6 +685,34 @@ def record_to_json(record: RunRecord) -> dict:
     if record.failed_step is not None:
         doc["failed_step"] = record.failed_step
     return doc
+
+
+# one final_state entry as dumps_json indents it in a record document
+_AMPLITUDE_JSON = '    {\n      "index": %d,\n      "re": %r,\n      "im": %r\n    }'
+_FINAL_STATE_MARK = "\0final_state"
+
+
+def write_record_json(record: RunRecord, out: TextIO, **extra) -> None:
+    """Write ``dumps_json`` of ``record_to_json(record)`` plus ``extra``, and a newline.
+
+    The final state's entries are written a chunk of live amplitudes at a
+    time; as one dict each and one text, a dense 16-qubit state took 64
+    state sizes.
+    """
+    doc = record_to_json(replace(record, final_state=None))
+    if record.final_state is not None:
+        doc["final_state"] = _FINAL_STATE_MARK
+    text = dumps_json(doc | extra)
+    if record.final_state is not None:
+        # the keys after final_state hold no gate label, so the mark is the last match
+        head, _, tail = text.rpartition(json.dumps(_FINAL_STATE_MARK))
+        out.write(head + "[")
+        sep = "\n"
+        for chunk in live_amplitudes(record.final_state):
+            out.write(sep + ",\n".join(_AMPLITUDE_JSON % entry for entry in chunk))
+            sep = ",\n"
+        text = ("]" if sep == "\n" else "\n  ]") + tail
+    out.write(text + "\n")
 
 
 def stats_to_json(stats: EnsembleStats) -> dict:

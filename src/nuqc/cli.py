@@ -27,70 +27,13 @@ EXIT_DEGENERATE = 3
 _JOBS_HELP = "accepted for compatibility (must be >= 1); mc runs in this process"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nuqc",
-        description="Simulate and synthesize measurement-driven nonunitary circuits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="run a circuit file")
-    sim.add_argument("circuit", help="circuit file path")
-    sim.add_argument("--mode", choices=["branch", "sampled", "mc"], default="branch")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--trials", type=int, default=10000)
-    sim.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    sim.add_argument("--json", action="store_true")
-
-    syn = sub.add_parser("synth", help="compile a matrix file to a gate netlist")
-    syn.add_argument("matrix", help="matrix file path")
-    syn.add_argument("--mode", choices=["bare", "ancilla"], default="bare")
-    syn.add_argument("--out", help="netlist output path")
-    syn.add_argument("--tolerance", type=float, default=synth.RESIDUAL_ATOL)
-    syn.add_argument("--json", action="store_true")
-
-    app = sub.add_parser("approx", help="two-gate approximation of diag(1, a)")
-    app.add_argument("--a", type=float, required=True)
-    app.add_argument("--alpha", type=float, required=True)
-    app.add_argument("--gamma", type=float, required=True)
-    app.add_argument("--eps", type=float, required=True)
-    app.add_argument("--budget", type=int, default=synth.DEFAULT_EXPONENT_BUDGET)
-    app.add_argument("--json", action="store_true")
-
-    dn = sub.add_parser("demo-nand", help="compile and run a NAND netlist")
-    dn.add_argument("--netlist", required=True, help="NAND netlist file")
-    dn.add_argument("--m", type=int, required=True, help="quantum NAND prefix length")
-    dn.add_argument("--c", type=float, default=1.0)
-    dn.add_argument("--input", help="input bits, e.g. 101 (default: all ones)")
-    dn.add_argument("--mode", choices=["branch", "sampled", "mc"], default="branch")
-    dn.add_argument("--seed", type=int, default=0)
-    dn.add_argument("--trials", type=int, default=10000)
-    dn.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    dn.add_argument("--json", action="store_true")
-
-    da = sub.add_parser("demo-al", help="run the satisfiability search")
-    da.add_argument("--table", required=True, help="truth table bits, x ascending")
-    da.add_argument("--n", type=int, help="expected input width (consistency check)")
-    da.add_argument("--mode", choices=["branch", "sampled"], default="branch")
-    da.add_argument("--seed", type=int, default=0)
-    da.add_argument("--json", action="store_true")
-
-    pr = sub.add_parser("probe", help="print a gate and its measurement operators")
-    pr.add_argument("label", help="gate label, e.g. NAND or N1(0.5)")
-    pr.add_argument("--c", type=float)
-    pr.add_argument("--q", help="reversal strength (number or 'opt')")
-    pr.add_argument("--k", type=int, default=0)
-    pr.add_argument("--json", action="store_true")
-    return parser
-
-
 def _matrix_doc(a: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
 def _print_record(record: circuit.RunRecord, as_json: bool) -> None:
     if as_json:
-        print(circuit.dumps_json(circuit.record_to_json(record)))
+        circuit.write_record_json(record, sys.stdout)
         return
     for i, step in enumerate(record.steps):
         targets = ",".join(str(t) for t in step.targets)
@@ -229,15 +172,12 @@ def _cmd_demo_nand(args) -> int:
             for wire in netlist.outputs
         }
     if args.json:
-        doc = circuit.record_to_json(record)
-        doc["outputs"] = output_bits
-        doc["qubits"] = layout.n_qubits
-        doc["qubit_savings"] = {
-            "quantum_route": savings.qubits_quantum_route,
-            "toffoli_route": savings.qubits_toffoli_route,
-            "saved": savings.saved,
-        }
-        print(circuit.dumps_json(doc))
+        circuit.write_record_json(record, sys.stdout, outputs=output_bits,
+                                  qubits=layout.n_qubits, qubit_savings={
+                                      "quantum_route": savings.qubits_quantum_route,
+                                      "toffoli_route": savings.qubits_toffoli_route,
+                                      "saved": savings.saved,
+                                  })
     else:
         _print_record(record, False)
         if output_bits is not None:
@@ -252,9 +192,7 @@ def _cmd_demo_al(args) -> int:
     oracle = apps.parse_truth_table(args.table, n=args.n)
     result = apps.abrams_lloyd_run(oracle, mode=args.mode, seed=args.seed)
     if args.json:
-        doc = circuit.record_to_json(result.record)
-        doc["s"] = result.s_found
-        print(circuit.dumps_json(doc))
+        circuit.write_record_json(result.record, sys.stdout, s=result.s_found)
     else:
         _print_record(result.record, False)
         if result.s_found is not None:
@@ -308,24 +246,96 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
+_JSON = ("--json", {"action": "store_true"})
+_SEED = ("--seed", {"type": int, "default": 0})
+# the options of a command that runs a circuit, from --mode on
+_RUN_OPTIONS = (
+    ("--mode", {"choices": ["branch", "sampled", "mc"], "default": "branch"}),
+    _SEED,
+    ("--trials", {"type": int, "default": 10000}),
+    ("--jobs", {"type": int, "default": 1, "help": _JOBS_HELP}),
+    _JSON,
+)
+
+# name -> (help, (argument, add_argument keywords) per argument, run), in the
+# order top-level help lists them
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "synth": _cmd_synth,
-    "approx": _cmd_approx,
-    "demo-nand": _cmd_demo_nand,
-    "demo-al": _cmd_demo_al,
-    "probe": _cmd_probe,
+    "simulate": ("run a circuit file", (
+        ("circuit", {"help": "circuit file path"}),
+        *_RUN_OPTIONS,
+    ), _cmd_simulate),
+    "synth": ("compile a matrix file to a gate netlist", (
+        ("matrix", {"help": "matrix file path"}),
+        ("--mode", {"choices": ["bare", "ancilla"], "default": "bare"}),
+        ("--out", {"help": "netlist output path"}),
+        ("--tolerance", {"type": float, "default": synth.RESIDUAL_ATOL}),
+        _JSON,
+    ), _cmd_synth),
+    "approx": ("two-gate approximation of diag(1, a)", (
+        ("--a", {"type": float, "required": True}),
+        ("--alpha", {"type": float, "required": True}),
+        ("--gamma", {"type": float, "required": True}),
+        ("--eps", {"type": float, "required": True}),
+        ("--budget", {"type": int, "default": synth.DEFAULT_EXPONENT_BUDGET}),
+        _JSON,
+    ), _cmd_approx),
+    "demo-nand": ("compile and run a NAND netlist", (
+        ("--netlist", {"required": True, "help": "NAND netlist file"}),
+        ("--m", {"type": int, "required": True, "help": "quantum NAND prefix length"}),
+        ("--c", {"type": float, "default": 1.0}),
+        ("--input", {"help": "input bits, e.g. 101 (default: all ones)"}),
+        *_RUN_OPTIONS,
+    ), _cmd_demo_nand),
+    "demo-al": ("run the satisfiability search", (
+        ("--table", {"required": True, "help": "truth table bits, x ascending"}),
+        ("--n", {"type": int, "help": "expected input width (consistency check)"}),
+        ("--mode", {"choices": ["branch", "sampled"], "default": "branch"}),
+        _SEED,
+        _JSON,
+    ), _cmd_demo_al),
+    "probe": ("print a gate and its measurement operators", (
+        ("label", {"help": "gate label, e.g. NAND or N1(0.5)"}),
+        ("--c", {"type": float}),
+        ("--q", {"help": "reversal strength (number or 'opt')"}),
+        ("--k", {"type": int, "default": 0}),
+        _JSON,
+    ), _cmd_probe),
 }
 
 
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommand ``argv[0]`` names, or with all of them.
+
+    Only help and errors printed when ``argv[0]`` names no command list every
+    subcommand; an unrecognized argument prints the usage line, whose
+    metavar keeps the full list.
+    """
+    parser = argparse.ArgumentParser(
+        prog="nuqc",
+        description="Simulate and synthesize measurement-driven nonunitary circuits.",
+    )
+    if argv and argv[0] in _COMMANDS:
+        names = argv[:1]
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, arguments, _ = _COMMANDS[name]
+        command = sub.add_parser(name, help=help_text)
+        for argument, keywords in arguments:
+            command.add_argument(argument, **keywords)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except DegenerateBranchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -8,6 +8,9 @@ the domain checks and ordering conventions the rest of the package relies on.
 
 from __future__ import annotations
 
+import contextlib
+from itertools import chain, repeat
+
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -125,10 +128,8 @@ def format_matrix(a) -> str:
 def parse_matrix_text(text: str) -> np.ndarray:
     """Inverse of :func:`format_matrix`."""
     tokens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    for raw in text.splitlines() if "#" in text else [text]:
+        tokens.extend(raw.split("#", 1)[0].split())
     if len(tokens) < 2:
         raise ShapeError("matrix text must start with 'rows cols'")
     try:
@@ -140,7 +141,14 @@ def parse_matrix_text(text: str) -> np.ndarray:
     body = tokens[2:]
     if len(body) != rows * cols:
         raise ShapeError(f"expected {rows * cols} entries, found {len(body)}")
-    entries = [_parse_entry(tok) for tok in body]
+    entries = None
+    if set(map(str.count, body, repeat(","))) == {1}:  # all 're,im': one pass over the parts
+        with contextlib.suppress(ValueError):  # on a bad part, the per-entry parse names it
+            parts = chain.from_iterable(map(str.split, body, repeat(",")))
+            values = np.fromiter(map(float, parts), np.float64, 2 * len(body))
+            entries = values.view(np.complex128)
+    if entries is None:
+        entries = [_parse_entry(tok) for tok in body]
     return as_matrix(entries, rows, cols)
 
 

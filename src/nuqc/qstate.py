@@ -316,16 +316,25 @@ def _structure(key: bytes) -> tuple[bool, tuple[tuple[int, float], ...] | None]:
     return True, tuple((int(c), float(op.real[r, c])) for r, c in enumerate(cols))
 
 
-def _gather_tables(rows, targets: tuple[int, ...], block: np.ndarray):
+def _local_index(targets: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    """The operator's local basis index at each of the block positions ``block``."""
+    local = np.zeros_like(block)
+    for t in targets:
+        local = (local << 1) | ((block >> t) & 1)
+    return local
+
+
+def _gather_tables(rows, targets: tuple[int, ...], block: np.ndarray,
+                   local: np.ndarray | None = None):
     """``(index, factor)`` of a monomial operator at the block positions ``block``.
 
     ``targets`` are bit positions within the block.  Position ``b`` of the
     result reads position ``index[b]`` times ``factor[b]``; ``index`` is
-    ``None`` for a diagonal and ``factor`` for a permutation.
+    ``None`` for a diagonal and ``factor`` for a permutation.  ``local`` is
+    :func:`_local_index` of the targets and block, computed when not given.
     """
-    local = np.zeros_like(block)
-    for t in targets:
-        local = (local << 1) | ((block >> t) & 1)
+    if local is None:
+        local = _local_index(targets, block)
     cols, coefs = zip(*rows)
     index = factor = None
     if cols != tuple(range(len(cols))):
@@ -479,12 +488,14 @@ def embedded_matrix(op, targets: Sequence[int], n_qubits: int) -> np.ndarray:
     return full
 
 
-def live_amplitudes(state: StateVector,
-                    threshold: float = DUMP_THRESHOLD) -> list[tuple[int, float, float]]:
-    """``(index, re, im)`` of each amplitude with magnitude above ``threshold``, by index."""
+def live_amplitudes(state: StateVector, threshold: float = DUMP_THRESHOLD):
+    """``(index, re, im)`` of each amplitude with magnitude above ``threshold``, by index.
+
+    Yields them in lists of at most ``DUMP_CHUNK``.
+    """
     amps = state.amplitudes
-    live = np.flatnonzero(np.abs(amps) > threshold)
-    return list(zip(live.tolist(), amps.real[live].tolist(), amps.imag[live].tolist()))
+    for live in _live_chunks(amps, threshold):
+        yield list(zip(live.tolist(), amps.real[live].tolist(), amps.imag[live].tolist()))
 
 
 def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD,
@@ -497,7 +508,8 @@ def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD,
     amplitudes, is then never held, let alone twice as the joined string
     and its pieces.
     """
-    chunks = _dump_chunks(state.amplitudes, state.n_qubits, threshold)
+    amps = state.amplitudes
+    chunks = (_dump_lines(amps, live, state.n_qubits) for live in _live_chunks(amps, threshold))
     if out is None:
         return "".join(chunks)
     for chunk in chunks:
@@ -505,11 +517,12 @@ def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD,
     return None
 
 
-def _dump_chunks(amps: np.ndarray, n_qubits: int, threshold: float):
+def _live_chunks(amps: np.ndarray, threshold: float):
+    """Ascending indices of the amplitudes above ``threshold``, ``DUMP_CHUNK`` at most at a time."""
     for start in range(0, amps.size, DUMP_SCAN):
         live = np.flatnonzero(np.abs(amps[start:start + DUMP_SCAN]) > threshold) + start
         for first in range(0, live.size, DUMP_CHUNK):
-            yield _dump_lines(amps, live[first:first + DUMP_CHUNK], n_qubits)
+            yield live[first:first + DUMP_CHUNK]
 
 
 def _dump_lines(amps: np.ndarray, live: np.ndarray, n_qubits: int) -> str:

@@ -28,7 +28,7 @@ from .circuit import CircuitProgram, CircuitStep, format_program, parse_file
 from .errors import DomainError, SearchBudgetError, ShapeError
 from .gates import GateSpec
 from .linops import max_abs, svd, write_matrix
-from .qstate import _check_operator, _structure, apply_columns
+from .qstate import _check_operator, _gather_tables, _local_index, _structure, apply_columns
 
 ZERO_ATOL = 1e-12
 UNIT_ATOL = 1e-12
@@ -438,22 +438,12 @@ class _Gathers(dict):
         rows = _structure(op.tobytes())[1]
         found = None
         if rows is not None:
-            everywhere = self._everywhere
             local = self._local.get(targets)
             if local is None:
-                local = np.zeros_like(everywhere)
-                for t in targets:
-                    local = (local << 1) | ((everywhere >> t) & 1)
-                self._local[targets] = local
-            index = coef = None
-            if any(col != r for r, (col, _) in enumerate(rows)):
-                source = np.array([col for col, _ in rows])[local]
-                index = everywhere
-                for j, t in enumerate(reversed(targets)):
-                    index = (index & ~(1 << t)) | (((source >> j) & 1) << t)
-            if any(c != 1.0 for _, c in rows):
-                coef = np.array([c for _, c in rows])[local]
-            found = index, coef
+                local = self._local[targets] = _local_index(targets, self._everywhere)
+            index, coef = _gather_tables(rows, targets, self._everywhere, local)
+            # the coefficients are real, and real factors keep the products real
+            found = index, None if coef is None else coef.real
         self[key] = found
         return found
 

@@ -1,10 +1,11 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from nuqc import apps, circuit, gates
+from nuqc import apps, circuit, cli, gates
 from nuqc.errors import (
     CircuitParseError,
     DomainError,
@@ -130,6 +131,41 @@ def test_layout_counts():
     assert layout.copies == 3
     assert layout.n_qubits == 7
     assert set(layout.output_qubits) == {layout.wire_qubits["s"]}
+
+
+def _count_gates_made(monkeypatch) -> list[str]:
+    made = []
+    make = gates._make
+
+    def spy(label, *args, **kwargs):
+        made.append(label)
+        return make(label, *args, **kwargs)
+
+    monkeypatch.setattr(gates, "_make", spy)
+    return made
+
+
+def test_demo_nand_makes_one_gate_per_kind(monkeypatch, capsys):
+    made = _count_gates_made(monkeypatch)
+    xor = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos", "xor.nl")
+    argv = ["demo-nand", "--netlist", xor, "--m", "2", "--c", "0.8"]
+    assert cli.main(argv) == 0
+    assert "outputs: s=0" in capsys.readouterr().out
+    # 9 steps of four kinds, across compile_nand and nand_layout
+    assert sorted(made) == ["CKX(2)", "CNOT", "NAND", "X"]
+
+
+def test_compiled_steps_share_one_gate_per_kind(monkeypatch):
+    net = apps.parse_nand_netlist(XOR_NETLIST)
+    made = _count_gates_made(monkeypatch)
+    assert apps.nand_layout(net, 2).n_qubits == 7
+    assert made == []
+    prog = apps.compile_nand(net, 2, c=0.8)
+    by_label = {}
+    for step in prog.steps:
+        assert by_label.setdefault(step.gate.label, step.gate) is step.gate
+        assert step.c == (0.8 if step.gate.label == "NAND" else 1.0)
+    assert len(made) == len(by_label) == 4
 
 
 @pytest.mark.parametrize("m", [0, 2, 4])

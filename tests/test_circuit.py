@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -8,9 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nuqc import apps, circuit, cli, gates, measure, qstate
+from nuqc import apps, circuit, cli, gates, measure, qstate, synth
 from nuqc.errors import CircuitError, CircuitParseError, DegenerateBranchError, DomainError
-from nuqc.linops import write_matrix
+from nuqc.linops import read_matrix, write_matrix
 from nuqc.qstate import StateVector, basis_state, dump_state, uniform_state
 
 NAND_REVERSAL = """
@@ -306,6 +307,46 @@ def test_format_program_round_trips_demos(name):
     assert np.array_equal(again.initial_state.amplitudes, prog.initial_state.amplitudes)
     assert [_step_view(s) for s in again.steps] == [_step_view(s) for s in prog.steps]
     assert circuit.format_program(again) == text
+
+
+def test_a_shared_mat_step_is_named_at_each_position():
+    step = circuit.CircuitStep(gates.from_matrix(np.diag([1.0, 0.5]), label="MAT(@)"), (0,))
+    other = circuit.CircuitStep(gates.x(), (0,))
+    prog = circuit.CircuitProgram(1, [step, other, step, other])
+    named = []
+
+    def namer(index, matrix):
+        named.append((index, matrix.tolist()))
+        return f"m{index}.mat"
+
+    text = circuit.format_program(prog, namer)
+    assert named == [(0, [[1.0, 0.0], [0.0, 0.5]]), (2, [[1.0, 0.0], [0.0, 0.5]])]
+    assert text.splitlines()[1:] == ["gate MAT(m0.mat) 0", "gate X 0",
+                                     "gate MAT(m2.mat) 0", "gate X 0"]
+
+
+SYNTH_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                            "synth_golden")
+
+
+@pytest.mark.parametrize("mode", ["bare", "ancilla"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_format_program_of_shared_steps_equals_per_step_formatting(n, mode):
+    target = gates.normalize_gate(read_matrix(os.path.join(SYNTH_GOLDEN, f"m{n}.mat")))
+    net = synth.synthesize(target, mode=mode)
+    assert len({id(step) for step in net.steps}) < net.gate_count
+    # one fresh object per position, so no formatted line can be reused
+    unshared = circuit.CircuitProgram(
+        net.n_qubits, [dataclasses.replace(step) for step in net.steps],
+        scale=net.scale, ancillas=net.ancillas)
+
+    def namer(index, matrix):
+        return f"g{index}.mat"
+
+    text = circuit.format_program(net, namer)
+    assert text == circuit.format_program(unshared, namer)
+    with open(os.path.join(SYNTH_GOLDEN, f"{mode}{n}.nl"), encoding="utf-8") as fh:
+        assert text == fh.read().replace(f"{mode}{n}.nl.g", "g")
 
 
 def test_parse_netlist_directives_and_bare_steps():

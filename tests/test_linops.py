@@ -3,6 +3,7 @@ import pytest
 
 from nuqc.errors import DomainError, ShapeError
 from nuqc.linops import (
+    _parse_entry,
     adjoint,
     as_matrix,
     format_matrix,
@@ -137,3 +138,42 @@ def test_read_write_round_trip(tmp_path):
     path = tmp_path / "op.mat"
     write_matrix(path, a)
     assert np.array_equal(read_matrix(path), a)
+
+
+def _parse_per_entry(text):
+    """``parse_matrix_text`` as one ``_parse_entry`` call per body token."""
+    tokens = [tok for raw in text.splitlines() for tok in raw.split("#", 1)[0].split()]
+    rows, cols = int(tokens[0]), int(tokens[1])
+    return as_matrix([_parse_entry(tok) for tok in tokens[2:]], rows, cols)
+
+
+def test_batched_entry_parse_is_bit_identical_to_the_per_entry_parse():
+    rng = np.random.default_rng(64)
+    a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    a[0, :4] = [0.0, -0.0, complex(-0.0, -0.0), 1e-310]
+    text = format_matrix(a)
+    got = parse_matrix_text(text)
+    assert got.tobytes() == a.tobytes() == _parse_per_entry(text).tobytes()
+    odd = "2 2\n1_0,0x0 1e3,-2.5E-3\n.5,-.0 7,8\n"  # forms float() accepts
+    with pytest.raises(ValueError):
+        float("0x0")
+    with pytest.raises(ShapeError, match="'1_0,0x0'"):
+        parse_matrix_text(odd)
+    odd = odd.replace("0x0", "0")
+    assert parse_matrix_text(odd).tobytes() == _parse_per_entry(odd).tobytes()
+
+
+@pytest.mark.parametrize("body, token", [
+    ("1,2 3,4,5", "'3,4,5'"),  # three parts; the comma count alone balances with
+    ("1 2,3,4", "'2,3,4'"),    # a bare real, so each token's count is checked
+    ("1,2 a,4", "'a,4'"),
+    ("1,2 3,", "'3,'"),
+])
+def test_batched_entry_parse_reports_the_bad_entry(body, token):
+    with pytest.raises(ShapeError, match=f"bad matrix entry {token}"):
+        parse_matrix_text(f"1 2\n{body}\n")
+
+
+def test_batched_entry_parse_rejects_nonfinite_entries():
+    with pytest.raises(ShapeError, match="finite"):
+        parse_matrix_text("1 2\n1,2 inf,0\n")

@@ -667,6 +667,72 @@ def test_streamed_dump_writes_the_dump_text(chunk, monkeypatch):
     assert out.getvalue() == dump_state(state) == _dump_state_by_loop(state)
 
 
+def _record_json_whole(record, **extra):
+    doc = circuit.record_to_json(record)
+    doc.update(extra)
+    return circuit.dumps_json(doc) + "\n"
+
+
+def _record_json_streamed(record, **extra):
+    import io
+
+    out = io.StringIO()
+    assert circuit.write_record_json(record, out, **extra) is None
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("scan, chunk", [(64, 5), (1 << 16, 7), (1 << 16, 1 << 12)])
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_streamed_record_json_equals_dumps_json(n, scan, chunk, monkeypatch):
+    from nuqc import qstate
+
+    monkeypatch.setattr(qstate, "DUMP_SCAN", scan)
+    monkeypatch.setattr(qstate, "DUMP_CHUNK", chunk)
+    state = StateVector(n, edge_amplitudes(n, np.random.default_rng(300 + n)))
+    # a label equal to the placeholder of the streamed array comes before it
+    steps = [circuit.StepRecord("\0final_state", (0,), 0.25, 1)]
+    record = circuit.RunRecord("success", 0.25, steps, state)
+    extra = {"outputs": {"s": 1}, "qubits": n, "qubit_savings": {"saved": 2}}
+    assert _record_json_streamed(record) == _record_json_whole(record)
+    assert _record_json_streamed(record, **extra) == _record_json_whole(record, **extra)
+    failed = circuit.RunRecord("failure", 0.0, steps, state, failed_step=0)
+    assert _record_json_streamed(failed, s=None) == _record_json_whole(failed, s=None)
+
+
+def test_streamed_record_json_of_an_empty_or_missing_state():
+    empty = circuit.RunRecord("success", 1.0, [], StateVector(2, np.zeros(4)))
+    assert '"final_state": [],' in _record_json_streamed(empty, s=0)
+    assert _record_json_streamed(empty, s=0) == _record_json_whole(empty, s=0)
+    missing = circuit.RunRecord("failure", 0.0, [], None, failed_step=3)
+    assert _record_json_streamed(missing, s=None) == _record_json_whole(missing, s=None)
+
+
+def test_streamed_record_json_of_a_random_state_stays_within_the_memory_budget():
+    import tracemalloc
+
+    from nuqc import qstate
+
+    rng = np.random.default_rng(63)
+    state = normalize(StateVector(16, _random_amplitudes(rng, 1 << 16)))
+    record = circuit.RunRecord("success", 1.0, [], state)
+
+    class Sink:
+        entries = 0
+
+        def write(self, text):
+            self.entries += text.count('"index"')
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        circuit.write_record_json(record, sink, s=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.entries == 1 << 16
+    assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
+
+
 def test_memory_guard_refuses_a_register_before_allocating(monkeypatch):
     import tracemalloc
 

@@ -347,6 +347,32 @@ def test_swapped_monomial_steps_fail_verification():
     assert residual == pytest.approx(oracle / np.max(np.abs(g.matrix)), rel=1e-9)
 
 
+@pytest.mark.parametrize("mode, kinds", [("bare", {"X", "CNOT", "N1", "CN1"}),
+                                         ("ancilla", {"X", "CKX", "N1"})])
+def test_verification_gathers_are_the_kernel_tables_with_real_factors(mode, kinds):
+    rng = np.random.default_rng(5)
+    g = gates.normalize_gate(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    net = synth.synthesize(g, mode=mode)
+    gathers = synth._Gathers(net.n_qubits)
+    everywhere = np.arange(1 << net.n_qubits)
+    seen = set()
+    for step in net.steps:
+        found = gathers[step.gate, step.targets]
+        rows = qstate._structure(step.gate.matrix.tobytes())[1]
+        assert (found is None) == (rows is None)
+        if found is None or (step.gate.label, step.targets) in seen:
+            continue
+        seen.add((step.gate.label, step.targets))
+        index, factor = qstate._gather_tables(rows, step.targets, everywhere)
+        for got, want in zip(found, (index, factor)):
+            assert (got is None) == (want is None)
+        assert found[0] is None or np.array_equal(found[0], index)
+        if factor is not None:
+            assert found[1].dtype == np.float64
+            assert np.array_equal(found[1], factor)
+    assert kinds <= {label.partition("(")[0] for label, _ in seen}
+
+
 def test_synthesize_makes_each_gate_once(monkeypatch):
     rng = np.random.default_rng(0)
     g = gates.normalize_gate(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
