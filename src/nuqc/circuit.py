@@ -20,7 +20,7 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -30,8 +30,13 @@ from .gates import GateSpec
 from .linops import read_matrix
 from .measure import MeasurementPair, ReversalPolicy
 from .qstate import (
+    COPY_FREE_MIN_SIZE,
     MAX_QUBITS,
+    MONOMIAL_BLOCK_BITS,
     StateVector,
+    _block_span,
+    _permutation_product,
+    _permutation_rows,
     apply_embedded,
     basis_state,
     live_amplitudes,
@@ -141,6 +146,58 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
+# On a register of at least COPY_FREE_MIN_SIZE amplitudes, a run of
+# consecutive unitary steps that are pure permutations (X, CNOT, CKX) is
+# applied as one permutation of the union of their targets: one kernel gather
+# instead of one per step, with the same values, since a permutation only
+# moves them.  A run ends before its union's gather block would outgrow one
+# cached table (MONOMIAL_BLOCK_BITS) or the union would exceed
+# PERMUTATION_RUN_TARGETS qubits, which keeps the composed operator at most
+# 64 x 64.
+PERMUTATION_RUN_TARGETS = 6
+
+
+def _stages(program: CircuitProgram) -> Iterator[tuple]:
+    """``program.steps`` in order, as ``(i, steps, pair, policy, op, targets)``.
+
+    ``i`` is the position of ``steps[0]``.  A measured step comes alone, with
+    its pair and policy.  Unitary steps come with ``pair`` and ``policy``
+    ``None`` and the operator and targets to apply for them: one step's own,
+    or a composed permutation run's.  Built from the steps as the run meets
+    them, so no change to ``program.steps`` between runs goes unseen.
+    """
+    n = program.n_qubits
+    compose = 1 << n >= COPY_FREE_MIN_SIZE
+    start, run, union = 0, [], ()
+    for i, step in enumerate(program.steps):
+        pair, policy = program.prepared(step)
+        rows = _permutation_rows(step.gate.matrix) if compose and pair is None else None
+        if rows is not None and run:
+            joined = union + tuple(t for t in step.targets if t not in union)
+            if (len(joined) <= PERMUTATION_RUN_TARGETS
+                    and _block_span(n, joined)[1] <= MONOMIAL_BLOCK_BITS):
+                run.append((step, rows))
+                union = joined
+                continue
+        if run:
+            yield _composed(start, run, union)
+            run = []
+        if rows is not None:
+            start, run, union = i, [(step, rows)], step.targets
+        else:
+            yield i, [step], pair, policy, step.gate.matrix, step.targets
+    if run:
+        yield _composed(start, run, union)
+
+
+def _composed(start: int, run: list, union: tuple[int, ...]) -> tuple:
+    """The stage of a permutation run: its steps' product as one permutation of ``union``."""
+    steps = [step for step, _ in run]
+    op = (steps[0].gate.matrix if len(run) == 1 else
+          _permutation_product(tuple((rows, step.targets) for step, rows in run), union))
+    return start, steps, None, None, op, union
+
+
 def run_branch(program: CircuitProgram) -> RunRecord:
     """Follow the all-success branch, multiplying protocol probabilities."""
     return _follow_branch(program, None)
@@ -157,12 +214,12 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None) -> RunRecord:
     state = program.initial_state
     records: list[StepRecord] = []
     total = 1.0
-    for i, step in enumerate(program.steps):
-        pair, policy = program.prepared(step)
+    for i, steps, pair, policy, op, targets in _stages(program):
         if pair is None:
-            state = apply_embedded(state, step.gate.matrix, step.targets)
-            records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
+            state = apply_embedded(state, op, targets)
+            records += [StepRecord(s.gate.label, s.targets, 1.0, 0) for s in steps]
             continue
+        step = steps[0]
         branch = apply_embedded(state, pair.m0, step.targets)
         mass = norm_sq(branch)
         if plan is not None:
@@ -192,12 +249,12 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
     state = program.initial_state
     records: list[StepRecord] = []
     total = 1.0
-    for i, step in enumerate(program.steps):
-        pair, policy = program.prepared(step)
+    for i, steps, pair, policy, op, targets in _stages(program):
         if pair is None:
-            state = apply_embedded(state, step.gate.matrix, step.targets)
-            records.append(StepRecord(step.gate.label, step.targets, 1.0, 0))
+            state = apply_embedded(state, op, targets)
+            records += [StepRecord(s.gate.label, s.targets, 1.0, 0) for s in steps]
             continue
+        step = steps[0]
         result = measure.run_with_reversal(pair, policy, state, step.targets, rng)
         p = measure.protocol_success(result.first_success_mass, policy)
         records.append(StepRecord(step.gate.label, step.targets, p, result.reversals))

@@ -228,8 +228,15 @@ LOW_BLOCK_BITS = 4
 # A dense operator on adjacent targets listed high to low, the lowest at
 # least ADJACENT_MIN_BIT, is one batched GEMM over (2^k, 2^t) blocks.  H at
 # n = 20 took 3.3 instead of 11.6 ms at t = 8, 8.3 instead of 16.1 at t = 5,
-# but 16-19 against 14-18 ms at t = 4, where each GEMM is too small.
+# but 16-19 against 14-18 ms at t = 4, where each complex GEMM is too small.
 ADJACENT_MIN_BIT = 5
+
+# A real such operator, the lowest target at least REAL_ADJACENT_MIN_BIT, is
+# one batched real GEMM over the float64 view, whose blocks are twice as long:
+# H at n = 20 took 4.8 instead of 18.0 ms at t = 4, 1.9 instead of 5.9 at
+# t = 8 and about the low block's time at t = 3; at t = 2 and below the low
+# block is twice as fast.
+REAL_ADJACENT_MIN_BIT = 3
 
 # A monomial operator is one gather over a block of index bits, through a
 # table of 2^width entries cached per operator, targets and block.  Blocks
@@ -250,9 +257,11 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.nda
     Each column is one register state.  Unchecked; callers validate through
     :func:`_check_operator`.  From ``COPY_FREE_MIN_SIZE`` entries on, the
     kernel makes one pass over the array without transposing it: one gather
-    and scale when a real ``op`` is monomial, one batched GEMM when ``op``
-    is dense on adjacent targets listed high to low from ``ADJACENT_MIN_BIT``
-    up, and for a state one GEMM when a real ``op`` is dense on low targets
+    and scale when a real ``op`` is monomial; when ``op`` is dense on
+    adjacent targets listed high to low, one batched real GEMM if it is real
+    and the lowest target is at least ``REAL_ADJACENT_MIN_BIT`` (C-contiguous
+    arrays only), else one batched complex GEMM from ``ADJACENT_MIN_BIT`` up;
+    and for a state one GEMM when a real ``op`` is dense on low targets
     listed high to low.  All give the transpose path's values exactly (the
     sign of an exact zero aside): a real coefficient multiplies as zgemm
     does, and the GEMMs keep zgemm's summation order.  Complex monomial
@@ -265,8 +274,11 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.nda
         if rows is not None:
             return _apply_monomial(amps, rows, targets)
         low = targets[-1]
-        if low >= ADJACENT_MIN_BIT and targets == tuple(range(targets[0], low - 1, -1)):
-            return _apply_adjacent(amps, op, targets)
+        if targets == tuple(range(targets[0], low - 1, -1)):
+            if real and low >= REAL_ADJACENT_MIN_BIT and amps.flags.c_contiguous:
+                return _apply_adjacent_real(amps, op, targets)
+            if low >= ADJACENT_MIN_BIT:
+                return _apply_adjacent(amps, op, targets)
         if (real and amps.ndim == 1 and targets[0] < LOW_BLOCK_BITS
                 and all(a > b for a, b in zip(targets, targets[1:]))):
             return _apply_low_block(amps, key, targets)
@@ -293,6 +305,19 @@ def _apply_adjacent(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) 
     """A dense operator on adjacent targets listed high to low, as one batched GEMM."""
     run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
     return np.matmul(op, amps.reshape(-1, op.shape[0], run)).reshape(amps.shape)
+
+
+def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray,
+                         targets: tuple[int, ...]) -> np.ndarray:
+    """:func:`_apply_adjacent` for a real ``op``, as one batched real GEMM.
+
+    In the float64 view each amplitude is two adjacent reals that the same
+    entries of ``op`` multiply, so the blocks are twice as long; zgemm adds
+    only exact zeros, ``0 * im`` and ``0 * re``, to the same products.
+    """
+    run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
+    out = np.matmul(op.real, amps.view(np.float64).reshape(-1, op.shape[0], 2 * run))
+    return out.view(np.complex128).reshape(amps.shape)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -357,19 +382,58 @@ def _monomial_block(rows, targets: tuple[int, ...], width: int):
     return tables
 
 
+def _block_span(n_qubits: int, targets, columns: int = 1) -> tuple[int, int]:
+    """Lowest bit and width of the index block a monomial operator on ``targets`` is gathered over.
+
+    The block spans the index bits from the lowest target to the highest, or
+    from bit 0 when the run of ``columns << lowest target`` entries below
+    them is short.
+    """
+    low, high = min(targets), max(targets)
+    if columns << low < FOLD_BELOW and high < MONOMIAL_BLOCK_BITS:
+        low, high = 0, min(n_qubits - 1, max(FOLD_BITS - 1, high))
+    return low, high - low + 1
+
+
+def _permutation_rows(op: np.ndarray):
+    """The monomial rows of ``op`` if it is a pure permutation (every coefficient 1), else None."""
+    rows = _structure(np.asarray(op, dtype=np.complex128).tobytes())[1]
+    if rows is None or any(coef != 1.0 for _, coef in rows):
+        return None
+    return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _permutation_product(factors: tuple, targets: tuple[int, ...]) -> np.ndarray:
+    """The permutation matrix on ``targets`` of ``(rows, factor targets)`` applied in order.
+
+    Each factor's targets are among ``targets``, whose first is the most
+    significant bit of the result's local index.  Keyed by the factors'
+    contents, so a changed step is never served a stale product.
+    """
+    place = {t: len(targets) - 1 - j for j, t in enumerate(targets)}
+    local = np.arange(1 << len(targets))
+    index = local
+    for rows, factor_targets in factors:
+        # the run then the factor: v -> v[index][f] = v[index[f]]
+        f = _gather_tables(rows, tuple(place[t] for t in factor_targets), local)[0]
+        if f is not None:
+            index = index[f]
+    op = np.zeros((local.size, local.size), dtype=np.complex128)
+    op[local, index] = 1.0
+    op.flags.writeable = False
+    return op
+
+
 def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...]) -> np.ndarray:
     """A monomial operator as one gather and one scale over a block of index bits.
 
-    The array is viewed as ``(A, B, C)``: ``B`` spans the index bits from the
-    lowest target to the highest, or from bit 0 when the run below them is
-    short, and ``C`` the rest below, columns included.
+    The array is viewed as ``(A, B, C)``: ``B`` is the :func:`_block_span`
+    and ``C`` the rest below, columns included.
     """
     n = amps.shape[0].bit_length() - 1
     run = amps.size >> n
-    low, high = min(targets), max(targets)
-    if run << low < FOLD_BELOW and high < MONOMIAL_BLOCK_BITS:
-        low, high = 0, min(n - 1, max(FOLD_BITS - 1, high))
-    width = high - low + 1
+    low, width = _block_span(n, targets, run)
     view = amps.reshape(-1, 1 << width, run << low)
     targets = tuple(t - low for t in targets)
     if width > MONOMIAL_BLOCK_BITS:
@@ -506,7 +570,9 @@ def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD,
     the lines to it as they are formatted, ``DUMP_CHUNK`` amplitudes at a
     time, and returns None: the text, 3.8 state sizes for full-precision
     amplitudes, is then never held, let alone twice as the joined string
-    and its pieces.
+    and its pieces.  Wide registers should use ``out``, as the CLI does.
+    The returned string is exempt from ``LIVE_STATES``: for a random
+    16-qubit state its peak reaches 7.7 state sizes.
     """
     amps = state.amplitudes
     chunks = (_dump_lines(amps, live, state.n_qubits) for live in _live_chunks(amps, threshold))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from nuqc import apps, circuit, cli, gates, measure, qstate, synth
 from nuqc.errors import CircuitError, CircuitParseError, DegenerateBranchError, DomainError
 from nuqc.linops import read_matrix, write_matrix
 from nuqc.qstate import StateVector, basis_state, dump_state, uniform_state
+
+import stepwise
 
 NAND_REVERSAL = """
 qubits 2
@@ -661,3 +664,127 @@ def test_degenerate_error_is_the_lowest_raising_trials_first(scripts, monkeypatc
     with pytest.raises(DegenerateBranchError) as raised:
         circuit.run_ensemble(prog, seed=0, trials=20)
     assert str(raised.value) == expected
+
+
+# Permutation runs that do not commute (X 0 then CNOT 0 12; CNOT 3 7 then
+# CNOT 7 3 then CKX), split by a measured step, by Z (U1(1), monomial but not
+# a permutation) and by a dense step, on a register of 2^13 amplitudes,
+# where the runners compose them.
+PERMUTATION_RUNS = """
+qubits 13
+gate X 0
+gate CNOT 0 12
+gate N1(0.7) 5 c=0.9 q=opt k=2
+gate CNOT 3 7
+gate CNOT 7 3
+gate CKX(2) 7 3 11
+gate U1(1) 3
+gate H 2
+gate CNOT 2 9
+gate X 9
+"""
+
+
+def _random_program(text, seed):
+    """``text`` parsed, from a random normalized state instead of its own."""
+    prog = circuit.parse(text)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << prog.n_qubits) + 1j * rng.normal(size=1 << prog.n_qubits)
+    return circuit.CircuitProgram(prog.n_qubits, prog.steps,
+                                  qstate.normalize(StateVector(prog.n_qubits, amps)))
+
+
+def _kernel_targets(monkeypatch):
+    """The targets of every ``apply_embedded`` call the runners make."""
+    calls = []
+    original = circuit.apply_embedded
+
+    def recording(state, op, targets):
+        calls.append(tuple(targets))
+        return original(state, op, targets)
+
+    monkeypatch.setattr(circuit, "apply_embedded", recording)
+    return calls
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.amplitudes.view(np.uint64), b.amplitudes.view(np.uint64))
+
+
+def test_composed_permutation_runs_equal_the_stepwise_oracle(monkeypatch):
+    prog = _random_program(PERMUTATION_RUNS, 70)
+    calls = _kernel_targets(monkeypatch)
+    record = circuit.run_branch(prog)
+    state, records = stepwise.branch(prog)
+    assert record.outcome == "success" and record.steps == records
+    assert _same_bits(record.final_state, state)
+    # X+CNOT, N1, CNOT+CNOT+CKX, Z, H, CNOT+X: six kernel calls for ten steps
+    assert calls == [(0, 12), (5,), (3, 7, 11), (3,), (2,), (2, 9)]
+    assert record.total_probability == math.prod(r.probability for r in records)
+    # mc's branch pass keeps the measured step's own position
+    assert [i for i, _ in _plan(prog)] == [2]
+    for seed in range(6):
+        calls.clear()
+        record = circuit.run_sampled(prog, seed=seed)
+        state, records = stepwise.sampled(prog, seed)
+        assert record.steps == records
+        assert record.outcome == ("success" if state is not None else "failure")
+        if state is not None:
+            assert _same_bits(record.final_state, state)
+            assert calls[:1] == [(0, 12)] and (3, 7, 11) in calls
+
+
+def test_a_composed_run_differs_from_its_reversed_order():
+    # the oracle test above can fail: composing a run in the wrong order gives other bits
+    prog = _random_program(PERMUTATION_RUNS, 71)
+    reversed_runs = circuit.CircuitProgram(
+        prog.n_qubits, [prog.steps[i] for i in (1, 0, 2, 5, 4, 3, 6, 7, 9, 8)], prog.initial_state)
+    assert not _same_bits(stepwise.branch(prog)[0], stepwise.branch(reversed_runs)[0])
+
+
+def test_runs_split_at_the_block_width_and_target_bounds(monkeypatch):
+    sizes = []
+    cached = qstate._monomial_block
+
+    def recording(*args):
+        tables = cached(*args)
+        sizes.extend(t.size for t in tables if t is not None)
+        return tables
+
+    monkeypatch.setattr(qstate, "_monomial_block", recording)
+    calls = _kernel_targets(monkeypatch)
+    # CNOT 15 12 with CNOT 1 6 would gather a block of bits 1..15, one bit too wide
+    text = ("qubits 16\ngate CNOT 15 12\ngate CNOT 1 6\ngate CNOT 6 1\n"
+            + "".join(f"gate X {q}\n" for q in range(7)))
+    prog = _random_program(text, 72)
+    record = circuit.run_branch(prog)
+    # CNOT 1 6, CNOT 6 1 and X 0 to X 4 span six qubits; X 5 would be a seventh
+    assert calls == [(15, 12), (1, 6, 0, 2, 3, 4), (5, 6)]
+    assert _same_bits(record.final_state, stepwise.branch(prog)[0])
+    assert sizes and max(sizes) <= 1 << qstate.MONOMIAL_BLOCK_BITS == 1 << 14
+
+
+def test_no_run_is_composed_below_the_copy_free_size(monkeypatch):
+    calls = _kernel_targets(monkeypatch)
+    wide = qstate.COPY_FREE_MIN_SIZE.bit_length() - 1
+    for n in (wide - 1, wide):
+        calls.clear()
+        prog = _random_program(f"qubits {n}\ngate CNOT 0 1\ngate CNOT 1 0\ngate X 2\n", 73)
+        record = circuit.run_branch(prog)
+        assert len(record.steps) == 3
+        assert _same_bits(record.final_state, stepwise.branch(prog)[0])
+        assert calls == ([(0, 1), (1, 0), (2,)] if n < wide else [(0, 1, 2)])
+
+
+def test_a_change_to_the_steps_between_runs_is_honoured():
+    prog = _random_program(PERMUTATION_RUNS, 74)
+    first = circuit.run_branch(prog).final_state
+    prog.steps[1] = circuit.CircuitStep(gates.cnot(), (12, 0))
+    del prog.steps[4]
+    prog.steps.append(circuit.CircuitStep(gates.x(), (4,)))
+    for record, (state, records) in ((circuit.run_branch(prog), stepwise.branch(prog)),
+                                     (circuit.run_sampled(prog, seed=3),
+                                      stepwise.sampled(prog, 3))):
+        assert record.steps == records
+        assert _same_bits(record.final_state, state)
+    assert not _same_bits(first, state)

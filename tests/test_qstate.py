@@ -406,6 +406,38 @@ def test_dispatch_above_the_crossover_equals_the_transpose_path():
         assert np.array_equal(got, want), (op, targets, amps.shape)
 
 
+def _real_adjacent_ops(rng):
+    from nuqc import gates
+
+    return [np.asarray(H), gates.u1(0.3).matrix, gates.cu1(0.6).matrix,
+            gates.abrams_lloyd().matrix, rng.normal(size=(4, 4)).astype(complex)]
+
+
+def test_real_adjacent_gemm_is_bitwise_the_transpose_path(monkeypatch):
+    from nuqc import qstate
+
+    taken = []
+    real_gemm = qstate._apply_adjacent_real
+    monkeypatch.setattr(qstate, "_apply_adjacent_real",
+                        lambda amps, *args: taken.append(amps) or real_gemm(amps, *args))
+    rng = np.random.default_rng(54)
+    state = _random_amplitudes(rng, 1 << 11)
+    batch = _random_amplitudes(rng, (1 << 10, 3))
+    strided = _random_amplitudes(rng, (3, 1 << 10)).T  # a (1024, 3) view in Fortran order
+    for op in _real_adjacent_ops(rng):
+        k = op.shape[0].bit_length() - 1
+        for amps in (state, batch, strided):
+            n = amps.shape[0].bit_length() - 1
+            for low in range(n - k + 1):
+                targets = tuple(range(low + k - 1, low - 1, -1))
+                taken.clear()
+                got = qstate._apply(amps, op, targets)
+                want = qstate._apply_transposed(amps, op, targets)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (op, targets)
+                real_path = low >= qstate.REAL_ADJACENT_MIN_BIT and amps is not strided
+                assert len(taken) == real_path, (targets, amps.shape)
+
+
 def test_dispatch_takes_the_copy_free_paths(monkeypatch):
     from nuqc import gates, qstate
 
@@ -421,9 +453,10 @@ def test_dispatch_takes_the_copy_free_paths(monkeypatch):
     state = uniform_state(14)
     for op, targets in ((np.asarray(CNOT), (0, 13)), (gates.ckx(2).matrix, (5, 0, 9)),
                         (np.asarray(H), (2,)), (gates.abrams_lloyd().matrix, (3, 0)),
-                        (np.asarray(H), (9,)), (gates.abrams_lloyd().matrix, (6, 5))):
+                        (np.asarray(H), (9,)), (gates.abrams_lloyd().matrix, (6, 5)),
+                        (np.asarray(H), (4,))):
         apply_embedded(state, op, targets)
-    for op, targets in ((np.asarray(H), (4,)), (gates.abrams_lloyd().matrix, (0, 3)),
+    for op, targets in ((gates.abrams_lloyd().matrix, (0, 3)),
                         (gates.abrams_lloyd().matrix, (9, 0)), (np.diag([1.0, 1j]), (4,))):
         with pytest.raises(AssertionError, match="transpose path"):
             apply_embedded(state, op, targets)
