@@ -690,29 +690,29 @@ def format_program(program: CircuitProgram, mat_namer: MatNamer | None = None) -
         if program.init_label.partition(" ")[0] not in ("basis", "uniform", "file"):
             raise DomainError(f"initial state {program.init_label!r} has no text form")
         lines.append(f"init {program.init_label}")
-    # a line per step object, which netlists share; MAT(...) steps are named per position
-    formatted: dict[int, str] = {}
+    # one line per distinct step (steps hash by identity); MAT(...) steps are named per position
+    formatted: dict[CircuitStep, str] = {}
     for i, step in enumerate(program.steps):
-        line = formatted.get(id(step))
-        if line is not None:
-            lines.append(line)
-            continue
-        label = step.gate.label
-        if label.startswith("MAT("):
-            if mat_namer is not None:
-                label = f"MAT({mat_namer(i, step.gate.matrix)})"
-            elif "@" in label:
-                raise DomainError("program contains raw-matrix gates; write it to a file instead")
-        fields = ["gate", label] + [str(t) for t in step.targets]
-        if step.c != 1.0:
-            fields.append(f"c={step.c!r}")
-        if step.q is not None:
-            fields.append(f"q={step.q!r}")
-        if step.max_reversals:
-            fields.append(f"k={step.max_reversals}")
-        lines.append(" ".join(fields))
-        if not step.gate.label.startswith("MAT("):
-            formatted[id(step)] = lines[-1]
+        line = formatted.get(step)
+        if line is None:
+            label = step.gate.label
+            per_position = label.startswith("MAT(")
+            if per_position:
+                if mat_namer is not None:
+                    label = f"MAT({mat_namer(i, step.gate.matrix)})"
+                elif "@" in label:
+                    raise DomainError("program contains raw-matrix gates; write it to a file instead")
+            fields = ["gate", label] + [str(t) for t in step.targets]
+            if step.c != 1.0:
+                fields.append(f"c={step.c!r}")
+            if step.q is not None:
+                fields.append(f"q={step.q!r}")
+            if step.max_reversals:
+                fields.append(f"k={step.max_reversals}")
+            line = " ".join(fields)
+            if not per_position:
+                formatted[step] = line
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -87,7 +87,7 @@ def _cmd_synth(args) -> int:
     gate = gates.normalize_gate(read_matrix(args.matrix), label=f"MAT({name})")
     netlist = synth.synthesize(gate, mode=args.mode)
     residual = synth.reconstruction_residual(netlist, gate.matrix)
-    if residual > args.tolerance:
+    if not residual <= args.tolerance:  # a nan residual fails too
         print(f"error: reconstruction residual {residual!r} exceeds tolerance "
               f"{args.tolerance!r}; nothing written", file=sys.stderr)
         return EXIT_USAGE

@@ -51,13 +51,20 @@ def _arity_of(matrix: np.ndarray) -> int:
     return arity
 
 
-def _make(label: str, matrix, kind: str | None = None, scale: float = 1.0) -> GateSpec:
+def _make(label: str, matrix, kind: str | None = None, scale: float = 1.0,
+          sv: np.ndarray | None = None) -> GateSpec:
+    """``sv``: the singular values of ``matrix``, where the caller already has them."""
     m = require_square(as_matrix(matrix))
     arity = _arity_of(m)
-    sv = np.linalg.svd(m, compute_uv=False)
     if kind is None:
         gram_defect = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
         kind = "unitary" if gram_defect <= UNITARY_ATOL else "nonunitary"
+    if kind == "unitary":  # every singular value is 1 within UNITARY_ATOL
+        reversible = True
+    else:
+        if sv is None:
+            sv = np.linalg.svd(m, compute_uv=False)
+        reversible = bool(sv[-1] > SINGULAR_ATOL)
     m = m.copy()
     m.flags.writeable = False
     return GateSpec(
@@ -66,7 +73,7 @@ def _make(label: str, matrix, kind: str | None = None, scale: float = 1.0) -> Ga
         matrix=m,
         kind=kind,
         normalization_scale=float(scale),
-        logically_reversible=bool(sv[-1] > SINGULAR_ATOL),
+        logically_reversible=reversible,
     )
 
 
@@ -176,12 +183,13 @@ def _controlled_block(u: np.ndarray, n_controls: int) -> np.ndarray:
 def from_matrix(matrix, label: str | None = None) -> GateSpec:
     """Wrap an already-normalized matrix (largest singular value <= 1)."""
     m = require_square(as_matrix(matrix))
-    top = float(np.linalg.svd(m, compute_uv=False)[0])
+    sv = np.linalg.svd(m, compute_uv=False)
+    top = float(sv[0])
     if top > 1.0 + UNITARY_ATOL:
         raise DomainError(
             f"largest singular value {top!r} exceeds 1; normalize_gate() first"
         )
-    return _make(label or "MAT(@)", m)
+    return _make(label or "MAT(@)", m, sv=sv)
 
 
 def normalize_gate(matrix, label: str | None = None) -> GateSpec:

@@ -96,10 +96,6 @@ def sqrtm_psd(a, tol: float = PSD_CLAMP) -> np.ndarray:
     return (r + r.conj().T) / 2.0
 
 
-def _format_entry(z: complex) -> str:
-    return f"{float(z.real)!r},{float(z.imag)!r}"
-
-
 def _parse_entry(token: str) -> complex:
     parts = token.split(",")
     try:
@@ -119,10 +115,11 @@ def format_matrix(a) -> str:
     whitespace-separated ``re,im`` entries.  ``#`` starts a comment.
     """
     a = as_matrix(a)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(_format_entry(z) for z in row))
-    return "\n".join(lines) + "\n"
+    rows, cols = a.shape
+    # one %-format over the interleaved re/im floats; %r of a float is its repr
+    template = "\n".join([" ".join(["%r,%r"] * cols)] * rows)
+    values = np.ascontiguousarray(a).view(np.float64).ravel().tolist()
+    return f"{rows} {cols}\n" + template % tuple(values) + "\n"
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

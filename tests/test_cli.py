@@ -217,6 +217,21 @@ def test_synth_over_tolerance_writes_nothing(tmp_path, capsys):
     assert not list(tmp_path.glob("nand.netlist.g*.mat"))
 
 
+@pytest.mark.parametrize("residual", [float("nan"), float("inf")])
+def test_synth_nonfinite_residual_writes_nothing(tmp_path, capsys, monkeypatch, residual):
+    from nuqc import synth
+    monkeypatch.setattr(synth, "reconstruction_residual", lambda netlist, target: residual)
+    mat = tmp_path / "m.mat"
+    write_matrix(mat, np.random.default_rng(5).normal(size=(4, 4)))
+    out_path = tmp_path / "m.netlist"
+    code, _, err = run_cli(capsys, "synth", str(mat), "--out", str(out_path))
+    assert code == 1
+    assert err == (f"error: reconstruction residual {residual!r} exceeds tolerance "
+                   f"{synth.RESIDUAL_ATOL!r}; nothing written\n")
+    assert not out_path.exists()
+    assert not list(tmp_path.glob("m.netlist.g*.mat"))
+
+
 def test_approx_reference_point(capsys):
     code, out, _ = run_cli(capsys, "approx", "--a", "0.3", "--alpha", "0.5",
                            "--gamma", str(np.sqrt(2.0)), "--eps", "0.01", "--json")

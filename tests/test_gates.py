@@ -198,3 +198,58 @@ def test_parse_label_rejects_unknown():
         gates.parse_label("N1(oops)")
     with pytest.raises(DomainError):
         gates.parse_label("N1()")
+
+
+def _metadata_cases():
+    rng = np.random.default_rng(21)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    projector = np.zeros((4, 4))
+    projector[0, 0] = projector[3, 3] = 1.0
+    contraction = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    contraction /= 1.25 * np.linalg.norm(contraction, 2)
+    v = rng.normal(size=4)
+    return {
+        "X": gates.x(),
+        "H": gates.h(),
+        "CNOT": gates.cnot(),
+        **{f"CKX({k})": gates.ckx(k) for k in (1, 2, 3)},
+        "I": gates.identity(),
+        "U1(0.3)": gates.u1(0.3),
+        "U1(1.0)": gates.u1(1.0),
+        "CU1(0.3)": gates.cu1(0.3),
+        "N1(0)": gates.n1(0.0),
+        "N1(0.3)": gates.n1(0.3),
+        "CN1(0)": gates.cn1(0.0),
+        "CN1(0.5)": gates.cn1(0.5),
+        "NAND": gates.nand(),
+        "AL": gates.abrams_lloyd(),
+        "D(1,0.5)": gates.diagonal([1.0, 0.5]),
+        "D(1,1)": gates.diagonal([1.0, 1.0]),
+        "from_matrix unitary": gates.from_matrix(q),
+        "from_matrix projector": gates.from_matrix(projector),
+        "from_matrix contraction": gates.from_matrix(contraction),
+        "normalize_gate singular": gates.normalize_gate(3.0 * np.outer(v, v)),
+        "normalize_gate full rank": gates.normalize_gate(rng.normal(size=(4, 4))),
+    }
+
+
+_EXPECTED_METADATA = {  # (kind, logically_reversible), as the oracle must also find
+    "N1(0)": ("nonunitary", False), "CN1(0)": ("nonunitary", False),
+    "NAND": ("nonunitary", False), "AL": ("nonunitary", False),
+    "N1(0.3)": ("nonunitary", True), "CN1(0.5)": ("nonunitary", True),
+    "D(1,0.5)": ("nonunitary", True), "from_matrix projector": ("nonunitary", False),
+    "from_matrix contraction": ("nonunitary", True),
+    "normalize_gate singular": ("nonunitary", False),
+    "normalize_gate full rank": ("nonunitary", True),
+}
+
+
+@pytest.mark.parametrize("name", list(_metadata_cases()))
+def test_gate_metadata_matches_an_svd_and_gram_oracle(name):
+    gate = _metadata_cases()[name]
+    m = gate.matrix
+    gram_defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+    kind = "unitary" if gram_defect <= gates.UNITARY_ATOL else "nonunitary"
+    reversible = bool(np.linalg.svd(m, compute_uv=False)[-1] > gates.SINGULAR_ATOL)
+    assert (gate.kind, gate.logically_reversible) == (kind, reversible)
+    assert (kind, reversible) == _EXPECTED_METADATA.get(name, ("unitary", True))

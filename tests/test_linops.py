@@ -111,6 +111,64 @@ def test_format_parse_round_trip():
     assert np.array_equal(again, a)
 
 
+def _format_per_entry(a):
+    """``format_matrix`` as one ``repr`` pair per entry, row by row."""
+    a = as_matrix(a)
+    rows = [" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in a]
+    return f"{a.shape[0]} {a.shape[1]}\n" + "\n".join(rows) + "\n"
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, 0.1, 1e-5, 1e-4, 1e16, 5e-324, -2.5e-310,
+                1.7976931348623157e308]
+
+
+def _edge_matrix(rows, cols, shift=0):
+    """Complex entries pairing the edge values (both zero signs in both parts)."""
+    n = rows * cols
+    re = [_EDGE_VALUES[(shift + i) % len(_EDGE_VALUES)] for i in range(n)]
+    im = [_EDGE_VALUES[(shift + 3 * i + 1) % len(_EDGE_VALUES)] for i in range(n)]
+    a = np.empty(n, dtype=np.complex128)
+    a.real, a.imag = re, im
+    return a.reshape(rows, cols)
+
+
+def _format_cases():
+    rng = np.random.default_rng(11)
+    big = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    big.flat[:20] = _edge_matrix(1, 20).ravel()
+    return {
+        "1x1 -0,-0": np.array([[complex(-0.0, -0.0)]]),
+        "1x1 0,-0": np.array([[complex(0.0, -0.0)]]),
+        "1x3": _edge_matrix(1, 3),
+        "3x1": _edge_matrix(3, 1, shift=5),
+        "4x5 edges": _edge_matrix(4, 5, shift=2),
+        "64x64": big,
+        "adjoint": adjoint(big),
+        "strided columns": big[:, ::2],
+        "real": big.real.copy(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_format_cases()))
+def test_format_matrix_is_byte_identical_to_the_per_entry_repr(name):
+    a = _format_cases()[name]
+    text = format_matrix(a)
+    assert text == _format_per_entry(a)
+    again = parse_matrix_text(text)
+    assert again.tobytes() == as_matrix(a).copy().tobytes()
+
+
+def test_format_matrix_shows_the_sign_of_zero():
+    a = _edge_matrix(3, 4)
+    for i, j, part in [(0, 1, "real"), (2, 2, "imag")]:
+        flipped = a.copy()
+        getattr(flipped, part)[i, j] *= -1.0
+        assert getattr(flipped, part)[i, j] == 0.0
+        assert flipped.tobytes() != a.tobytes()
+        assert format_matrix(flipped) != format_matrix(a)
+        assert format_matrix(flipped) == _format_per_entry(flipped)
+
+
 def test_parse_matrix_text_ignores_comments_and_blanks():
     text = """
     # a comment
