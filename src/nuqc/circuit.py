@@ -33,6 +33,7 @@ from .qstate import (
     COPY_FREE_MIN_SIZE,
     MAX_QUBITS,
     MONOMIAL_BLOCK_BITS,
+    Buffers,
     StateVector,
     _block_span,
     _permutation_product,
@@ -211,29 +212,28 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None) -> RunRecord:
 
     The plan ends at a step whose branch is annihilated: no trial passes it.
     """
-    state = program.initial_state
+    state, buffers = program.initial_state, Buffers(program.initial_state)
     records: list[StepRecord] = []
     total = 1.0
     for i, steps, pair, policy, op, targets in _stages(program):
         if pair is None:
-            state = apply_embedded(state, op, targets)
+            state = apply_embedded(state, op, targets, out=buffers.out(state, op))
             records += [StepRecord(s.gate.label, s.targets, 1.0, 0) for s in steps]
             continue
         step = steps[0]
-        branch = apply_embedded(state, pair.m0, step.targets)
+        branch = apply_embedded(state, pair.m0, targets,
+                                out=buffers.out(state, pair.m0, keep=plan is not None))
         mass = norm_sq(branch)
         if plan is not None:
-            plan.append((i, measure.thresholds(pair, policy, state, step.targets, mass)))
+            plan.append((i, measure.thresholds(pair, policy, state, targets, mass, buffers)))
         p = measure.protocol_success(mass, policy)
         try:
-            state = normalize(branch, mass, consume=True)
+            state = normalize(branch, mass, out=buffers.out(branch))
         except AnnihilatedStateError:
             records.append(StepRecord(step.gate.label, step.targets, 0.0, 0))
             return RunRecord("failure", 0.0, records, None, failed_step=i)
         total *= p
-        records.append(
-            StepRecord(step.gate.label, step.targets, p, step.max_reversals)
-        )
+        records.append(StepRecord(step.gate.label, step.targets, p, step.max_reversals))
     return RunRecord("success", total, records, state)
 
 
@@ -246,16 +246,16 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
     """
     if rng is None:
         rng = trial_rng(seed, 0)
-    state = program.initial_state
+    state, buffers = program.initial_state, Buffers(program.initial_state)
     records: list[StepRecord] = []
     total = 1.0
     for i, steps, pair, policy, op, targets in _stages(program):
         if pair is None:
-            state = apply_embedded(state, op, targets)
+            state = apply_embedded(state, op, targets, out=buffers.out(state, op))
             records += [StepRecord(s.gate.label, s.targets, 1.0, 0) for s in steps]
             continue
         step = steps[0]
-        result = measure.run_with_reversal(pair, policy, state, step.targets, rng)
+        result = measure.run_with_reversal(pair, policy, state, step.targets, rng, buffers)
         p = measure.protocol_success(result.first_success_mass, policy)
         records.append(StepRecord(step.gate.label, step.targets, p, result.reversals))
         if result.outcome == measure.FAILURE:

@@ -52,8 +52,8 @@ def _arity_of(matrix: np.ndarray) -> int:
 
 
 def _make(label: str, matrix, kind: str | None = None, scale: float = 1.0,
-          sv: np.ndarray | None = None) -> GateSpec:
-    """``sv``: the singular values of ``matrix``, where the caller already has them."""
+          sv: Sequence[float] | None = None) -> GateSpec:
+    """``sv``: the singular values of ``matrix``, descending, where the caller knows them."""
     m = require_square(as_matrix(matrix))
     arity = _arity_of(m)
     if kind is None:
@@ -118,24 +118,28 @@ def ckx(n_controls: int) -> GateSpec:
 def n1(a: float) -> GateSpec:
     """Single-qubit nonunitary gate diag(1, a) with 0 <= a < 1."""
     a = _check_unit_interval("a", a, closed_top=False)
-    return _make(f"N1({_fmt(a)})", np.diag([1.0, a]), kind="nonunitary")
+    return _make(f"N1({_fmt(a)})", np.diag([1.0, a]), kind="nonunitary", sv=[1.0, a])
+
+
+def _rotation(a: float) -> np.ndarray:
+    a = _check_unit_interval("a", a, closed_top=True)
+    s = math.sqrt(max(0.0, 1.0 - a * a))
+    return np.array([[a, s], [s, -a]])
 
 
 def u1(a: float) -> GateSpec:
     """Real rotation [[a, s], [s, -a]] with s = sqrt(1 - a**2); unitary partner of n1."""
-    a = _check_unit_interval("a", a, closed_top=True)
-    s = math.sqrt(max(0.0, 1.0 - a * a))
-    return _make(f"U1({_fmt(a)})", [[a, s], [s, -a]], kind="unitary")
+    return _make(f"U1({_fmt(a)})", _rotation(a), kind="unitary")
 
 
 def cn1(a: float) -> GateSpec:
     a = _check_unit_interval("a", a, closed_top=False)
-    return _make(f"CN1({_fmt(a)})", np.diag([1.0, 1.0, 1.0, a]), kind="nonunitary")
+    return _make(f"CN1({_fmt(a)})", np.diag([1.0, 1.0, 1.0, a]), kind="nonunitary",
+                 sv=[1.0, 1.0, 1.0, a])
 
 
 def cu1(a: float) -> GateSpec:
-    a = _check_unit_interval("a", a, closed_top=True)
-    return _make(f"CU1({_fmt(a)})", _controlled_block(u1(a).matrix, 1), kind="unitary")
+    return _make(f"CU1({_fmt(a)})", _controlled_block(_rotation(a), 1), kind="unitary")
 
 
 def diagonal(entries: Sequence[float]) -> GateSpec:
@@ -144,7 +148,7 @@ def diagonal(entries: Sequence[float]) -> GateSpec:
     for v in values:
         _check_unit_interval("diagonal entry", v, closed_top=True)
     label = f"D({','.join(_fmt(v) for v in values)})"
-    return _make(label, np.diag(values))
+    return _make(label, np.diag(values), sv=sorted(values, reverse=True))
 
 
 def nand() -> GateSpec:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateBranchError, IrreversibleError, MeasurementError
 from .gates import GateSpec
 from .linops import adjoint, max_abs, sqrtm_psd
-from .qstate import StateVector, apply_embedded, norm_sq, normalize
+from .qstate import Buffers, StateVector, apply_embedded, norm_sq, normalize
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -115,43 +115,39 @@ def _check_mass(outcome: str, mass: float) -> None:
         )
 
 
-class _Owned(tuple):
-    """A ``success`` pair whose branch only the calling runner holds, and drops.
-
-    :func:`sample` scales such a branch in place when it normalizes it; a
-    plain pair from a caller outside this module is left untouched.
-    """
-
-
-def _sample_two_outcome(op_success, op_failure, state, targets, rng,
-                        success=None) -> tuple[str, StateVector]:
+def _sample_two_outcome(op_success, op_failure, state, targets, rng, success=None,
+                        buffers=None) -> tuple[str, StateVector]:
+    if buffers is None:
+        buffers = Buffers(state, success[0]) if success else Buffers(state)
     if success is None:
-        kept = apply_embedded(state, op_success, targets)
-        success = _Owned((kept, norm_sq(kept)))
+        kept = apply_embedded(state, op_success, targets,
+                              out=buffers.out(state, op_success, keep=True))
+        success = (kept, norm_sq(kept))
     kept, p = success
     if rng.random() < p:
-        branch, mass, owned = kept, p, isinstance(success, _Owned)
-        outcome = SUCCESS
+        branch, mass, outcome = kept, p, SUCCESS
+        buffers.release(state)
     else:
-        kept = success = None  # frees a success branch computed here
-        branch = apply_embedded(state, op_failure, targets)
+        buffers.release(kept)  # a success branch the run made is written over next
+        kept = success = None
+        branch = apply_embedded(state, op_failure, targets, out=buffers.out(state, op_failure))
         mass = norm_sq(branch)
-        owned = True
         outcome = FAILURE
     _check_mass(outcome, mass)
-    return outcome, normalize(branch, mass, consume=owned)
+    return outcome, normalize(branch, mass, out=buffers.out(branch))
 
 
 def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
-           rng: np.random.Generator,
-           success: tuple[StateVector, float] | None = None) -> tuple[str, StateVector]:
+           rng: np.random.Generator, success: tuple[StateVector, float] | None = None,
+           buffers: Buffers | None = None) -> tuple[str, StateVector]:
     """Draw one outcome; consumes exactly one uniform variate from ``rng``.
 
     ``success``, when given, is ``(M0 state, |M0 state|^2)`` already computed
-    by the caller, and is used instead of applying ``M0`` again; its state
-    is not modified.
+    by the caller, and is used instead of applying ``M0`` again.  With the
+    ``buffers`` of a run, the run gives ``state`` and that branch up, and
+    those of them it made are written over; other states are never modified.
     """
-    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng, success)
+    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng, success, buffers)
 
 
 def build_reversal(pair: MeasurementPair, q: complex | None = None,
@@ -193,67 +189,70 @@ def build_reversal(pair: MeasurementPair, q: complex | None = None,
 
 
 def sample_reversal(policy: ReversalPolicy, state: StateVector, targets: Sequence[int],
-                    rng: np.random.Generator) -> tuple[str, StateVector]:
-    """Draw one reversing-measurement outcome after a failure."""
-    return _sample_two_outcome(policy.r0, policy.r1, state, targets, rng)
+                    rng: np.random.Generator,
+                    buffers: Buffers | None = None) -> tuple[str, StateVector]:
+    """Draw one reversing-measurement outcome after a failure, as :func:`sample` does."""
+    return _sample_two_outcome(policy.r0, policy.r1, state, targets, rng, None, buffers)
 
 
 def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
                       state: StateVector, targets: Sequence[int],
-                      rng: np.random.Generator) -> ProtocolResult:
+                      rng: np.random.Generator,
+                      buffers: Buffers | None = None) -> ProtocolResult:
     """Attempt the gate, reversing failures until the budget runs out.
 
     ``attempts`` counts main-measurement samples, ``reversals`` counts
     reversing samples.  The returned state is the post-measurement state of
     whichever branch ended the protocol.  ``first_success_mass`` is
-    |M0 state|^2, the single-attempt success probability.
+    |M0 state|^2, the single-attempt success probability.  With the
+    ``buffers`` of a run, the run gives ``state`` up, as to :func:`sample`.
     """
+    buffers = Buffers(state) if buffers is None else buffers
     budget = policy.max_reversals if policy is not None else 0
     current = state
     attempts = 0
     reversals = 0
-    kept = apply_embedded(state, pair.m0, targets)
+    kept = apply_embedded(state, pair.m0, targets, out=buffers.out(state, pair.m0, keep=True))
     first_mass = norm_sq(kept)
-    success = _Owned((kept, first_mass))
-    del kept
+    success = (kept, first_mass)
     while True:
         attempts += 1
-        outcome, post = sample(pair, current, targets, rng, success)
-        # frees M0 state and a restored state before a reversal allocates its own
+        outcome, post = sample(pair, current, targets, rng, success, buffers)
         success = current = None
         if outcome == SUCCESS:
             return ProtocolResult(SUCCESS, post, attempts, reversals, first_mass)
         if policy is None or reversals >= budget:
             return ProtocolResult(FAILURE, post, attempts, reversals, first_mass)
         reversals += 1
-        r_outcome, current = sample_reversal(policy, post, targets, rng)
-        del post  # frees the failure branch before a retry allocates its own
+        r_outcome, current = sample_reversal(policy, post, targets, rng, buffers)
         if r_outcome == FAILURE:
             return ProtocolResult(FAILURE, current, attempts, reversals, first_mass)
 
 
 def thresholds(pair: MeasurementPair, policy: ReversalPolicy | None, state: StateVector,
-               targets: Sequence[int], success_mass: float) -> Thresholds:
+               targets: Sequence[int], success_mass: float,
+               buffers: Buffers | None = None) -> Thresholds:
     """Branch masses of the protocol on ``state``, given its ``success_mass`` |M0 state|^2.
 
     Each mass comes from the same operations ``run_with_reversal`` performs
     on its first attempt, so comparing the same uniforms against them gives
     the same outcomes.  A successful reversal restores ``state`` exactly
-    (R0 M1 = q I), so the masses hold for every retry too.
+    (R0 M1 = q I), so the masses hold for every retry too.  With the
+    ``buffers`` of a run, the run gives ``state`` up, as to :func:`sample`.
     """
-    failed = apply_embedded(state, pair.m1, targets)
+    buffers = Buffers(state) if buffers is None else buffers
+    failed = apply_embedded(state, pair.m1, targets, out=buffers.out(state, pair.m1))
     failure = norm_sq(failed)
     budget = policy.max_reversals if policy is not None else 0
     if budget == 0 or failure < DEGENERATE_MASS:
         return Thresholds(success_mass, failure, 0.0, 0.0, budget)
-    failed = normalize(failed, failure, consume=True)
-    return Thresholds(
-        success_mass,
-        failure,
-        norm_sq(apply_embedded(failed, policy.r0, targets)),
-        norm_sq(apply_embedded(failed, policy.r1, targets)),
-        budget,
-    )
+    failed = normalize(failed, failure, out=buffers.out(failed))
+    restored = apply_embedded(failed, policy.r0, targets,
+                              out=buffers.out(failed, policy.r0, keep=True))
+    restore = norm_sq(restored)
+    buffers.release(restored)  # the last pass writes into its array
+    spoiled = apply_embedded(failed, policy.r1, targets, out=buffers.out(failed, policy.r1))
+    return Thresholds(success_mass, failure, restore, norm_sq(spoiled), budget)
 
 
 def replay(th: Thresholds, rng: np.random.Generator) -> tuple[bool, int]:

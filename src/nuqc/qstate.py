@@ -19,11 +19,12 @@ from .errors import AnnihilatedStateError, ShapeError, StateMemoryError
 MAX_QUBITS = 24
 
 # Register-sized arrays alive at once while one step runs, counting the
-# program's initial state.  Measured with tracemalloc at 16 qubits: sampled
-# runs with reversals reach 5.7 states beyond the initial one (the current
-# state, the one being retried, the failure branch, its reversal branch and
-# that branch normalized), branch and mc runs 3.3 to 5.0.
-LIVE_STATES = 7
+# program's initial state.  Measured with tracemalloc at 16 qubits: branch
+# runs and sampled runs with reversals peak at 3.1 states on the copy-free
+# kernel paths (the initial state, the current one and one Buffers array)
+# and at 4.0 on the transpose path, which needs one more for its GEMM; mc's
+# branch pass, which also holds each step's failure branch, at 4.1 and 5.0.
+LIVE_STATES = 6
 NORM_ATOL = 1e-10
 
 # Norms below this are treated as an annihilated (fully suppressed) state.
@@ -146,16 +147,14 @@ def norm_sq(state: StateVector) -> float:
 
 
 def normalize(state: StateVector, mass: float | None = None, *,
-              consume: bool = False) -> StateVector:
+              out: np.ndarray | None = None) -> StateVector:
     """``state`` divided by its norm.
 
     ``mass``, when given, is ``norm_sq(state)`` as the caller computed it,
-    which saves a pass over the amplitudes.  With ``consume`` the caller
-    hands ``state`` over and never uses it again, and its amplitudes are
-    scaled in place instead of copied; the runners do this with branches
-    they computed themselves.  Raises ``AnnihilatedStateError`` on a
-    vanishing norm and ``ShapeError`` on a non-finite one, which is how an
-    overflow in the kernel surfaces.
+    which saves a pass over the amplitudes.  ``out``, as in numpy, is a
+    writeable array for the result, such as ``state.amplitudes`` itself.
+    Raises ``AnnihilatedStateError`` on a vanishing norm and ``ShapeError``
+    on a non-finite one, which is how an overflow in the kernel surfaces.
     """
     nrm = np.sqrt(norm_sq(state) if mass is None else mass)
     if not np.isfinite(nrm):
@@ -163,10 +162,6 @@ def normalize(state: StateVector, mass: float | None = None, *,
     if nrm < ANNIHILATION_THRESHOLD:
         raise AnnihilatedStateError(f"cannot normalize state with norm {nrm:.3e}")
     amps = state.amplitudes
-    out = None
-    if consume:
-        amps.flags.writeable = True
-        out = amps
     if nrm >= 2.0:
         return StateVector._trusted(state.n_qubits, np.divide(amps, nrm, out=out))
     # bit for bit ``amplitudes / nrm``, at a third of its cost: numpy divides
@@ -251,7 +246,8 @@ FOLD_BELOW = 64
 FOLD_BITS = 10
 
 
-def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
+           out: np.ndarray | None = None) -> np.ndarray:
     """The state kernel: ``op`` on ``targets`` of a ``(2**n,)`` or ``(2**n, cols)`` array.
 
     Each column is one register state.  Unchecked; callers validate through
@@ -272,21 +268,26 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.nda
         key = op.tobytes()
         real, rows = _structure(key)
         if rows is not None:
-            return _apply_monomial(amps, rows, targets)
+            return _apply_monomial(amps, rows, targets, out)
         low = targets[-1]
         if targets == tuple(range(targets[0], low - 1, -1)):
             if real and low >= REAL_ADJACENT_MIN_BIT and amps.flags.c_contiguous:
-                return _apply_adjacent_real(amps, op, targets)
+                return _apply_adjacent_real(amps, op, targets, out)
             if low >= ADJACENT_MIN_BIT:
-                return _apply_adjacent(amps, op, targets)
+                return _apply_adjacent(amps, op, targets, out)
         if (real and amps.ndim == 1 and targets[0] < LOW_BLOCK_BITS
                 and all(a > b for a, b in zip(targets, targets[1:]))):
-            return _apply_low_block(amps, key, targets)
-    return _apply_transposed(amps, op, targets)
+            return _apply_low_block(amps, key, targets, out)
+    return _apply_transposed(amps, op, targets, out)
 
 
-def _apply_transposed(amps: np.ndarray, op: np.ndarray,
-                      targets: tuple[int, ...]) -> np.ndarray:
+def _into(out: np.ndarray | None, shape) -> np.ndarray | None:
+    """``out`` viewed as ``shape``, for a kernel path to write into; None stays None."""
+    return None if out is None else out.reshape(shape)
+
+
+def _apply_transposed(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
+                      out: np.ndarray | None = None) -> np.ndarray:
     """The kernel for any operator: target axes first, one GEMM, axes back."""
     n = amps.shape[0].bit_length() - 1
     k = len(targets)
@@ -296,19 +297,27 @@ def _apply_transposed(amps: np.ndarray, op: np.ndarray,
     axes = [n - 1 - t for t in targets]
     order = axes + [a for a in range(psi.ndim) if a not in axes]
     moved = psi.transpose(order)
-    out = (op @ moved.reshape(1 << k, -1)).reshape(moved.shape)
     inverse = sorted(range(psi.ndim), key=order.__getitem__)
-    return out.transpose(inverse).reshape(amps.shape)
+    if out is not None:  # the reordered copy goes into out, which takes the result back
+        out.reshape(moved.shape)[...] = moved
+        moved = out.reshape(moved.shape)
+    product = (op @ moved.reshape(1 << k, -1)).reshape(moved.shape).transpose(inverse)
+    if out is None:
+        return product.reshape(amps.shape)
+    out.reshape(psi.shape)[...] = product
+    return out
 
 
-def _apply_adjacent(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+def _apply_adjacent(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
+                    out: np.ndarray | None = None) -> np.ndarray:
     """A dense operator on adjacent targets listed high to low, as one batched GEMM."""
     run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
-    return np.matmul(op, amps.reshape(-1, op.shape[0], run)).reshape(amps.shape)
+    blocks = amps.reshape(-1, op.shape[0], run)
+    return np.matmul(op, blocks, out=_into(out, blocks.shape)).reshape(amps.shape)
 
 
-def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray,
-                         targets: tuple[int, ...]) -> np.ndarray:
+def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
+                         out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_apply_adjacent` for a real ``op``, as one batched real GEMM.
 
     In the float64 view each amplitude is two adjacent reals that the same
@@ -316,8 +325,9 @@ def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray,
     only exact zeros, ``0 * im`` and ``0 * re``, to the same products.
     """
     run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
-    out = np.matmul(op.real, amps.view(np.float64).reshape(-1, op.shape[0], 2 * run))
-    return out.view(np.complex128).reshape(amps.shape)
+    blocks = amps.view(np.float64).reshape(-1, op.shape[0], 2 * run)
+    into = None if out is None else out.view(np.float64).reshape(blocks.shape)
+    return np.matmul(op.real, blocks, out=into).view(np.complex128).reshape(amps.shape)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -425,7 +435,8 @@ def _permutation_product(factors: tuple, targets: tuple[int, ...]) -> np.ndarray
     return op
 
 
-def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...]) -> np.ndarray:
+def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...],
+                    out: np.ndarray | None = None) -> np.ndarray:
     """A monomial operator as one gather and one scale over a block of index bits.
 
     The array is viewed as ``(A, B, C)``: ``B`` is the :func:`_block_span`
@@ -437,19 +448,22 @@ def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...]) -> np.ndar
     view = amps.reshape(-1, 1 << width, run << low)
     targets = tuple(t - low for t in targets)
     if width > MONOMIAL_BLOCK_BITS:
-        return _apply_monomial_chunks(view.reshape(-1, run << low), rows,
-                                      targets).reshape(amps.shape)
+        return _apply_monomial_chunks(view.reshape(-1, run << low), rows, targets,
+                                      _into(out, (-1, run << low))).reshape(amps.shape)
     index, factor = _monomial_block(rows, targets, width)
-    if index is None:
-        out = view * factor[:, None] if factor is not None else view.copy()
+    into = _into(out, view.shape)
+    if index is None:  # np.positive copies the identity bit for bit
+        result = (np.positive(view, out=into) if factor is None
+                  else np.multiply(view, factor[:, None], out=into))
     else:
-        out = np.take(view, index, axis=1, mode="clip")
+        result = np.take(view, index, axis=1, mode="clip", out=into)
         if factor is not None:
-            out *= factor[:, None]
-    return out.reshape(amps.shape)
+            result *= factor[:, None]
+    return result.reshape(amps.shape)
 
 
-def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...]) -> np.ndarray:
+def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...],
+                           out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_apply_monomial` on a ``(A * B, C)`` view whose block is too wide for one table.
 
     A chunk of ``2**MONOMIAL_BLOCK_BITS`` rows fixes the target bits above
@@ -459,7 +473,8 @@ def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...]) -> 
     high = sum(1 << t for t in targets if t >= MONOMIAL_BLOCK_BITS)
     positions = np.arange(size)
     tables = {}
-    out = np.empty(view.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(view.shape, dtype=np.complex128)
     for start in range(0, view.shape[0], size):
         part = slice(start, start + size)
         fixed = start & high
@@ -487,13 +502,16 @@ def _low_block(key: bytes, targets: tuple[int, ...]) -> np.ndarray:
     return block
 
 
-def _apply_low_block(amps: np.ndarray, key: bytes, targets: tuple[int, ...]) -> np.ndarray:
+def _apply_low_block(amps: np.ndarray, key: bytes, targets: tuple[int, ...],
+                     out: np.ndarray | None = None) -> np.ndarray:
     """A dense operator on low targets of a state, as one GEMM over contiguous index blocks."""
     block = _low_block(key, targets)
-    return (amps.reshape(-1, block.shape[0]) @ block.T).reshape(-1)
+    rows = amps.reshape(-1, block.shape[0])
+    return np.matmul(rows, block.T, out=_into(out, rows.shape)).reshape(-1)
 
 
-def apply_embedded(state: StateVector, op, targets: Sequence[int]) -> StateVector:
+def apply_embedded(state: StateVector, op, targets: Sequence[int],
+                   out: np.ndarray | None = None) -> StateVector:
     """Apply a k-qubit operator to the chosen targets of a wider register.
 
     The result is returned unnormalized so that its squared norm is the
@@ -502,10 +520,51 @@ def apply_embedded(state: StateVector, op, targets: Sequence[int]) -> StateVecto
     Non-finite operator entries are rejected; the state's amplitudes are
     finite already, so the result is finite short of a floating-point
     overflow, which :func:`normalize` reports.
+
+    ``out``, as in numpy, is a writeable ``(2**n,)`` complex array for the
+    result; for a real diagonal ``op`` it may be ``state.amplitudes`` itself.
     """
     n = state.n_qubits
     op, targets = _check_operator(n, op, targets)
-    return StateVector._trusted(n, _apply(state.amplitudes, op, targets))
+    return StateVector._trusted(n, _apply(state.amplitudes, op, targets, out))
+
+
+@functools.lru_cache(maxsize=1024)
+def _diagonal(key: bytes) -> bool:
+    """Whether the operator in ``key`` is a real diagonal, which the kernel applies in place."""
+    rows = _structure(key)[1]
+    return rows is not None and all(col == row for row, (col, _) in enumerate(rows))
+
+
+class Buffers:
+    """The ``out=`` arrays of one run, which made every state but the ``foreign`` ones.
+
+    A step writes over its input when the run made it and gives it up and
+    the operator is a real diagonal; else into the spare, the array of the
+    last state the run gave up.  A spare not written into before the next
+    one comes is freed, so a run holds at most one idle array.  Arrays below
+    ``COPY_FREE_MIN_SIZE`` entries are not recycled, which would cost more.
+    """
+
+    def __init__(self, *foreign: StateVector):
+        self.foreign = {id(state.amplitudes): state for state in foreign}
+        self.spare = None
+
+    def release(self, state: StateVector) -> None:
+        """Give ``state`` up; its array becomes the spare if the run made it."""
+        amps = state.amplitudes
+        if amps.size >= COPY_FREE_MIN_SIZE and id(amps) not in self.foreign:
+            amps.flags.writeable = True  # read-only only as the state's
+            self.spare = amps
+
+    def out(self, state: StateVector, op=None, keep: bool = False) -> np.ndarray | None:
+        """``out=`` for ``op`` (None: normalizing) on ``state``, given up unless ``keep``."""
+        out, self.spare = self.spare, None
+        if not keep:
+            self.release(state)
+            if self.spare is not None and (op is None or _diagonal(op.tobytes())):
+                out, self.spare = self.spare, out  # over the input itself
+        return out
 
 
 def apply_columns(columns, op, targets: Sequence[int]) -> np.ndarray:

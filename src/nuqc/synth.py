@@ -48,11 +48,9 @@ def svd_split(gate: GateSpec) -> tuple[GateSpec, np.ndarray, GateSpec]:
     if s[0] > 1.0 + NORMALIZED_SLACK:
         raise DomainError(f"gate is not normalized: largest singular value {s[0]!r}")
     s = np.minimum(s, 1.0)
-    return (
-        gates.from_matrix(u, label="MAT(@left)"),
-        s,
-        gates.from_matrix(v, label="MAT(@right)"),
-    )
+    # numpy's factors are unitary: no SVD of theirs is needed to check them
+    return (gates._make("MAT(@left)", u, kind="unitary"), s,
+            gates._make("MAT(@right)", v, kind="unitary"))
 
 
 def factor_diagonal(d: Sequence[float]) -> list[tuple[int, float]]:

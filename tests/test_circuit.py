@@ -699,9 +699,9 @@ def _kernel_targets(monkeypatch):
     calls = []
     original = circuit.apply_embedded
 
-    def recording(state, op, targets):
+    def recording(state, op, targets, out=None):
         calls.append(tuple(targets))
-        return original(state, op, targets)
+        return original(state, op, targets, out=out)
 
     monkeypatch.setattr(circuit, "apply_embedded", recording)
     return calls

@@ -312,13 +312,13 @@ def test_register_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch):
     path.write_text("qubits 22\ngate X 0\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "simulate", str(path))
     assert (code, out) == (1, "")
-    assert "22-qubit register needs about 448.0 MiB" in err
+    assert "22-qubit register needs about 384.0 MiB" in err
     code, out, err = run_cli(capsys, "demo-al", "--table", "0" * (1 << 21))
     assert (code, out) == (1, "")
     assert "22-qubit register" in err
-    path.write_text("qubits 20\ngate X 0\n", encoding="utf-8")  # 112 MiB is too much too
+    path.write_text("qubits 20\ngate X 0\n", encoding="utf-8")  # 96 MiB is too much too
     assert run_cli(capsys, "simulate", str(path))[0] == 1
-    path.write_text("qubits 18\ngate X 0\n", encoding="utf-8")  # 28 MiB fits
+    path.write_text("qubits 18\ngate X 0\n", encoding="utf-8")  # 24 MiB fits
     assert run_cli(capsys, "simulate", str(path))[0] == 0
 
 

@@ -5,6 +5,7 @@ from nuqc import circuit
 from nuqc.errors import AnnihilatedStateError, ShapeError
 from nuqc.qstate import (
     DUMP_THRESHOLD,
+    Buffers,
     StateVector,
     apply_columns,
     apply_embedded,
@@ -607,8 +608,9 @@ def test_normalize_is_bitwise_the_divide():
         want = state.amplitudes / nrm
         got = normalize(state).amplitudes
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), norm
-        handed_over = StateVector(12, state.amplitudes)
-        in_place = normalize(handed_over, norm_sq(state), consume=True).amplitudes
+        handed_over = StateVector(12, state.amplitudes)  # made by a run, which gives it up
+        in_place = normalize(handed_over, norm_sq(state), out=Buffers().out(handed_over))
+        in_place = in_place.amplitudes
         assert np.shares_memory(in_place, handed_over.amplitudes)
         assert np.array_equal(in_place.view(np.uint64), want.view(np.uint64)), norm
         parts = got.view(np.float64)
@@ -646,25 +648,28 @@ def test_dump_state_in_chunks_matches_the_per_amplitude_loop(chunk, monkeypatch)
         assert dump_state(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
 
 
-def test_dump_state_peak_stays_within_the_memory_budget():
+def _traced_peak(run):
+    """``run()`` and the peak in bytes of the memory it allocated, as tracemalloc counts it."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_state_peak_stays_within_the_memory_budget():
     from nuqc import qstate
 
     state = qstate.uniform_state(16)
-    tracemalloc.start()
-    try:
-        text = dump_state(state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = _traced_peak(lambda: dump_state(state))
     assert text.count("\n") == 1 << 16
     assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
 
 
 def test_streamed_dump_of_a_random_state_stays_within_the_memory_budget():
-    import tracemalloc
-
     from nuqc import qstate
 
     rng = np.random.default_rng(61)
@@ -677,12 +682,8 @@ def test_streamed_dump_of_a_random_state_stays_within_the_memory_budget():
             self.lines += text.count("\n")
 
     sink = Sink()
-    tracemalloc.start()
-    try:
-        assert dump_state(state, out=sink) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    written, peak = _traced_peak(lambda: dump_state(state, out=sink))
+    assert written is None
     assert sink.lines == 1 << 16
     assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
 
@@ -741,8 +742,6 @@ def test_streamed_record_json_of_an_empty_or_missing_state():
 
 
 def test_streamed_record_json_of_a_random_state_stays_within_the_memory_budget():
-    import tracemalloc
-
     from nuqc import qstate
 
     rng = np.random.default_rng(63)
@@ -756,38 +755,29 @@ def test_streamed_record_json_of_a_random_state_stays_within_the_memory_budget()
             self.entries += text.count('"index"')
 
     sink = Sink()
-    tracemalloc.start()
-    try:
-        circuit.write_record_json(record, sink, s=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: circuit.write_record_json(record, sink, s=0))
     assert sink.entries == 1 << 16
     assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
 
 
 def test_memory_guard_refuses_a_register_before_allocating(monkeypatch):
-    import tracemalloc
-
     from nuqc import qstate
     from nuqc.errors import NuqcError, StateMemoryError
 
-    monkeypatch.setattr(qstate, "_mem_available", lambda: 1 << 20)
-    tracemalloc.start()
-    try:
+    def refuse_all():
         for make in (lambda: basis_state(24, 0), lambda: qstate.uniform_state(24),
                      lambda: load_state("1" * 24 + " 1.0 0.0\n")):
             with pytest.raises(StateMemoryError, match="MiB") as info:
                 make()
             assert isinstance(info.value, NuqcError)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    monkeypatch.setattr(qstate, "_mem_available", lambda: 1 << 20)
+    _, peak = _traced_peak(refuse_all)
     assert peak < 1 << 20
     monkeypatch.setattr(qstate, "_mem_available", lambda: 32 << 20)
-    qstate.check_memory(18)  # 2^18 * 16 B * LIVE_STATES = 28 MiB fits
+    qstate.check_memory(18)  # 2^18 * 16 B * LIVE_STATES = 24 MiB fits
     with pytest.raises(StateMemoryError):
-        qstate.check_memory(19)  # 56 MiB does not
+        qstate.check_memory(19)  # 48 MiB does not
 
     def unread():
         raise AssertionError("read /proc/meminfo for a small register")
@@ -796,3 +786,118 @@ def test_memory_guard_refuses_a_register_before_allocating(monkeypatch):
     qstate.check_memory(17)  # 14 MiB: below MEMORY_CHECK_MIN_BYTES
     monkeypatch.setattr(qstate, "_mem_available", lambda: None)  # unreadable: no check
     qstate.check_memory(24)
+
+
+# A 16-qubit program on the copy-free kernel paths: H steps, a composed
+# permutation run and diagonal measured steps with reversals, every target
+# below 14, so no per-call gather tables are counted.
+_WIDE_PROGRAM = (
+    "qubits 16\ninit uniform\ngate H 4\ngate H 9\ngate H 1\n"
+    "gate N1(0.7) 3 c=0.9 q=opt k=2\ngate CNOT 3 12\ngate CKX(2) 2 5 11\n"
+    "gate CN1(0.6) 12 3 c=0.9 q=opt k=2\ngate N1(0.8) 9 c=0.9 q=opt k=2\ngate H 0\n")
+
+
+def _run_peak_states(program, run):
+    """``run()`` and its allocation peak in states, the program's initial state not counted.
+
+    ``run`` goes once untraced first, so that cached gate tables and
+    prepared measurements are not counted.
+    """
+    run()
+    result, peak = _traced_peak(run)
+    return result, peak / program.initial_state.amplitudes.nbytes
+
+
+def test_a_branch_run_holds_its_current_state_and_one_spare():
+    program = circuit.parse(_WIDE_PROGRAM)
+    record, states = _run_peak_states(program, lambda: circuit.run_branch(program))
+    assert record.outcome == "success"
+    assert states <= 2.5
+
+
+def test_a_sampled_run_that_fails_and_restores_holds_two_states():
+    program = circuit.parse(_WIDE_PROGRAM)
+    # at seed 2 the N1 step on qubit 9 fails once, its reversal restores the
+    # state and the retry succeeds
+    record, states = _run_peak_states(program, lambda: circuit.run_sampled(program, seed=2))
+    assert record.outcome == "success"
+    assert [step.reversals for step in record.steps] == [0, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert states <= 2.5
+
+
+def test_the_ensemble_branch_pass_holds_one_failure_branch_more():
+    program = circuit.parse(_WIDE_PROGRAM)
+    stats, states = _run_peak_states(
+        program, lambda: circuit.run_ensemble(program, seed=1, trials=20))
+    assert stats.trials == 20
+    assert states <= 3.5
+
+
+def test_kernel_paths_write_into_out_with_the_same_bits():
+    from nuqc import qstate
+
+    rng = np.random.default_rng(65)
+    for n in (8, 16):  # the transpose path alone, then every kernel path
+        state = StateVector(n, _random_amplitudes(rng, 1 << n))
+        for op, targets in _kernel_path_cases():
+            targets = tuple(t % n for t in targets)
+            want = apply_embedded(state, op, targets).amplitudes
+            out = np.empty(1 << n, dtype=complex)
+            got = apply_embedded(state, op, targets, out=out).amplitudes
+            assert np.shares_memory(got, out), targets
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), targets
+            if qstate._diagonal(np.asarray(op, dtype=complex).tobytes()):
+                # a diagonal written over its own input
+                own = StateVector(n, state.amplitudes)
+                buffer = own.amplitudes
+                buffer.flags.writeable = True
+                got = apply_embedded(own, op, targets, out=buffer).amplitudes
+                assert np.shares_memory(got, buffer)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), targets
+
+
+def test_runs_write_only_into_states_they_made():
+    from nuqc import measure
+
+    rng = np.random.default_rng(66)
+    parsed = circuit.parse(
+        "qubits 12\ngate N1(0.6) 3 c=0.9 q=opt k=3\ngate CN1(0.7) 10 0 c=0.9 q=opt k=3\n"
+        "gate H 7\ngate CNOT 0 10\ngate X 2\ngate AL 9 0 c=0.9 q=opt k=2\ngate N1(0.5) 5\n")
+    # the first step is a diagonal on the initial state itself, and the start
+    # is unnormalized, so that writing over it or normalizing it would show
+    start = StateVector(12, 3.0 * _random_amplitudes(rng, 1 << 12))
+    saved = start.amplitudes.copy()
+    program = circuit.CircuitProgram(12, parsed.steps, start)
+    runs = [lambda: circuit.run_branch(program)]
+    runs += [lambda seed=seed: circuit.run_sampled(program, seed=seed) for seed in range(12)]
+    finals = []
+    for run in runs:
+        first, second = run(), run()
+        assert (first.outcome, first.steps, first.total_probability, first.failed_step) == (
+            second.outcome, second.steps, second.total_probability, second.failed_step)
+        if first.final_state is None:
+            continue
+        amps = first.final_state.amplitudes
+        assert not amps.flags.writeable
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+        assert not np.shares_memory(amps, start.amplitudes)
+        assert not np.shares_memory(amps, second.final_state.amplitudes)
+        assert np.array_equal(amps.view(np.uint64), second.final_state.amplitudes.view(np.uint64))
+        finals.append((first.final_state, amps.copy()))
+    assert len(finals) >= 3
+    assert circuit.run_ensemble(program, seed=3, trials=200) == circuit.run_ensemble(
+        program, seed=3, trials=200)
+    # a caller's states, handed to the protocol functions, stay as they are
+    pair, policy = program.prepared(program.steps[0])
+    caller = normalize(start)
+    caller_saved = caller.amplitudes.copy()
+    for seed in range(8):
+        measure.run_with_reversal(pair, policy, caller, (3,), np.random.default_rng(seed))
+        measure.sample_reversal(policy, caller, (3,), np.random.default_rng(seed))
+    measure.thresholds(pair, policy, caller, (3,), 0.5)
+    assert np.array_equal(caller.amplitudes.view(np.uint64), caller_saved.view(np.uint64))
+    assert np.array_equal(start.amplitudes.view(np.uint64), saved.view(np.uint64))
+    # no later run wrote into a final state a caller holds
+    for state, amps in finals:
+        assert np.array_equal(state.amplitudes.view(np.uint64), amps.view(np.uint64))
