@@ -19,7 +19,7 @@ import json
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, TextIO
 
 import numpy as np
@@ -556,8 +556,8 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
     Lines: ``qubits <n>``; then, in any order and each at most once, ``init
     basis <i> | uniform | file <path>``, ``scale <s>`` and ``ancillas <q...>``;
     then steps ``[gate] <LABEL> <targets...> [c=] [q=real|opt] [k=]`` or
-    ``matrixgate <path> <targets...> [...]``.  ``#`` starts a comment.  Paths
-    resolve relative to ``base_dir``.
+    ``matrixgate <path> <targets...> [...]``, shorthand for ``gate MAT(<path>)``.
+    ``#`` starts a comment.  Paths resolve relative to ``base_dir``.
     """
 
     def resolve(path: str) -> str:
@@ -571,7 +571,7 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
     headers: set[str] = set()
     steps: list[CircuitStep] = []
     # one GateSpec per distinct label, so that its steps share one prepared pair
-    known_gates: dict[tuple[str, str], GateSpec] = {}
+    known_gates: dict[str, GateSpec] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -642,22 +642,19 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
         if keyword in ("gate", "matrixgate"):
             if len(tokens) < 2:
                 raise CircuitParseError(f"missing gate label on '{keyword}' line", lineno)
+            if keyword == "matrixgate":  # shorthand for gate MAT(<path>)
+                tokens[:2] = ["gate", f"MAT({tokens[1]})"]
             attr_tokens = [t for t in tokens[2:] if "=" in t]
             target_tokens = [t for t in tokens[2:] if "=" not in t]
-            gate = known_gates.get((keyword, tokens[1]))
+            gate = known_gates.get(tokens[1])
             if gate is None:
                 try:
-                    if keyword == "gate":
-                        gate = gates.parse_label(tokens[1], lambda p: read_matrix(resolve(p)))
-                    else:
-                        gate = gates.normalize_gate(
-                            read_matrix(resolve(tokens[1])), label=f"MAT({tokens[1]})"
-                        )
+                    gate = gates.parse_label(tokens[1], lambda p: read_matrix(resolve(p)))
                 except (DomainError, ValueError) as exc:
                     raise CircuitParseError(str(exc), lineno) from None
                 except OSError as exc:
                     raise CircuitParseError(f"cannot read matrix file: {exc}", lineno) from None
-                known_gates[(keyword, tokens[1])] = gate
+                known_gates[tokens[1]] = gate
             targets = _qubit_list(target_tokens, n_qubits, lineno)
             if len(targets) != gate.arity:
                 raise CircuitParseError(
@@ -773,15 +770,9 @@ def write_record_json(record: RunRecord, out: TextIO, **extra) -> None:
 
 
 def stats_to_json(stats: EnsembleStats) -> dict:
-    return {
-        "trials": stats.trials,
-        "successes": stats.successes,
-        "success_rate": stats.success_rate,
-        "std_error": stats.std_error,
-        "mean_reversals": stats.mean_reversals,
-        "failures_by_step": {str(k): v for k, v in stats.failures_by_step.items()},
-        "analytic_probability": stats.analytic_probability,
-    }
+    doc = asdict(stats)
+    doc["failures_by_step"] = {str(k): v for k, v in stats.failures_by_step.items()}
+    return doc
 
 
 def dumps_json(doc) -> str:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linops import as_matrix, max_abs, require_square
+from .linops import max_abs, require_square
 
 UNITARY_ATOL = 1e-9
 
@@ -54,7 +54,7 @@ def _arity_of(matrix: np.ndarray) -> int:
 def _make(label: str, matrix, kind: str | None = None, scale: float = 1.0,
           sv: Sequence[float] | None = None) -> GateSpec:
     """``sv``: the singular values of ``matrix``, descending, where the caller knows them."""
-    m = require_square(as_matrix(matrix))
+    m = require_square(matrix)
     arity = _arity_of(m)
     if kind is None:
         gram_defect = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
@@ -186,7 +186,7 @@ def _controlled_block(u: np.ndarray, n_controls: int) -> np.ndarray:
 
 def from_matrix(matrix, label: str | None = None) -> GateSpec:
     """Wrap an already-normalized matrix (largest singular value <= 1)."""
-    m = require_square(as_matrix(matrix))
+    m = require_square(matrix)
     sv = np.linalg.svd(m, compute_uv=False)
     top = float(sv[0])
     if top > 1.0 + UNITARY_ATOL:
@@ -198,7 +198,7 @@ def from_matrix(matrix, label: str | None = None) -> GateSpec:
 
 def normalize_gate(matrix, label: str | None = None) -> GateSpec:
     """Scale a matrix so its largest singular value is 1 and record the factor."""
-    m = require_square(as_matrix(matrix))
+    m = require_square(matrix)
     top = float(np.linalg.svd(m, compute_uv=False)[0])
     if top <= SINGULAR_ATOL:
         raise DomainError("cannot normalize a zero matrix")

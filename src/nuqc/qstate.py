@@ -220,14 +220,8 @@ COPY_FREE_MIN_SIZE = 1 << 10
 # qubits: a GEMM against a 16 x 16 matrix costs no more than its memory pass.
 LOW_BLOCK_BITS = 4
 
-# A dense operator on adjacent targets listed high to low, the lowest at
-# least ADJACENT_MIN_BIT, is one batched GEMM over (2^k, 2^t) blocks.  H at
-# n = 20 took 3.3 instead of 11.6 ms at t = 8, 8.3 instead of 16.1 at t = 5,
-# but 16-19 against 14-18 ms at t = 4, where each complex GEMM is too small.
-ADJACENT_MIN_BIT = 5
-
-# A real such operator, the lowest target at least REAL_ADJACENT_MIN_BIT, is
-# one batched real GEMM over the float64 view, whose blocks are twice as long:
+# A real dense operator on adjacent targets listed high to low, the lowest at
+# least REAL_ADJACENT_MIN_BIT, is one batched real GEMM over the float64 view:
 # H at n = 20 took 4.8 instead of 18.0 ms at t = 4, 1.9 instead of 5.9 at
 # t = 8 and about the low block's time at t = 3; at t = 2 and below the low
 # block is twice as fast.
@@ -253,16 +247,15 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
     Each column is one register state.  Unchecked; callers validate through
     :func:`_check_operator`.  From ``COPY_FREE_MIN_SIZE`` entries on, the
     kernel makes one pass over the array without transposing it: one gather
-    and scale when a real ``op`` is monomial; when ``op`` is dense on
-    adjacent targets listed high to low, one batched real GEMM if it is real
-    and the lowest target is at least ``REAL_ADJACENT_MIN_BIT`` (C-contiguous
-    arrays only), else one batched complex GEMM from ``ADJACENT_MIN_BIT`` up;
-    and for a state one GEMM when a real ``op`` is dense on low targets
-    listed high to low.  All give the transpose path's values exactly (the
-    sign of an exact zero aside): a real coefficient multiplies as zgemm
-    does, and the GEMMs keep zgemm's summation order.  Complex monomial
-    operators and dense low targets in other orders would round differently,
-    and a batch would need one small GEMM per low block, which is slower.
+    and scale when a real ``op`` is monomial; one batched real GEMM when a
+    real ``op`` is dense on adjacent targets listed high to low, the lowest
+    at least ``REAL_ADJACENT_MIN_BIT`` (C-contiguous arrays only); and for a
+    state one GEMM when a real ``op`` is dense on low targets listed high to
+    low.  All give the transpose path's values exactly (the sign of an exact
+    zero aside): a real coefficient multiplies as zgemm does, and the GEMMs
+    keep zgemm's summation order.  Complex monomial operators and dense low
+    targets in other orders would round differently, and a batch would need
+    one small GEMM per low block, which is slower.
     """
     if amps.size >= COPY_FREE_MIN_SIZE:
         key = op.tobytes()
@@ -270,11 +263,9 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
         if rows is not None:
             return _apply_monomial(amps, rows, targets, out)
         low = targets[-1]
-        if targets == tuple(range(targets[0], low - 1, -1)):
-            if real and low >= REAL_ADJACENT_MIN_BIT and amps.flags.c_contiguous:
-                return _apply_adjacent_real(amps, op, targets, out)
-            if low >= ADJACENT_MIN_BIT:
-                return _apply_adjacent(amps, op, targets, out)
+        if (real and low >= REAL_ADJACENT_MIN_BIT and amps.flags.c_contiguous
+                and targets == tuple(range(targets[0], low - 1, -1))):
+            return _apply_adjacent_real(amps, op, targets, out)
         if (real and amps.ndim == 1 and targets[0] < LOW_BLOCK_BITS
                 and all(a > b for a, b in zip(targets, targets[1:]))):
             return _apply_low_block(amps, key, targets, out)
@@ -308,17 +299,9 @@ def _apply_transposed(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]
     return out
 
 
-def _apply_adjacent(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """A dense operator on adjacent targets listed high to low, as one batched GEMM."""
-    run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
-    blocks = amps.reshape(-1, op.shape[0], run)
-    return np.matmul(op, blocks, out=_into(out, blocks.shape)).reshape(amps.shape)
-
-
 def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
                          out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`_apply_adjacent` for a real ``op``, as one batched real GEMM.
+    """A real dense operator on adjacent targets listed high to low, as one batched GEMM.
 
     In the float64 view each amplitude is two adjacent reals that the same
     entries of ``op`` multiply, so the blocks are twice as long; zgemm adds

@@ -16,7 +16,6 @@ restricted to its ``ancillas`` entering and leaving in |0>, equals
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from typing import Sequence
@@ -98,36 +97,16 @@ class GateMemo:
             step = self._steps[gate, targets] = CircuitStep(gate, targets)
         return step
 
-    def _get(self, factory, *params) -> GateSpec:
+    def gate(self, factory, *params) -> GateSpec:
         key = (factory, *map(repr, params))
         gate = self._made.get(key)
         if gate is None:
             gate = self._made[key] = factory(*params)
         return gate
 
-    @functools.cached_property
-    def x(self) -> GateSpec:
-        return gates.x()
-
-    @functools.cached_property
-    def cnot(self) -> GateSpec:
-        return gates.cnot()
-
-    def ckx(self, n_controls: int) -> GateSpec:
-        return self._get(gates.ckx, n_controls)
-
-    def n1(self, a: float) -> GateSpec:
-        return self._get(gates.n1, a)
-
-    def cn1(self, a: float) -> GateSpec:
-        return self._get(gates.cn1, a)
-
-    def cu1(self, a: float) -> GateSpec:
-        return self._get(gates.cu1, a)
-
 
 def _x_step(qubit: int, memo: GateMemo) -> CircuitStep:
-    return memo.step(memo.x, (qubit,))
+    return memo.step(memo.gate(gates.x), (qubit,))
 
 
 def _inverse_cn1_steps(v: float, control: int, target: int,
@@ -138,10 +117,10 @@ def _inverse_cn1_steps(v: float, control: int, target: int,
     X-conjugation identity diag(1, 1/w) = (1/w) X diag(1, w) X; the dropped
     proportionality constant contributes 1/v to the netlist scale.
     """
-    n1 = memo.n1(math.sqrt(v))
+    n1 = memo.gate(gates.n1, math.sqrt(v))
     x_target, n1_target = _x_step(target, memo), memo.step(n1, (target,))
     x_control = _x_step(control, memo)
-    cnot = memo.step(memo.cnot, (control, target))
+    cnot = memo.step(memo.gate(gates.cnot), (control, target))
     steps = [x_target, n1_target, x_target, cnot, n1_target, cnot,
              x_control, memo.step(n1, (control,)), x_control]
     return steps, 1.0 / v
@@ -157,11 +136,11 @@ def decompose_cn1(a_prime: float, memo: GateMemo | None = None) -> CircuitProgra
         raise DomainError(f"a' must lie in (0, 1), got {a_prime!r}")
     memo = GateMemo() if memo is None else memo
     root = math.sqrt(a_prime)
-    n1_target = memo.step(memo.n1(root), (1,))
+    n1_target = memo.step(memo.gate(gates.n1, root), (1,))
     x_target = _x_step(1, memo)
-    cnot = memo.step(memo.cnot, (0, 1))
+    cnot = memo.step(memo.gate(gates.cnot), (0, 1))
     steps = [n1_target, cnot, x_target, n1_target, x_target, cnot,
-             memo.step(memo.n1(root), (0,))]
+             memo.step(memo.gate(gates.n1, root), (0,))]
     return CircuitProgram(2, steps, scale=1.0 / root)
 
 
@@ -184,7 +163,7 @@ def decompose_mcn1_bare(a: float, n_controls: int, memo: GateMemo | None = None)
     k = n_controls
     target = k
     root = a ** (1.0 / (1 << (k - 1)))
-    cn1 = memo.cn1(root)
+    cn1 = memo.gate(gates.cn1, root)
     steps: list[CircuitStep] = []
     scale = 1.0
     last = 0
@@ -194,7 +173,7 @@ def decompose_mcn1_bare(a: float, n_controls: int, memo: GateMemo | None = None)
         if last:
             changed = (pattern ^ last).bit_length() - 1
             source = (last.bit_length() - 1) if changed == wire else changed
-            steps.append(memo.step(memo.cnot, (source, wire)))
+            steps.append(memo.step(memo.gate(gates.cnot), (source, wire)))
         if bin(pattern).count("1") % 2 == 1:
             steps.append(memo.step(cn1, (wire, target)))
         else:
@@ -227,26 +206,26 @@ def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False,
     if k == 0:
         if keep_n1:
             steps = [
-                memo.step(memo.cnot, (0, 1)),
-                memo.step(memo.n1(a), (1,)),
-                memo.step(memo.cnot, (0, 1)),
+                memo.step(memo.gate(gates.cnot), (0, 1)),
+                memo.step(memo.gate(gates.n1, a), (1,)),
+                memo.step(memo.gate(gates.cnot), (0, 1)),
             ]
         else:
             steps = [
-                memo.step(memo.cu1(a), (0, 1)),
-                memo.step(memo.n1(0.0), (1,)),
+                memo.step(memo.gate(gates.cu1, a), (0, 1)),
+                memo.step(memo.gate(gates.n1, 0.0), (1,)),
             ]
         return CircuitProgram(2, steps, ancillas=(1,))
     mark = k + 1
-    flag = memo.step(memo.ckx(k + 1), tuple(range(k + 1)) + (mark,))
+    flag = memo.step(memo.gate(gates.ckx, k + 1), tuple(range(k + 1)) + (mark,))
     if keep_n1:
-        steps = [flag, memo.step(memo.n1(a), (mark,)), flag]
+        steps = [flag, memo.step(memo.gate(gates.n1, a), (mark,)), flag]
         return CircuitProgram(k + 2, steps, ancillas=(mark,))
     sink = k + 2
     steps = [
         flag,
-        memo.step(memo.cu1(a), (mark, sink)),
-        memo.step(memo.n1(0.0), (sink,)),
+        memo.step(memo.gate(gates.cu1, a), (mark, sink)),
+        memo.step(memo.gate(gates.n1, 0.0), (sink,)),
         flag,
     ]
     return CircuitProgram(k + 3, steps, ancillas=(mark, sink))
@@ -257,8 +236,9 @@ def project_all(n_qubits: int, memo: GateMemo | None = None) -> CircuitProgram:
     if n_qubits < 1:
         raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
     memo = GateMemo() if memo is None else memo
+    project = memo.gate(gates.n1, 0.0)
     steps = [step for q in range(n_qubits)
-             for step in (_x_step(q, memo), memo.step(memo.n1(0.0), (q,)), _x_step(q, memo))]
+             for step in (_x_step(q, memo), memo.step(project, (q,)), _x_step(q, memo))]
     return CircuitProgram(n_qubits, steps)
 
 
@@ -271,7 +251,7 @@ def _power_block(value: float, power: int, qubit: int,
     convention product = scale**-1 * target makes that contribution
     value**-|power|, or ``inf`` when that overflows a float.
     """
-    steps = [memo.step(memo.n1(value), (qubit,))] * abs(power)
+    steps = [memo.step(memo.gate(gates.n1, value), (qubit,))] * abs(power)
     if power >= 0:
         return steps, 1.0
     try:
@@ -398,12 +378,12 @@ def _factor_core(a: float, n: int, mode: str, memo: GateMemo) -> CircuitProgram:
     if mode == "ancilla":
         return decompose_mcn1_ancilla(a, n - 1, memo=memo)
     if n == 1:
-        return CircuitProgram(1, [memo.step(memo.n1(a), (0,))])
+        return CircuitProgram(1, [memo.step(memo.gate(gates.n1, a), (0,))])
     if a < ZERO_ATOL:
         # a projective factor has no legal parameter-inverted mirror, so emit
         # it as a single gate and let the runtime realize it as a measurement
         if n == 2:
-            step = memo.step(memo.cn1(0.0), (0, 1))
+            step = memo.step(memo.gate(gates.cn1, 0.0), (0, 1))
         else:
             entries = [1.0] * ((1 << n) - 1) + [0.0]
             step = CircuitStep(gates.diagonal(entries), tuple(reversed(range(n))))

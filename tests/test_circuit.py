@@ -86,6 +86,11 @@ def test_parse_matrixgate(tmp_path):
     prog = circuit.parse("qubits 1\nmatrixgate twice.mat 0\n", base_dir=str(tmp_path))
     # matrix files are normalized so the largest singular value is 1
     assert np.allclose(prog.steps[0].gate.matrix, np.diag([1.0, 0.5]), atol=1e-15)
+    # matrixgate is shorthand for gate MAT(...): both lines share one GateSpec
+    prog = circuit.parse("qubits 1\nmatrixgate twice.mat 0\ngate MAT(twice.mat) 0\n",
+                         base_dir=str(tmp_path))
+    assert prog.steps[0].gate is prog.steps[1].gate
+    assert prog.steps[0].gate.label == "MAT(twice.mat)"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,3 +354,15 @@ def test_probe_unknown_label(capsys):
     code, _, err = run_cli(capsys, "probe", "WAT")
     assert code == 1
     assert "error" in err
+
+
+def test_every_traced_function_exists():
+    """The benchmark's ``--trace`` wraps these by name; a missing one breaks it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{fn}" for module, functions in tracer.TRACED.items()
+               for fn in functions
+               if not callable(getattr(importlib.import_module(f"nuqc.{module}"), fn, None))]
+    assert missing == []

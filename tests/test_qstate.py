@@ -387,7 +387,7 @@ def _wide_cases(rng):
         for op in _monomial_ops(rng) + dense + complex_ops:
             k = op.shape[0].bit_length() - 1
             shape = (1 << n,) if cols is None else (1 << n, cols)
-            # adjacent targets listed high to low at the crossover edge of the batched GEMM
+            # adjacent targets listed high to low, where real operators take the batched GEMM
             adjacent = [tuple(range(low + k - 1, low - 1, -1)) for low in (4, 5)]
             for targets in (_random_targets(rng, n, k), _random_targets(rng, 4, k),
                             tuple(sorted(_random_targets(rng, 4, k), reverse=True)),
@@ -457,13 +457,18 @@ def test_dispatch_takes_the_copy_free_paths(monkeypatch):
                         (np.asarray(H), (9,)), (gates.abrams_lloyd().matrix, (6, 5)),
                         (np.asarray(H), (4,))):
         apply_embedded(state, op, targets)
+    complex_dense = _random_amplitudes(np.random.default_rng(55), (4, 4))
     for op, targets in ((gates.abrams_lloyd().matrix, (0, 3)),
-                        (gates.abrams_lloyd().matrix, (9, 0)), (np.diag([1.0, 1j]), (4,))):
+                        (gates.abrams_lloyd().matrix, (9, 0)), (np.diag([1.0, 1j]), (4,)),
+                        (complex_dense, (6, 5))):
         with pytest.raises(AssertionError, match="transpose path"):
             apply_embedded(state, op, targets)
     with pytest.raises(AssertionError, match="transpose path"):  # a batch of a dense gate
         apply_columns(np.ones((1 << 10, 2), dtype=complex), H, (0,))
     monkeypatch.undo()
+    got = apply_embedded(state, complex_dense, (6, 5)).amplitudes
+    want = transposed(state.amplitudes, complex_dense, (6, 5))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     small = uniform_state(int(np.log2(qstate.COPY_FREE_MIN_SIZE)) - 1)
     calls = []
     monkeypatch.setattr(qstate, "_apply_monomial", lambda *a: calls.append(a))
