@@ -30,16 +30,12 @@ from .gates import GateSpec
 from .linops import read_matrix
 from .measure import MeasurementPair, ReversalPolicy
 from .qstate import (
-    COPY_FREE_MIN_SIZE,
     MAX_QUBITS,
-    MONOMIAL_BLOCK_BITS,
     Buffers,
     StateVector,
-    _block_span,
-    _permutation_product,
-    _permutation_rows,
     apply_embedded,
     basis_state,
+    kernel_passes,
     live_amplitudes,
     load_state,
     norm_sq,
@@ -147,56 +143,20 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
-# On a register of at least COPY_FREE_MIN_SIZE amplitudes, a run of
-# consecutive unitary steps that are pure permutations (X, CNOT, CKX) is
-# applied as one permutation of the union of their targets: one kernel gather
-# instead of one per step, with the same values, since a permutation only
-# moves them.  A run ends before its union's gather block would outgrow one
-# cached table (MONOMIAL_BLOCK_BITS) or the union would exceed
-# PERMUTATION_RUN_TARGETS qubits, which keeps the composed operator at most
-# 64 x 64.
-PERMUTATION_RUN_TARGETS = 6
-
-
 def _stages(program: CircuitProgram) -> Iterator[tuple]:
     """``program.steps`` in order, as ``(i, steps, pair, policy, op, targets)``.
 
-    ``i`` is the position of ``steps[0]``.  A measured step comes alone, with
-    its pair and policy.  Unitary steps come with ``pair`` and ``policy``
-    ``None`` and the operator and targets to apply for them: one step's own,
-    or a composed permutation run's.  Built from the steps as the run meets
-    them, so no change to ``program.steps`` between runs goes unseen.
+    ``i`` is the position of ``steps[0]``.  A measured step comes alone with
+    its pair and policy; unitary steps come with the ``op`` and ``targets``
+    that :func:`~nuqc.qstate.kernel_passes` applies for them.  Read as the run
+    meets them, so no change to ``program.steps`` between runs goes unseen.
     """
-    n = program.n_qubits
-    compose = 1 << n >= COPY_FREE_MIN_SIZE
-    start, run, union = 0, [], ()
-    for i, step in enumerate(program.steps):
-        pair, policy = program.prepared(step)
-        rows = _permutation_rows(step.gate.matrix) if compose and pair is None else None
-        if rows is not None and run:
-            joined = union + tuple(t for t in step.targets if t not in union)
-            if (len(joined) <= PERMUTATION_RUN_TARGETS
-                    and _block_span(n, joined)[1] <= MONOMIAL_BLOCK_BITS):
-                run.append((step, rows))
-                union = joined
-                continue
-        if run:
-            yield _composed(start, run, union)
-            run = []
-        if rows is not None:
-            start, run, union = i, [(step, rows)], step.targets
-        else:
-            yield i, [step], pair, policy, step.gate.matrix, step.targets
-    if run:
-        yield _composed(start, run, union)
-
-
-def _composed(start: int, run: list, union: tuple[int, ...]) -> tuple:
-    """The stage of a permutation run: its steps' product as one permutation of ``union``."""
-    steps = [step for step, _ in run]
-    op = (steps[0].gate.matrix if len(run) == 1 else
-          _permutation_product(tuple((rows, step.targets) for step, rows in run), union))
-    return start, steps, None, None, op, union
+    steps = program.steps
+    ops = ((step.gate.matrix if program.prepared(step)[0] is None else None, step.targets)
+           for step in steps)
+    for start, stop, op, targets in kernel_passes(program.n_qubits, ops):
+        pair, policy = (None, None) if op is not None else program.prepared(steps[start])
+        yield start, steps[start:stop], pair, policy, op, targets
 
 
 def run_branch(program: CircuitProgram) -> RunRecord:
@@ -263,23 +223,6 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
         state = result.state
         total *= p
     return RunRecord("success", total, records, state)
-
-
-def _trial(plan: Plan, rng) -> tuple[int | None, int]:
-    """Failed step (``None`` on success) and reversals of one trial drawn against ``plan``.
-
-    Every surviving trial sits on the all-success branch state (a restored
-    reversal gives back the state exactly), so a trial only compares its
-    uniforms against the plan's thresholds and evolves no state.  It draws
-    the same uniforms as ``run_sampled`` does from the same ``rng``.
-    """
-    reversals = 0
-    for i, th in plan:
-        passed, used = measure.replay(th, rng)
-        reversals += used
-        if not passed:
-            return i, reversals
-    return None, reversals
 
 
 # Trials per array pass: bounds the stream state's memory at any trial count.
@@ -400,71 +343,6 @@ class _TrialStreams:
         return (x >> 11).astype(np.float64) * 2.0 ** -53
 
 
-def _surviving(rows: np.ndarray, outcome: str, mass: float, raised: list) -> np.ndarray:
-    """``rows`` that drew a branch of ``mass``; none if that branch is degenerate.
-
-    Trials landing on a degenerate branch stop there, as ``measure.replay``
-    raises for them; ``raised`` keeps the lowest of them with the branch.
-    """
-    if mass < measure.DEGENERATE_MASS and rows.size:
-        raised.append((int(rows.min()), outcome, mass))
-        return rows[:0]
-    return rows
-
-
-def _run_chunk(plan: Plan, streams, n: int) -> tuple[int, int, Counter]:
-    """``_trial`` for trials ``0..n-1`` of ``streams``, one array pass per draw.
-
-    Each trial still alive at a step draws from its own stream exactly when
-    ``measure.replay`` would, so every trial ends as it does alone.  If any
-    trial lands on a degenerate branch, the lowest such trial's error is
-    raised, as the trial-by-trial loop would.
-    """
-    alive = np.arange(n)
-    reversals = 0
-    failures: Counter = Counter()
-    raised: list = []
-    for i, (success, failure, restore, spoil, budget) in plan:
-        passed = []
-        failed = 0
-        pending = alive
-        used = 0
-        while pending.size:
-            hit = streams.draw(pending) < success
-            passed.append(_surviving(pending[hit], measure.SUCCESS, success, raised))
-            missed = _surviving(pending[~hit], measure.FAILURE, failure, raised)
-            if used == budget:
-                failed += missed.size
-                break
-            used += 1
-            reversals += missed.size
-            back = streams.draw(missed) < restore
-            pending = _surviving(missed[back], measure.SUCCESS, restore, raised)
-            failed += _surviving(missed[~back], measure.FAILURE, spoil, raised).size
-        if failed:
-            failures[i] += failed
-        alive = np.sort(np.concatenate(passed))
-        if not alive.size:
-            break
-    if raised:
-        measure._check_mass(*min(raised)[1:])
-    return alive.size, reversals, failures
-
-
-def _run_trials(plan: Plan, seed: int, trials: int) -> tuple[int, int, Counter]:
-    successes = 0
-    reversals = 0
-    failures: Counter = Counter()
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        streams = _TrialStreams(seed, np.arange(start, stop, dtype=np.uint64))
-        s, r, f = _run_chunk(plan, streams, stop - start)
-        successes += s
-        reversals += r
-        failures.update(f)
-    return successes, reversals, failures
-
-
 def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
                  jobs: int = 1) -> EnsembleStats:
     """Run many independent trials; trial ``t`` draws from ``trial_rng(seed, t)``.
@@ -478,7 +356,15 @@ def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
         raise CircuitError(f"jobs must be >= 1, got {jobs}")
     plan: Plan = []
     analytic = _follow_branch(program, plan).total_probability
-    successes, reversals, failures = _run_trials(plan, seed, trials)
+    successes = reversals = 0
+    failures: Counter = Counter()
+    for start in range(0, trials, _CHUNK):
+        stop = min(start + _CHUNK, trials)
+        streams = _TrialStreams(seed, np.arange(start, stop, dtype=np.uint64))
+        s, r, f = measure.draw_trials(plan, streams, stop - start)
+        successes += s
+        reversals += r
+        failures.update(f)
     rate = successes / trials
     std_error = float(np.sqrt(rate * (1.0 - rate) / trials))
     return EnsembleStats(

@@ -199,10 +199,11 @@ def from_matrix(matrix, label: str | None = None) -> GateSpec:
 def normalize_gate(matrix, label: str | None = None) -> GateSpec:
     """Scale a matrix so its largest singular value is 1 and record the factor."""
     m = require_square(matrix)
-    top = float(np.linalg.svd(m, compute_uv=False)[0])
+    sv = np.linalg.svd(m, compute_uv=False)
+    top = float(sv[0])
     if top <= SINGULAR_ATOL:
         raise DomainError("cannot normalize a zero matrix")
-    return _make(label or "MAT(@)", m / top, scale=top)
+    return _make(label or "MAT(@)", m / top, scale=top, sv=sv / top)
 
 
 MatrixLoader = Callable[[str], np.ndarray]

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 ATOL_EXACT = 1e-10
-ATOL_FACTOR = 1e-9
 
 # Eigenvalues of a nominally PSD matrix in [-1e-10, 0) are rounding noise and
 # are clamped to zero; anything more negative is a genuine domain violation.

@@ -16,6 +16,7 @@ overall success probability to p * (1-|q|^(2k+2)) / (1-|q|^2).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -28,8 +29,6 @@ from .qstate import Buffers, StateVector, apply_embedded, norm_sq, normalize
 
 SUCCESS = "success"
 FAILURE = "failure"
-
-COMPLETENESS_ATOL = 1e-9
 
 # Eigenvalues of M1 below this cannot be inverted trustworthily.
 INVERSION_FLOOR = 1e-12
@@ -255,28 +254,58 @@ def thresholds(pair: MeasurementPair, policy: ReversalPolicy | None, state: Stat
     return Thresholds(success_mass, failure, restore, norm_sq(spoiled), budget)
 
 
-def replay(th: Thresholds, rng: np.random.Generator) -> tuple[bool, int]:
-    """Draw the protocol against ``th``: ``(succeeded, reversals)``.
+def _surviving(rows: np.ndarray, outcome: str, mass: float, raised: list) -> np.ndarray:
+    """``rows`` that drew a branch of ``mass``; none if that branch is degenerate.
 
-    Consumes one uniform per main measurement and one per reversal, in the
-    order ``run_with_reversal`` does, and raises ``DegenerateBranchError``
-    under the same conditions.  No state is evolved.
+    Trials landing on a degenerate branch stop there, as ``run_with_reversal``
+    raises for them; ``raised`` keeps the lowest of them with the branch.
     """
-    success, failure, restore, spoil, budget = th
+    if mass < DEGENERATE_MASS and rows.size:
+        raised.append((int(rows.min()), outcome, mass))
+        return rows[:0]
+    return rows
+
+
+def draw_trials(plan: Sequence[tuple[int, Thresholds]], streams,
+                n: int) -> tuple[int, int, Counter]:
+    """Successes, reversals and failures by step of trials ``0..n-1`` drawn against ``plan``.
+
+    ``plan`` holds each measured step's position and :func:`thresholds` on the
+    all-success branch, where every surviving trial sits (R0 M1 = q I), and
+    ``streams.draw(rows)`` gives the next uniform of each selected trial.  One
+    array pass per draw; each trial draws exactly when ``run_with_reversal``
+    would, so it ends as it does alone.  If trials land on a degenerate
+    branch, the lowest one's error is raised, as running them one by one would.
+    """
+    alive = np.arange(n)
     reversals = 0
-    while True:
-        if rng.random() < success:
-            _check_mass(SUCCESS, success)
-            return True, reversals
-        _check_mass(FAILURE, failure)
-        if reversals >= budget:
-            return False, reversals
-        reversals += 1
-        if rng.random() < restore:
-            _check_mass(SUCCESS, restore)
-        else:
-            _check_mass(FAILURE, spoil)
-            return False, reversals
+    failures: Counter = Counter()
+    raised: list = []
+    for i, (success, failure, restore, spoil, budget) in plan:
+        passed = []
+        failed = 0
+        pending = alive
+        used = 0
+        while pending.size:
+            hit = streams.draw(pending) < success
+            passed.append(_surviving(pending[hit], SUCCESS, success, raised))
+            missed = _surviving(pending[~hit], FAILURE, failure, raised)
+            if used == budget:
+                failed += missed.size
+                break
+            used += 1
+            reversals += missed.size
+            back = streams.draw(missed) < restore
+            pending = _surviving(missed[back], SUCCESS, restore, raised)
+            failed += _surviving(missed[~back], FAILURE, spoil, raised).size
+        if failed:
+            failures[i] += failed
+        alive = np.sort(np.concatenate(passed))
+        if not alive.size:
+            break
+    if raised:
+        _check_mass(*min(raised)[1:])
+    return alive.size, reversals, failures
 
 
 def protocol_success(p: float, policy: ReversalPolicy | None) -> float:

@@ -10,7 +10,7 @@ matrices are written down.
 from __future__ import annotations
 
 import functools
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -512,11 +512,51 @@ def apply_embedded(state: StateVector, op, targets: Sequence[int],
     return StateVector._trusted(n, _apply(state.amplitudes, op, targets, out))
 
 
-@functools.lru_cache(maxsize=1024)
-def _diagonal(key: bytes) -> bool:
-    """Whether the operator in ``key`` is a real diagonal, which the kernel applies in place."""
-    rows = _structure(key)[1]
-    return rows is not None and all(col == row for row, (col, _) in enumerate(rows))
+# On a register of at least COPY_FREE_MIN_SIZE amplitudes, a run of
+# consecutive steps that are pure permutations (X, CNOT, CKX) is applied as
+# one permutation of the union of their targets: one kernel gather instead of
+# one per step, with the same values, since a permutation only moves them.  A
+# run ends before its union's gather block would outgrow one cached table
+# (MONOMIAL_BLOCK_BITS) or the union would exceed PERMUTATION_RUN_TARGETS
+# qubits, which keeps the composed operator at most 64 x 64.
+PERMUTATION_RUN_TARGETS = 6
+
+
+def kernel_passes(n_qubits: int, steps: Iterable[tuple]) -> Iterator[tuple]:
+    """The kernel passes that apply ``steps``, each ``(op, targets)``, in order.
+
+    Yields ``(start, stop, op, targets)``: steps ``start`` to ``stop - 1``
+    are applied as ``op`` on ``targets``, one step's own operator or a
+    permutation run's product.  A step whose ``op`` is ``None``, such as a
+    measurement, comes alone as ``(i, i + 1, None, targets)`` and ends any
+    run.  ``steps`` is read one step ahead of the passes yielded.
+    """
+    compose = 1 << n_qubits >= COPY_FREE_MIN_SIZE
+    run: list = []  # the open run's (rows, targets), from step ``start`` on
+    for i, (op, targets) in enumerate(steps):
+        rows = _permutation_rows(op) if compose and op is not None else None
+        if rows is not None and run:
+            joined = union + tuple(t for t in targets if t not in union)
+            if (len(joined) <= PERMUTATION_RUN_TARGETS
+                    and _block_span(n_qubits, joined)[1] <= MONOMIAL_BLOCK_BITS):
+                run.append((rows, targets))
+                union = joined
+                continue
+        if run:
+            yield _run_pass(start, first, run, union)
+            run = []
+        if rows is not None:
+            start, first, run, union = i, op, [(rows, targets)], targets
+        else:
+            yield i, i + 1, op, targets
+    if run:
+        yield _run_pass(start, first, run, union)
+
+
+def _run_pass(start: int, first, run: list, union: tuple[int, ...]) -> tuple:
+    """The pass of a run from step ``start``: ``first``, its first step's operator, if alone."""
+    op = first if len(run) == 1 else _permutation_product(tuple(run), union)
+    return start, start + len(run), op, union
 
 
 class Buffers:
@@ -545,8 +585,10 @@ class Buffers:
         out, self.spare = self.spare, None
         if not keep:
             self.release(state)
-            if self.spare is not None and (op is None or _diagonal(op.tobytes())):
-                out, self.spare = self.spare, out  # over the input itself
+            # normalizing (no op, no rows) and a real diagonal write over the input itself
+            rows = None if self.spare is None else () if op is None else _structure(op.tobytes())[1]
+            if rows is not None and all(col == row for row, (col, _) in enumerate(rows)):
+                out, self.spare = self.spare, out
         return out
 
 
@@ -563,6 +605,39 @@ def apply_columns(columns, op, targets: Sequence[int]) -> np.ndarray:
                          f"got shape {columns.shape}")
     op, targets = _check_operator(n, op, targets)
     return _apply(columns, op, targets)
+
+
+class Gathers(dict):
+    """Real monomial operators on one register as full-register gathers.
+
+    ``gathers[gate, targets]`` is ``(index, coef)`` when ``gate.matrix`` is
+    real and monomial (a diagonal or scaled permutation), and ``None``
+    otherwise: on ``targets`` it maps a column ``v`` to ``coef * v[index]``,
+    where ``index`` is ``None`` for a diagonal and ``coef`` is ``None`` for
+    a permutation.  Each is built on first use per gate object and targets.
+    """
+
+    def __init__(self, n_qubits: int):
+        super().__init__()
+        self.n_qubits = n_qubits
+        self._everywhere = np.arange(1 << n_qubits)
+        # per targets, the local basis index of every register index
+        self._local: dict[tuple[int, ...], np.ndarray] = {}
+
+    def __missing__(self, key):
+        gate, targets = key
+        op, targets = _check_operator(self.n_qubits, gate.matrix, targets)
+        rows = _structure(op.tobytes())[1]
+        found = None
+        if rows is not None:
+            local = self._local.get(targets)
+            if local is None:
+                local = self._local[targets] = _local_index(targets, self._everywhere)
+            index, coef = _gather_tables(rows, targets, self._everywhere, local)
+            # the coefficients are real, and real factors keep the products real
+            found = index, None if coef is None else coef.real
+        self[key] = found
+        return found
 
 
 def embedded_matrix(op, targets: Sequence[int], n_qubits: int) -> np.ndarray:

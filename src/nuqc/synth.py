@@ -27,7 +27,7 @@ from .circuit import CircuitProgram, CircuitStep, format_program, parse_file
 from .errors import DomainError, SearchBudgetError, ShapeError
 from .gates import GateSpec
 from .linops import max_abs, svd, write_matrix
-from .qstate import _check_operator, _gather_tables, _local_index, _structure, apply_columns
+from .qstate import Gathers, apply_columns
 
 ZERO_ATOL = 1e-12
 UNIT_ATOL = 1e-12
@@ -393,39 +393,6 @@ def _factor_core(a: float, n: int, mode: str, memo: GateMemo) -> CircuitProgram:
     return decompose_mcn1_bare(a, n - 1, memo)
 
 
-class _Gathers(dict):
-    """Real monomial steps of one register as full-register gathers.
-
-    ``gathers[gate, targets]`` is ``(index, coef)`` when ``gate`` is real and
-    monomial (a diagonal or scaled permutation), and ``None`` otherwise: on
-    ``targets`` it maps a column ``v`` to ``coef * v[index]``, where
-    ``index`` is ``None`` for a diagonal and ``coef`` is ``None`` for a
-    permutation.  Each is built on first use per gate object and targets.
-    """
-
-    def __init__(self, n_qubits: int):
-        super().__init__()
-        self.n_qubits = n_qubits
-        self._everywhere = np.arange(1 << n_qubits)
-        # per targets, the local basis index of every register index
-        self._local: dict[tuple[int, ...], np.ndarray] = {}
-
-    def __missing__(self, key):
-        gate, targets = key
-        op, targets = _check_operator(self.n_qubits, gate.matrix, targets)
-        rows = _structure(op.tobytes())[1]
-        found = None
-        if rows is not None:
-            local = self._local.get(targets)
-            if local is None:
-                local = self._local[targets] = _local_index(targets, self._everywhere)
-            index, coef = _gather_tables(rows, targets, self._everywhere, local)
-            # the coefficients are real, and real factors keep the products real
-            found = index, None if coef is None else coef.real
-        self[key] = found
-        return found
-
-
 def _push_columns(netlist: CircuitProgram, columns: np.ndarray) -> np.ndarray:
     """Every column of ``columns`` after the netlist's steps, in order.
 
@@ -433,7 +400,7 @@ def _push_columns(netlist: CircuitProgram, columns: np.ndarray) -> np.ndarray:
     composed into one gather, ``coef * columns[index]``, applied just before
     the next other step, which goes through the state kernel, or at the end.
     """
-    gathers = _Gathers(netlist.n_qubits)
+    gathers = Gathers(netlist.n_qubits)
     index = coef = None  # the run so far; None is the identity
     for step in netlist.steps:
         found = gathers[step.gate, step.targets]

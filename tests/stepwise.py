@@ -2,6 +2,8 @@
 
 The runners compose permutation runs on wide registers; these oracles never
 do, so the tests can hold the runners' states and records to them bit for bit.
+``replay`` and ``trial`` draw one mc trial at a time with scalar uniforms, the
+reference for the ensemble's array passes (``measure.draw_trials``).
 """
 
 from nuqc import circuit, measure
@@ -45,3 +47,44 @@ def sampled(program, seed):
             return None, records
         state = result.state
     return state, records
+
+
+def replay(th, rng):
+    """Draw the protocol against the thresholds ``th``: ``(succeeded, reversals)``.
+
+    Consumes one uniform per main measurement and one per reversal, in the
+    order ``run_with_reversal`` does, and raises ``DegenerateBranchError``
+    under the same conditions.  No state is evolved.
+    """
+    success, failure, restore, spoil, budget = th
+    reversals = 0
+    while True:
+        if rng.random() < success:
+            measure._check_mass(measure.SUCCESS, success)
+            return True, reversals
+        measure._check_mass(measure.FAILURE, failure)
+        if reversals >= budget:
+            return False, reversals
+        reversals += 1
+        if rng.random() < restore:
+            measure._check_mass(measure.SUCCESS, restore)
+        else:
+            measure._check_mass(measure.FAILURE, spoil)
+            return False, reversals
+
+
+def trial(plan, rng):
+    """Failed step (``None`` on success) and reversals of one trial drawn against ``plan``.
+
+    Every surviving trial sits on the all-success branch state (a restored
+    reversal gives back the state exactly), so a trial only compares its
+    uniforms against the plan's thresholds and evolves no state.  It draws
+    the same uniforms as ``run_sampled`` does from the same ``rng``.
+    """
+    reversals = 0
+    for i, th in plan:
+        passed, used = replay(th, rng)
+        reversals += used
+        if not passed:
+            return i, reversals
+    return None, reversals

@@ -68,12 +68,29 @@ def test_parse_counts():
         ("inputs 2\nw = NAND in0 in1\noutputs w in1\n", "not live"),
         ("inputs 2\nw = NAND in0 in1\noutputs w\nextra = NAND w w\n", "outputs"),
         ("inputs 2\nw = FROB in0 in1\noutputs w\n", "FROB"),
+        ("inputs 2\n9w = NAND in0 in1\noutputs 9w\n", "line 2: bad wire name '9w'"),
+        ("inputs 2\ninputs 2\n", "line 2: duplicate inputs line"),
+        ("inputs 2 3\n", "line 1: expected 'inputs <k>'"),
+        ("inputs two\n", "line 1: bad input count 'two'"),
+        ("inputs 0\n", "line 1: need at least one input wire"),
+        ("# no declarations\n", "line 1: missing inputs line"),
+        ("inputs 1\noutputs\n", "line 2: outputs line names no wires"),
+        ("inputs 2\nw = NAND in0 in1\n", "line 1: missing outputs line"),
+        ("inputs 2\nw NAND in0 in1\noutputs w\n", "line 2: unrecognized line 'w NAND in0 in1'"),
+        ("inputs 2\nw =\noutputs w\n", "line 2: missing node kind after '='"),
+        ("inputs 2\nw = NAND in0\noutputs w\n", "line 2: NAND form is 'w = NAND a b'"),
+        ("inputs 1\nw w = COPY in0\noutputs w\n", "line 2: COPY outputs must be distinct"),
     ],
 )
-def test_parse_rejects_malformed(text, fragment):
+def test_parse_rejects_malformed(text, fragment, tmp_path, capsys):
     with pytest.raises(CircuitParseError) as err:
         apps.parse_nand_netlist(text)
     assert fragment in str(err.value)
+    # the CLI reports the same error on one stderr line and exits 1
+    path = tmp_path / "bad.nl"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["demo-nand", "--netlist", str(path), "--m", "0"]) == 1
+    assert capsys.readouterr() == ("", f"error: {err.value}\n")
 
 
 def test_parse_allows_dangling_wires():
@@ -102,6 +119,16 @@ def test_evaluate_rejects_wrong_width():
     net = apps.parse_nand_netlist(NOT_NETLIST)
     with pytest.raises(NetlistError):
         apps.evaluate_netlist(net, [0, 1])
+
+
+def test_compile_rejects_conflicting_or_misfit_inputs():
+    net = apps.parse_nand_netlist(XOR_NETLIST)
+    with pytest.raises(NetlistError, match=r"^give input_bits or input_state, not both$"):
+        apps.compile_nand(net, 0, input_bits=[1, 1], input_state=basis_state(2, 3))
+    with pytest.raises(NetlistError, match=r"^input_state spans 3 qubits, netlist has 2 inputs$"):
+        apps.compile_nand(net, 0, input_state=basis_state(3, 0))
+    with pytest.raises(NetlistError, match=r"^expected 2 input bits, got 3$"):
+        apps.compile_nand(net, 0, input_bits=[1, 0, 1])
 
 
 def test_split_bounds():
@@ -255,6 +282,11 @@ def test_truth_table_parse_matches_the_per_character_loop():
         assert oracle.table == tuple(int(b) for b in text)
         assert all(type(b) is int for b in oracle.table)
         assert oracle.satisfying_count == text.count("1")
+
+
+def test_truth_table_oracle_checks_its_length():
+    with pytest.raises(ShapeError, match=r"^table length 2 does not match n=2$"):
+        apps.TruthTableOracle(2, (0, 1))
 
 
 def test_truth_table_oracle_checks_its_entries():

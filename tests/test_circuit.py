@@ -118,12 +118,34 @@ def test_parse_matrixgate(tmp_path):
         ("qubits 2\nancillas 2\n", "ancilla qubit 2 out of range"),
         ("qubits 2\nancillas 1 1\n", "duplicate ancillas"),
         ("qubits 2\nancillas\n", "expected 'ancillas <q...>'"),
+        ("qubits abc\n", "line 1: bad qubit count 'abc'"),
+        ("qubits 1\ngate X 0 c=\n", "line 2: bad attribute 'c='; expected name=value"),
+        ("qubits 1\ngate N1(0.5) 0 c=0.6 k=-1\n", "line 2: k must be >= 0, got -1"),
+        ("qubits 2\ngate X a\n", "line 2: bad target list ['a']"),
+        ("qubits 2\ninit basis\n", "line 2: expected 'init basis <index>'"),
+        ("qubits 2\ninit zero\n",
+         "line 2: expected 'init basis <i>', 'init uniform' or 'init file <path>'"),
+        ("qubits 1\ninit file {dir}/missing.state\n", "line 2: cannot read state file: "
+         "[Errno 2] No such file or directory: '{dir}/missing.state'"),
+        ("qubits 1\ninit file {dir}/bad.state\n", "line 2: bad amplitude on line '1 x 0'"),
+        ("qubits 1\nscale\n", "line 2: expected 'scale <s>'"),
+        ("qubits 1\ngate\n", "line 2: missing gate label on 'gate' line"),
+        ("qubits 1\ngate MAT({dir}/missing.mat) 0\n", "line 2: cannot read matrix file: "
+         "[Errno 2] No such file or directory: '{dir}/missing.mat'"),
+        ("", "line 1: missing qubits line"),
     ],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, tmp_path, capsys):
+    (tmp_path / "bad.state").write_text("1 x 0\n", encoding="utf-8")
+    text, fragment = text.format(dir=tmp_path), fragment.format(dir=tmp_path)
     with pytest.raises(CircuitParseError) as err:
         circuit.parse(text)
     assert fragment in str(err.value)
+    # the CLI reports the same error on one stderr line and exits 1
+    path = tmp_path / "bad.qc"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["simulate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {err.value}\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -491,7 +513,7 @@ def test_fast_trials_match_the_state_vector_sampler(name):
     outcomes = set()
     for seed in (0, 11):
         for t in range(5000):
-            fast = circuit._trial(plan, circuit.trial_rng(seed, t))
+            fast = stepwise.trial(plan, circuit.trial_rng(seed, t))
             assert fast == _oracle(prog, circuit.trial_rng(seed, t)), (seed, t)
             outcomes.add(fast[0])
     # the trials reach both outcomes, so the comparison covers each
@@ -517,7 +539,7 @@ def _sequential(prog, seed, trials):
     plan = _plan(prog)
     successes, reversals, failures = 0, 0, {}
     for t in range(trials):
-        failed, used = circuit._trial(plan, circuit.trial_rng(seed, t))
+        failed, used = stepwise.trial(plan, circuit.trial_rng(seed, t))
         reversals += used
         if failed is None:
             successes += 1
@@ -548,7 +570,7 @@ def _one_step(gate, state, c, q=None, k=0):
 
 
 def _fast(prog, rng):
-    return circuit._trial(_plan(prog), rng)
+    return stepwise.trial(_plan(prog), rng)
 
 
 def _or_degenerate(run, prog, draws):
@@ -658,7 +680,7 @@ def test_degenerate_error_is_the_lowest_raising_trials_first(scripts, monkeypatc
     expected = None
     for t in range(20):
         try:
-            circuit._trial(plan, _scripted(scripts.get(t, [])))
+            stepwise.trial(plan, _scripted(scripts.get(t, [])))
         except DegenerateBranchError as exc:
             expected = str(exc)
             break

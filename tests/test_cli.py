@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nuqc import cli, gates
+from nuqc import cli, gates, measure
 from nuqc.errors import DegenerateBranchError
 from nuqc.linops import write_matrix
 
@@ -244,6 +244,19 @@ def test_approx_reference_point(capsys):
     assert doc["log_residual"] < 0.01
 
 
+def test_approx_text_shows_the_json_fields(capsys):
+    argv = ("approx", "--a", "0.3", "--alpha", "0.5", "--gamma", str(np.sqrt(2.0)),
+            "--eps", "0.01")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(run_cli(capsys, *argv, "--json")[1])
+    assert out.splitlines() == [
+        f"m: {doc['m']}", f"l: {doc['l']}", f"realized: {doc['realized']!r}",
+        f"log-domain residual: {doc['log_residual']!r}", f"gates: {doc['gates']}",
+        f"scale: {doc['scale']!r}"]
+    assert (doc["m"], doc["l"]) == (9, -11)
+
+
 def test_approx_budget_exhaustion(capsys):
     code, _, err = run_cli(capsys, "approx", "--a", "0.3", "--alpha", "0.5",
                            "--gamma", str(np.sqrt(2.0)), "--eps", "1e-9",
@@ -348,6 +361,20 @@ def test_probe_json(capsys):
     assert doc["arity"] == 2
     assert doc["kind"] == "nonunitary"
     assert len(doc["m1"]) == 4
+
+
+@pytest.mark.parametrize("q, want_q", [(None, 0.8), ("opt", 0.8), ("0.5", 0.5)])
+def test_probe_json_reports_the_reversal(q, want_q, capsys):
+    argv = ["probe", "N1(0.5)", "--c", "0.6", "--k", "2", "--json"]
+    code, out, _ = run_cli(capsys, *argv + ([] if q is None else ["--q", q]))
+    assert code == 0
+    doc = json.loads(out)
+    pair = measure.build_pair(gates.n1(0.5), 0.6)
+    policy = measure.build_reversal(pair, q=None if q in (None, "opt") else float(q),
+                                    max_reversals=2)
+    assert doc["q"] == pytest.approx(want_q, abs=1e-15)
+    for name, matrix in (("r0", policy.r0), ("r1", policy.r1)):
+        assert doc[name] == [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
 
 
 def test_probe_unknown_label(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nuqc import gates
+from nuqc import cli, gates
 from nuqc.errors import DomainError, ShapeError
 
 SQ3 = np.sqrt(3.0)
@@ -200,6 +200,21 @@ def test_parse_label_rejects_unknown():
         gates.parse_label("N1()")
 
 
+@pytest.mark.parametrize("label, message", [
+    ("MAT()", "MAT(...) requires a file path"),
+    ("CKX(1.5)", "CKX takes one integer parameter, got '1.5'"),
+    ("N1(0.1,0.2)", "N1 takes one parameter, got '0.1,0.2'"),
+    ("FOO(1)", "unrecognized gate label 'FOO(1)'"),
+])
+def test_parse_label_rejects_malformed_parameters(label, message, capsys):
+    with pytest.raises(DomainError) as err:
+        gates.parse_label(label, lambda path: np.eye(2))
+    assert str(err.value) == message
+    # the CLI reports it on one stderr line and exits 1
+    assert cli.main(["probe", label]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _metadata_cases():
     rng = np.random.default_rng(21)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -208,28 +223,29 @@ def _metadata_cases():
     contraction = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     contraction /= 1.25 * np.linalg.norm(contraction, 2)
     v = rng.normal(size=4)
-    return {
-        "X": gates.x(),
-        "H": gates.h(),
-        "CNOT": gates.cnot(),
-        **{f"CKX({k})": gates.ckx(k) for k in (1, 2, 3)},
-        "I": gates.identity(),
-        "U1(0.3)": gates.u1(0.3),
-        "U1(1.0)": gates.u1(1.0),
-        "CU1(0.3)": gates.cu1(0.3),
-        "N1(0)": gates.n1(0.0),
-        "N1(0.3)": gates.n1(0.3),
-        "CN1(0)": gates.cn1(0.0),
-        "CN1(0.5)": gates.cn1(0.5),
-        "NAND": gates.nand(),
-        "AL": gates.abrams_lloyd(),
-        "D(1,0.5)": gates.diagonal([1.0, 0.5]),
-        "D(1,1)": gates.diagonal([1.0, 1.0]),
-        "from_matrix unitary": gates.from_matrix(q),
-        "from_matrix projector": gates.from_matrix(projector),
-        "from_matrix contraction": gates.from_matrix(contraction),
-        "normalize_gate singular": gates.normalize_gate(3.0 * np.outer(v, v)),
-        "normalize_gate full rank": gates.normalize_gate(rng.normal(size=(4, 4))),
+    full_rank = rng.normal(size=(4, 4))
+    return {  # name -> the call that makes the gate
+        "X": gates.x,
+        "H": gates.h,
+        "CNOT": gates.cnot,
+        **{f"CKX({k})": lambda k=k: gates.ckx(k) for k in (1, 2, 3)},
+        "I": gates.identity,
+        "U1(0.3)": lambda: gates.u1(0.3),
+        "U1(1.0)": lambda: gates.u1(1.0),
+        "CU1(0.3)": lambda: gates.cu1(0.3),
+        "N1(0)": lambda: gates.n1(0.0),
+        "N1(0.3)": lambda: gates.n1(0.3),
+        "CN1(0)": lambda: gates.cn1(0.0),
+        "CN1(0.5)": lambda: gates.cn1(0.5),
+        "NAND": gates.nand,
+        "AL": gates.abrams_lloyd,
+        "D(1,0.5)": lambda: gates.diagonal([1.0, 0.5]),
+        "D(1,1)": lambda: gates.diagonal([1.0, 1.0]),
+        "from_matrix unitary": lambda: gates.from_matrix(q),
+        "from_matrix projector": lambda: gates.from_matrix(projector),
+        "from_matrix contraction": lambda: gates.from_matrix(contraction),
+        "normalize_gate singular": lambda: gates.normalize_gate(3.0 * np.outer(v, v)),
+        "normalize_gate full rank": lambda: gates.normalize_gate(full_rank),
     }
 
 
@@ -245,8 +261,16 @@ _EXPECTED_METADATA = {  # (kind, logically_reversible), as the oracle must also 
 
 
 @pytest.mark.parametrize("name", list(_metadata_cases()))
-def test_gate_metadata_matches_an_svd_and_gram_oracle(name):
-    gate = _metadata_cases()[name]
+def test_gate_metadata_matches_an_svd_and_gram_oracle(name, monkeypatch):
+    make = _metadata_cases()[name]
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
+    gate = make()
+    monkeypatch.undo()
+    if name.startswith(("from_matrix", "normalize_gate")):
+        # one SVD gives both the largest singular value and the reversibility
+        assert len(svd_calls) == 1
     m = gate.matrix
     gram_defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
     kind = "unitary" if gram_defect <= gates.UNITARY_ATOL else "nonunitary"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nuqc import cli
 from nuqc.errors import DomainError, ShapeError
 from nuqc.linops import (
     _parse_entry,
@@ -39,6 +40,19 @@ def test_as_matrix_checks_requested_shape():
         as_matrix([[1, 2], [3, 4]], rows=3, cols=2)
 
 
+def test_as_matrix_reshapes_to_a_square_by_default():
+    a = as_matrix(range(4), 2)
+    assert a.shape == (2, 2)
+    assert np.array_equal(a, [[0, 1], [2, 3]])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_as_matrix_rejects_empty_dimensions(shape):
+    with pytest.raises(ShapeError) as err:
+        as_matrix(np.zeros(shape))
+    assert str(err.value) == f"matrix dimensions must be positive, got {shape}"
+
+
 def test_require_square():
     with pytest.raises(ShapeError):
         require_square(as_matrix([[1, 2, 3], [4, 5, 6]]))
@@ -51,6 +65,7 @@ def test_adjoint_is_conjugate_transpose():
 
 def test_max_abs():
     assert max_abs(np.array([[1, -3j], [2, 0]])) == 3.0
+    assert max_abs(np.zeros((0, 2))) == 0.0
 
 
 def test_is_hermitian():
@@ -184,6 +199,25 @@ def test_parse_matrix_text_ignores_comments_and_blanks():
 def test_parse_matrix_text_rejects_wrong_entry_count():
     with pytest.raises(ShapeError):
         parse_matrix_text("2 2\n1 2 3\n4 5\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n", "matrix text must start with 'rows cols'"),
+    ("", "matrix text must start with 'rows cols'"),
+    ("2 x\n1 2\n", "bad matrix header '2' 'x'"),
+    ("2.0 2\n1 2 3 4\n", "bad matrix header '2.0' '2'"),
+    ("0 2\n", "matrix dimensions must be positive"),
+    ("2 -1\n1 2\n", "matrix dimensions must be positive"),
+])
+def test_parse_matrix_text_rejects_bad_headers(text, message, tmp_path, capsys):
+    with pytest.raises(ShapeError) as err:
+        parse_matrix_text(text)
+    assert str(err.value) == message
+    # the CLI reports it on one stderr line and exits 1
+    path = tmp_path / "bad.mat"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["synth", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_parse_matrix_text_rejects_bad_entry():

@@ -5,6 +5,8 @@ from nuqc import gates, measure
 from nuqc.errors import DegenerateBranchError, IrreversibleError, MeasurementError
 from nuqc.qstate import StateVector, basis_state, norm_sq, uniform_state
 
+import stepwise
+
 
 def nand_m1_closed_form(c):
     """Hand-derived failure operator for the measured NAND gate."""
@@ -104,6 +106,24 @@ def test_full_strength_failure_is_irreversible():
         measure.build_reversal(pair)
 
 
+def test_reversal_budget_must_not_be_negative():
+    pair = measure.build_pair(gates.nand(), 0.6)
+    with pytest.raises(MeasurementError, match=r"^max_reversals must be >= 0, got -1$"):
+        measure.build_reversal(pair, max_reversals=-1)
+
+
+def test_a_failure_operator_below_the_inversion_floor_is_irreversible():
+    # |c| < 1 passes the strength check, but M0^dag M0 exceeds I by 9e-11 on
+    # the first basis state, which M1's square root clamps to an eigenvalue 0
+    gate = gates.from_matrix(np.diag([1 + 5e-11, 0.5]))
+    pair = measure.build_pair(gate, np.sqrt(1 - 1e-11))
+    w = np.linalg.eigvalsh(pair.m1)
+    assert w.min() < measure.INVERSION_FLOOR < w.max()
+    with pytest.raises(IrreversibleError,
+                       match=r"^failure operator has eigenvalue .*; inverse is untrustworthy$"):
+        measure.build_reversal(pair)
+
+
 def test_success_prob_basis_states():
     for c in (1.0, 0.8, 0.5):
         pair = measure.build_pair(gates.nand(), c)
@@ -189,13 +209,13 @@ def test_thresholds_follow_the_reversal_identity():
     assert th.restore == pytest.approx(q * q / (1.0 - p), abs=1e-12)
     assert th.restore + th.spoil == pytest.approx(1.0, abs=1e-12)
     # fail, restore, fail, lose the reversal: two reversals spent
-    assert measure.replay(th, FixedRng([0.99, 0.0, 0.99, 0.99])) == (False, 2)
+    assert stepwise.replay(th, FixedRng([0.99, 0.0, 0.99, 0.99])) == (False, 2)
     # fail, restore, succeed
-    assert measure.replay(th, FixedRng([0.99, 0.0, 0.0])) == (True, 1)
+    assert stepwise.replay(th, FixedRng([0.99, 0.0, 0.0])) == (True, 1)
     # without a budget the failure branch ends the protocol and no reversal is drawn
     bare = measure.thresholds(pair, None, psi, (1, 0), p)
     assert (bare.restore, bare.spoil, bare.budget) == (0.0, 0.0, 0)
-    assert measure.replay(bare, FixedRng([0.99])) == (False, 0)
+    assert stepwise.replay(bare, FixedRng([0.99])) == (False, 0)
 
 
 def test_analytic_success_zero_reversals_is_plain_probability():

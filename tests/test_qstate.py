@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,8 @@ def test_fidelity():
     b = uniform_state(2)
     assert fidelity(a, b) == pytest.approx(0.25, abs=1e-15)
     assert fidelity(a, a) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ShapeError, match=r"^states act on registers of different width$"):
+        fidelity(a, uniform_state(3))
 
 
 def test_apply_embedded_frozen_cnot():
@@ -285,6 +289,39 @@ def test_load_state_rejects_garbage():
         load_state("01 1.0\n")
     with pytest.raises(ShapeError):
         load_state("2x 1.0 0.0\n")
+    for text, message in (("1 x 0\n", "bad amplitude on line '1 x 0'"),
+                          ("", "state text contains no amplitudes"),
+                          ("# only a comment\n\n", "state text contains no amplitudes"),
+                          ("1 1 0\n10 1 0\n", "inconsistent basis index widths")):
+        with pytest.raises(ShapeError) as err:
+            load_state(text)
+        assert str(err.value) == message
+
+
+def test_load_state_skips_comments_and_blank_lines():
+    psi = load_state("# a header\n\n10 0.6 0  # a note\n  \n01 0 -0.8\n")
+    assert psi.n_qubits == 2
+    assert psi.amplitudes.tolist() == [0, -0.8j, 0.6, 0]
+
+
+@pytest.mark.parametrize("text, available", [
+    (b"MemTotal: 4096 kB\nMemAvailable:   2048 kB\n", 2048 * 1024),
+    (b"MemTotal: 4096 kB\n", None),
+    (b"MemAvailable: lots kB\n", None),
+    (b"MemAvailable:\n", None),
+    (None, None),  # the file cannot be opened
+])
+def test_mem_available_reads_meminfo(text, available, monkeypatch):
+    from nuqc import qstate
+
+    def fake_open(path, mode):
+        assert (path, mode) == ("/proc/meminfo", "rb")
+        if text is None:
+            raise PermissionError(path)
+        return io.BytesIO(text)
+
+    monkeypatch.setattr(qstate, "open", fake_open, raising=False)
+    assert qstate._mem_available() == available
 
 
 def _monomial_ops(rng):
@@ -851,7 +888,8 @@ def test_kernel_paths_write_into_out_with_the_same_bits():
             got = apply_embedded(state, op, targets, out=out).amplitudes
             assert np.shares_memory(got, out), targets
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), targets
-            if qstate._diagonal(np.asarray(op, dtype=complex).tobytes()):
+            rows = qstate._structure(np.asarray(op, dtype=complex).tobytes())[1]
+            if rows is not None and all(col == row for row, (col, _) in enumerate(rows)):
                 # a diagonal written over its own input
                 own = StateVector(n, state.amplitudes)
                 buffer = own.amplitudes

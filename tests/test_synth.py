@@ -117,6 +117,20 @@ def test_bare_walk_rejects_small_k():
         synth.decompose_mcn1_bare(0.5, 1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: synth.decompose_mcn1_bare(0.0, 2), "a must lie in (0, 1), got 0.0"),
+    (lambda: synth.decompose_mcn1_bare(1.0, 2), "a must lie in (0, 1), got 1.0"),
+    (lambda: synth.decompose_mcn1_ancilla(1.0, 2), "a must lie in [0, 1), got 1.0"),
+    (lambda: synth.decompose_mcn1_ancilla(-0.5, 2), "a must lie in [0, 1), got -0.5"),
+    (lambda: synth.decompose_mcn1_ancilla(0.5, -1), "n_controls must be >= 0, got -1"),
+    (lambda: synth.project_all(0), "n_qubits must be >= 1, got 0"),
+])
+def test_decompositions_reject_their_domain(make, message):
+    with pytest.raises(DomainError) as err:
+        make()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_ancilla_route_exact(k):
     a = 0.3
@@ -353,7 +367,7 @@ def test_verification_gathers_are_the_kernel_tables_with_real_factors(mode, kind
     rng = np.random.default_rng(5)
     g = gates.normalize_gate(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     net = synth.synthesize(g, mode=mode)
-    gathers = synth._Gathers(net.n_qubits)
+    gathers = qstate.Gathers(net.n_qubits)
     everywhere = np.arange(1 << net.n_qubits)
     seen = set()
     for step in net.steps:
@@ -566,3 +580,40 @@ def test_six_qubit_synthesis_verifies_and_runs():
     assert synth.reconstruction_residual(net, g.matrix) < 1e-8
     psi = rng.normal(size=64) + 1j * rng.normal(size=64)
     _assert_runs_as_measured_gates(g, net, psi / np.linalg.norm(psi))
+
+
+def _rank_deficient(n, seed=5):
+    """A normalized Gaussian 2^n x 2^n gate whose two smallest singular values are 0."""
+    rng = np.random.default_rng(seed)
+    u, sv, vh = np.linalg.svd(rng.standard_normal((1 << n, 1 << n)))
+    sv[-2:] = 0.0
+    return gates.normalize_gate(u @ np.diag(sv) @ vh)
+
+
+@pytest.mark.parametrize("mode", ["bare", "ancilla"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_zero_singular_values_synthesize_as_projective_factors(n, mode, tmp_path):
+    g = _rank_deficient(n)
+    net = synth.synthesize(g, mode=mode)
+    projective = [s for s in net.steps if s.gate.label.startswith("D(")]
+    # bare mode emits one D(1,...,1,0) per zero singular value; ancilla mode N1(0) sinks
+    assert len(projective) == (2 if mode == "bare" else 0)
+    assert all(s.gate.label == "D(" + "1.0," * ((1 << n) - 1) + "0.0)" for s in projective)
+    assert synth.reconstruction_residual(net, g.matrix) < 1e-12
+    oracle = np.max(np.abs(net.scale * _ordered_product(net)[:1 << n, :1 << n] - g.matrix))
+    assert oracle / np.max(np.abs(g.matrix)) < 1e-12
+    # the written netlist runs as measured gates
+    synth.write_netlist(net, tmp_path / "rank.nl")
+    again = synth.read_netlist(tmp_path / "rank.nl")
+    psi = np.random.default_rng(6).normal(size=1 << n)
+    _assert_runs_as_measured_gates(g, again, psi / np.linalg.norm(psi))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_softened_projective_factor_fails_verification(n):
+    g = _rank_deficient(n)
+    net = synth.synthesize(g, mode="bare")
+    i = next(i for i, s in enumerate(net.steps) if s.gate.label.startswith("D("))
+    step = net.steps[i]
+    net.steps[i] = CircuitStep(gates.diagonal([1.0] * ((1 << n) - 1) + [0.5]), step.targets)
+    assert synth.reconstruction_residual(net, g.matrix) > synth.RESIDUAL_ATOL
