@@ -1,6 +1,6 @@
 """Measurement-driven simulation and synthesis of nonunitary gates."""
 
-from __future__ import annotations
+import types
 
 from .errors import (
     AnnihilatedStateError,
@@ -60,7 +60,6 @@ from .synth import (
 )
 from .apps import (
     NandNetlist,
-    QubitSavings,
     SearchResult,
     TruthTableOracle,
     abrams_lloyd_run,
@@ -68,78 +67,12 @@ from .apps import (
     evaluate_netlist,
     parse_nand_netlist,
     parse_truth_table,
-    qubit_savings,
     search_program,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnihilatedStateError",
-    "CircuitError",
-    "CircuitParseError",
-    "CircuitProgram",
-    "CircuitStep",
-    "DegenerateBranchError",
-    "DomainError",
-    "EnsembleStats",
-    "GateSpec",
-    "IrreversibleError",
-    "MeasurementError",
-    "MeasurementPair",
-    "NandNetlist",
-    "NetlistError",
-    "NuqcError",
-    "ProtocolResult",
-    "QubitSavings",
-    "ReversalPolicy",
-    "RunRecord",
-    "SearchBudgetError",
-    "SearchResult",
-    "ShapeError",
-    "StateMemoryError",
-    "StateVector",
-    "StepRecord",
-    "TruthTableOracle",
-    "UnsupportedInstanceError",
-    "abrams_lloyd_run",
-    "analytic_success",
-    "approximate_n1",
-    "basis_state",
-    "build_pair",
-    "build_reversal",
-    "compile_nand",
-    "decompose_cn1",
-    "decompose_mcn1_ancilla",
-    "decompose_mcn1_bare",
-    "evaluate_netlist",
-    "factor_diagonal",
-    "fidelity",
-    "format_program",
-    "from_matrix",
-    "netlist_matrix",
-    "normalize",
-    "normalize_gate",
-    "parse",
-    "parse_file",
-    "parse_label",
-    "parse_nand_netlist",
-    "parse_truth_table",
-    "qubit_savings",
-    "read_netlist",
-    "realized_operator",
-    "reconstruction_residual",
-    "run_branch",
-    "run_ensemble",
-    "run_sampled",
-    "run_with_reversal",
-    "sample",
-    "sample_reversal",
-    "search_program",
-    "success_prob",
-    "svd_split",
-    "synthesize",
-    "uniform_state",
-    "write_netlist",
-    "__version__",
-]
+# The import blocks above are the one list of public names.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+__all__.append("__version__")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     UnsupportedInstanceError,
 )
-from .qstate import StateVector, basis_state, check_memory, fidelity, norm_sq
+from .qstate import StateVector, basis_state, check_memory, norm_sq
 
 _WIRE_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -141,9 +141,9 @@ def parse_nand_netlist(text: str) -> NandNetlist:
         defined |= set(outs)
         nodes.append(NetlistNode(kind.lower(), outs, ins))
     if n_inputs is None:
-        raise CircuitParseError("missing inputs line", 1)
+        raise CircuitParseError("missing inputs line")
     if outputs is None:
-        raise CircuitParseError("missing outputs line", 1)
+        raise CircuitParseError("missing outputs line")
     return NandNetlist(n_inputs, nodes, outputs)
 
 
@@ -174,25 +174,11 @@ class NandLayout:
     copies: int
 
 
-class QubitSavings(NamedTuple):
-    qubits_quantum_route: int
-    qubits_toffoli_route: int
-    saved: int
-
-
 def _check_split(netlist: NandNetlist, m: int) -> None:
     if not 0 <= m <= netlist.nand_count:
         raise NetlistError(
             f"quantum prefix m={m} must lie in [0, {netlist.nand_count}]"
         )
-
-
-def qubit_savings(netlist: NandNetlist, m: int) -> QubitSavings:
-    """Register sizes with and without the m-gate quantum stage; saves m qubits."""
-    _check_split(netlist, m)
-    base = netlist.n_inputs + netlist.copy_count
-    toffoli_route = base + netlist.nand_count
-    return QubitSavings(toffoli_route - m, toffoli_route, m)
 
 
 def _allocate(netlist: NandNetlist,
@@ -382,29 +368,3 @@ def abrams_lloyd_run(oracle: TruthTableOracle, mode: str = "branch",
     return SearchResult(
         "success", s_found, record.total_probability, record.final_state, record
     )
-
-
-def flag_basis_fidelity(state: StateVector, s: int) -> float:
-    """Fidelity of ``state`` against (uniform data register) x |s> on the flag."""
-    n = state.n_qubits - 1
-    amps = np.zeros(1 << state.n_qubits, dtype=np.complex128)
-    amps[s::2] = 1.0 / math.sqrt(1 << n)  # the indices (x << 1) | s
-    return fidelity(state, StateVector(state.n_qubits, amps, copy=False))
-
-
-def abrams_lloyd_failure_op() -> np.ndarray:
-    """The explicit (non-Hermitian) failure operator quoted for the search gate.
-
-    It differs from the principal square root by left unitary freedom; both
-    satisfy M1^dag M1 = I - N^dag N.
-    """
-    m = np.array(
-        [
-            [math.sqrt(6.0), 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 2.0, 0.0],
-            [0.0, -1.0, 0.0, 2.0],
-        ],
-        dtype=np.complex128,
-    )
-    return m / math.sqrt(6.0)

@@ -551,7 +551,7 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
             continue
         raise CircuitParseError(f"unknown directive {keyword!r}", lineno)
     if n_qubits is None:
-        raise CircuitParseError("missing qubits line", 1)
+        raise CircuitParseError("missing qubits line")
     return CircuitProgram(n_qubits, steps, init_state, init_label, scale, ancillas)
 
 

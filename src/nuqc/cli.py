@@ -161,7 +161,8 @@ def _cmd_demo_nand(args) -> int:
         bits = [int(b) for b in args.input]
     program = apps.compile_nand(netlist, args.m, c=args.c, input_bits=bits)
     layout = apps.nand_layout(netlist, args.m)
-    savings = apps.qubit_savings(netlist, args.m)
+    # each quantum NAND retires one qubit the all-reversible route keeps
+    all_reversible = layout.n_qubits + layout.quantum_nands
     record = _run(program, args)
     if record is None:
         return EXIT_OK
@@ -174,9 +175,9 @@ def _cmd_demo_nand(args) -> int:
     if args.json:
         circuit.write_record_json(record, sys.stdout, outputs=output_bits,
                                   qubits=layout.n_qubits, qubit_savings={
-                                      "quantum_route": savings.qubits_quantum_route,
-                                      "toffoli_route": savings.qubits_toffoli_route,
-                                      "saved": savings.saved,
+                                      "quantum_route": layout.n_qubits,
+                                      "toffoli_route": all_reversible,
+                                      "saved": layout.quantum_nands,
                                   })
     else:
         _print_record(record, False)
@@ -184,7 +185,7 @@ def _cmd_demo_nand(args) -> int:
             rendered = " ".join(f"{w}={b}" for w, b in output_bits.items())
             print(f"outputs: {rendered}")
         print(f"qubits used: {layout.n_qubits} "
-              f"(all-reversible route: {savings.qubits_toffoli_route}, saved: {savings.saved})")
+              f"(all-reversible route: {all_reversible}, saved: {layout.quantum_nands})")
     return EXIT_OK if record.outcome == "success" else EXIT_RUN_FAILED
 
 

@@ -48,11 +48,6 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def max_abs(a) -> float:
     """Entrywise max norm."""
     a = np.asarray(a)

@@ -23,8 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateBranchError, IrreversibleError, MeasurementError
-from .gates import GateSpec
-from .linops import adjoint, max_abs, sqrtm_psd
+from .gates import UNITARY_ATOL, GateSpec
+from .linops import PSD_CLAMP, max_abs, sqrtm_psd
 from .qstate import Buffers, StateVector, apply_embedded, norm_sq, normalize
 
 SUCCESS = "success"
@@ -98,7 +98,9 @@ def build_pair(gate: GateSpec, c: complex = 1.0) -> MeasurementPair:
         raise MeasurementError("c = 0 leaves the gate with zero success probability")
     m0 = c * gate.matrix
     eye = np.eye(m0.shape[0], dtype=np.complex128)
-    m1 = sqrtm_psd(eye - adjoint(m0) @ m0)
+    # gate factories accept singular values up to 1 + UNITARY_ATOL, which puts
+    # eigenvalues of I - M0^dag M0 down to about -2 UNITARY_ATOL at |c| = 1
+    m1 = sqrtm_psd(eye - m0.conj().T @ m0, tol=2 * UNITARY_ATOL + PSD_CLAMP)
     return MeasurementPair(gate=gate, c=c, m0=_frozen(m0), m1=_frozen(m1))
 
 
@@ -182,7 +184,7 @@ def build_reversal(pair: MeasurementPair, q: complex | None = None,
     m1_inv = (v / w) @ v.conj().T
     r0 = q * m1_inv
     eye = np.eye(r0.shape[0], dtype=np.complex128)
-    r1 = sqrtm_psd(eye - adjoint(r0) @ r0)
+    r1 = sqrtm_psd(eye - r0.conj().T @ r0)
     return ReversalPolicy(q=q, max_reversals=int(max_reversals),
                           r0=_frozen(r0), r1=_frozen(r1))
 
@@ -330,4 +332,4 @@ def analytic_success(pair: MeasurementPair, state: StateVector, targets: Sequenc
 def completeness_defect(pair: MeasurementPair) -> float:
     """Max-norm residual of M0^dag M0 + M1^dag M1 - I."""
     eye = np.eye(pair.m0.shape[0])
-    return max_abs(adjoint(pair.m0) @ pair.m0 + adjoint(pair.m1) @ pair.m1 - eye)
+    return max_abs(pair.m0.conj().T @ pair.m0 + pair.m1.conj().T @ pair.m1 - eye)

@@ -25,7 +25,6 @@ MAX_QUBITS = 24
 # and at 4.0 on the transpose path, which needs one more for its GEMM; mc's
 # branch pass, which also holds each step's failure branch, at 4.1 and 5.0.
 LIVE_STATES = 6
-NORM_ATOL = 1e-10
 
 # Norms below this are treated as an annihilated (fully suppressed) state.
 ANNIHILATION_THRESHOLD = 1e-14
@@ -172,10 +171,6 @@ def normalize(state: StateVector, mass: float | None = None, *,
     # s <= 0.5
     return StateVector._trusted(state.n_qubits,
                                 np.multiply(amps, complex(1.0 / nrm, -0.0), out=out))
-
-
-def is_normalized(state: StateVector, atol: float = NORM_ATOL) -> bool:
-    return abs(norm_sq(state) - 1.0) <= atol
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

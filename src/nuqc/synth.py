@@ -184,18 +184,16 @@ def decompose_mcn1_bare(a: float, n_controls: int, memo: GateMemo | None = None)
     return CircuitProgram(k + 1, steps, scale=scale)
 
 
-def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False,
+def decompose_mcn1_ancilla(a: float, n_controls: int,
                            memo: GateMemo | None = None) -> CircuitProgram:
     """Realize a multi-controlled diag(1, a) by deferring it to an ancilla.
 
     Controls are qubits 0..n_controls-1 and the target is qubit n_controls;
     with no controls the construction acts on qubit 0 alone.  An X controlled
-    on all data qubits marks the all-ones component on a fresh ancilla.  With
-    ``keep_n1`` the ancilla is attenuated in place by diag(1, a); otherwise
-    that remaining one-qubit nonunitary gate is itself replaced by its unitary
-    partner rotating into a second ancilla that a projective diag(1, 0)
-    measurement then clears.  Unmarking leaves the data register carrying the
-    factor exactly, so the scale is 1.
+    on all data qubits marks the all-ones component on a fresh ancilla, whose
+    diag(1, a) is replaced by its unitary partner rotating into a second
+    ancilla that a projective diag(1, 0) measurement then clears.  Unmarking
+    leaves the data register carrying the factor exactly, so the scale is 1.
     """
     if not 0.0 <= a < 1.0:
         raise DomainError(f"a must lie in [0, 1), got {a!r}")
@@ -204,23 +202,13 @@ def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False,
     memo = GateMemo() if memo is None else memo
     k = n_controls
     if k == 0:
-        if keep_n1:
-            steps = [
-                memo.step(memo.gate(gates.cnot), (0, 1)),
-                memo.step(memo.gate(gates.n1, a), (1,)),
-                memo.step(memo.gate(gates.cnot), (0, 1)),
-            ]
-        else:
-            steps = [
-                memo.step(memo.gate(gates.cu1, a), (0, 1)),
-                memo.step(memo.gate(gates.n1, 0.0), (1,)),
-            ]
+        steps = [
+            memo.step(memo.gate(gates.cu1, a), (0, 1)),
+            memo.step(memo.gate(gates.n1, 0.0), (1,)),
+        ]
         return CircuitProgram(2, steps, ancillas=(1,))
     mark = k + 1
     flag = memo.step(memo.gate(gates.ckx, k + 1), tuple(range(k + 1)) + (mark,))
-    if keep_n1:
-        steps = [flag, memo.step(memo.gate(gates.n1, a), (mark,)), flag]
-        return CircuitProgram(k + 2, steps, ancillas=(mark,))
     sink = k + 2
     steps = [
         flag,
@@ -229,17 +217,6 @@ def decompose_mcn1_ancilla(a: float, n_controls: int, keep_n1: bool = False,
         flag,
     ]
     return CircuitProgram(k + 3, steps, ancillas=(mark, sink))
-
-
-def project_all(n_qubits: int, memo: GateMemo | None = None) -> CircuitProgram:
-    """Success-branch projector onto |11...1>, one X diag(1,0) X per qubit."""
-    if n_qubits < 1:
-        raise DomainError(f"n_qubits must be >= 1, got {n_qubits}")
-    memo = GateMemo() if memo is None else memo
-    project = memo.gate(gates.n1, 0.0)
-    steps = [step for q in range(n_qubits)
-             for step in (_x_step(q, memo), memo.step(project, (q,)), _x_step(q, memo))]
-    return CircuitProgram(n_qubits, steps)
 
 
 def _power_block(value: float, power: int, qubit: int,

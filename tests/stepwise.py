@@ -3,11 +3,18 @@
 The runners compose permutation runs on wide registers; these oracles never
 do, so the tests can hold the runners' states and records to them bit for bit.
 ``replay`` and ``trial`` draw one mc trial at a time with scalar uniforms, the
-reference for the ensemble's array passes (``measure.draw_trials``).
+reference for the ensemble's array passes (``measure.draw_trials``).  The
+search app's test-only references and ``is_normalized`` close the module.
 """
 
+import math
+
+import numpy as np
+
 from nuqc import circuit, measure
-from nuqc.qstate import apply_embedded, norm_sq, normalize
+from nuqc.qstate import StateVector, apply_embedded, fidelity, norm_sq, normalize
+
+NORM_ATOL = 1e-10
 
 
 def branch(program):
@@ -88,3 +95,33 @@ def trial(plan, rng):
         if not passed:
             return i, reversals
     return None, reversals
+
+
+def flag_basis_fidelity(state, s):
+    """Fidelity of ``state`` against (uniform data register) x |s> on the flag."""
+    n = state.n_qubits - 1
+    amps = np.zeros(1 << state.n_qubits, dtype=np.complex128)
+    amps[s::2] = 1.0 / math.sqrt(1 << n)  # the indices (x << 1) | s
+    return fidelity(state, StateVector(state.n_qubits, amps, copy=False))
+
+
+def abrams_lloyd_failure_op():
+    """The explicit (non-Hermitian) failure operator quoted for the search gate.
+
+    It differs from the principal square root by left unitary freedom; both
+    satisfy M1^dag M1 = I - N^dag N.
+    """
+    m = np.array(
+        [
+            [math.sqrt(6.0), 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 2.0, 0.0],
+            [0.0, -1.0, 0.0, 2.0],
+        ],
+        dtype=np.complex128,
+    )
+    return m / math.sqrt(6.0)
+
+
+def is_normalized(state, atol=NORM_ATOL):
+    return abs(norm_sq(state) - 1.0) <= atol

@@ -14,6 +14,8 @@ import numpy as np
 from nuqc import apps, circuit, gates, measure, synth
 from nuqc.qstate import StateVector, basis_state
 
+import stepwise
+
 NAND_TARGETS = (1, 0)
 TRIAL_SEED = 20260825
 
@@ -292,7 +294,7 @@ def test_09_search_flag_matches_satisfier_count():
             abs(result.total_probability - want) <= 1e-10,
             f"{label}: total {result.total_probability!r}, expected {want!r}",
         )
-        fid = apps.flag_basis_fidelity(result.final_state, s)
+        fid = stepwise.flag_basis_fidelity(result.final_state, s)
         _check(failures, fid > 1.0 - 1e-9, f"{label}: fidelity {fid!r}")
     _verdict("09 search-flag-matches-satisfier-count", failures)
 
@@ -310,7 +312,7 @@ def test_10_normalization_and_completeness():
         defect = measure.completeness_defect(pair)
         _check(failures, defect <= 1e-10, f"{gate.label}: completeness defect {defect!r}")
     al = gates.abrams_lloyd().matrix
-    f = apps.abrams_lloyd_failure_op()
+    f = stepwise.abrams_lloyd_failure_op()
     defect = float(np.abs(f.conj().T @ f + al.conj().T @ al - np.eye(4)).max())
     _check(
         failures,

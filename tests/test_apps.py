@@ -15,6 +15,8 @@ from nuqc.errors import (
 )
 from nuqc.qstate import StateVector, basis_state, norm_sq
 
+import stepwise
+
 XOR_NETLIST = """
 inputs 2
 a1 a2 = COPY in0
@@ -73,9 +75,10 @@ def test_parse_counts():
         ("inputs 2 3\n", "line 1: expected 'inputs <k>'"),
         ("inputs two\n", "line 1: bad input count 'two'"),
         ("inputs 0\n", "line 1: need at least one input wire"),
-        ("# no declarations\n", "line 1: missing inputs line"),
+        ("# no declarations\n", "missing inputs line"),
         ("inputs 1\noutputs\n", "line 2: outputs line names no wires"),
-        ("inputs 2\nw = NAND in0 in1\n", "line 1: missing outputs line"),
+        ("inputs 2\nw = NAND in0 in1\n", "missing outputs line"),
+        ("inputs 2\nw = NAND in0 in1\nv x = COPY w\n", "missing outputs line"),
         ("inputs 2\nw NAND in0 in1\noutputs w\n", "line 2: unrecognized line 'w NAND in0 in1'"),
         ("inputs 2\nw =\noutputs w\n", "line 2: missing node kind after '='"),
         ("inputs 2\nw = NAND in0\noutputs w\n", "line 2: NAND form is 'w = NAND a b'"),
@@ -91,6 +94,22 @@ def test_parse_rejects_malformed(text, fragment, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert cli.main(["demo-nand", "--netlist", str(path), "--m", "0"]) == 1
     assert capsys.readouterr() == ("", f"error: {err.value}\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# no declarations\n", "missing inputs line"),
+        ("inputs 2\nw = NAND in0 in1\n", "missing outputs line"),
+        ("inputs 2\nw = NAND in0 in1\nv x = COPY w\n", "missing outputs line"),
+    ],
+)
+def test_missing_declarations_name_no_line(text, message):
+    # the error is about the end of the file, not about any line of it
+    with pytest.raises(CircuitParseError) as err:
+        apps.parse_nand_netlist(text)
+    assert str(err.value) == message
+    assert err.value.line is None
 
 
 def test_parse_allows_dangling_wires():
@@ -144,10 +163,10 @@ def test_qubit_savings():
     # 2 inputs + 3 copies = 5 wires before any NAND; each irreversible NAND
     # adds one qubit, each measured NAND adds none
     for m in range(5):
-        s = apps.qubit_savings(net, m)
-        assert s.qubits_toffoli_route == 9
-        assert s.qubits_quantum_route == 9 - m
-        assert s.saved == m
+        layout = apps.nand_layout(net, m)
+        assert layout.n_qubits == 9 - m
+        assert layout.quantum_nands == m
+        assert layout.n_qubits + layout.quantum_nands == 9
 
 
 def test_layout_counts():
@@ -330,9 +349,9 @@ def test_search_amplitudes_equal_the_per_index_loop(n, monkeypatch):
     amps = apps.search_program(oracle).initial_state.amplitudes
     assert amps.tobytes() == _loop_search_amplitudes(oracle).tobytes()
     seen = []
-    monkeypatch.setattr(apps, "fidelity", lambda a, b: seen.append(b.amplitudes) or 0.0)
+    monkeypatch.setattr(stepwise, "fidelity", lambda a, b: seen.append(b.amplitudes) or 0.0)
     for s in (0, 1):
-        apps.flag_basis_fidelity(StateVector(n + 1, amps), s)
+        stepwise.flag_basis_fidelity(StateVector(n + 1, amps), s)
         assert seen.pop().tobytes() == _loop_flag_amplitudes(n + 1, s).tobytes()
 
 
@@ -363,7 +382,7 @@ def test_search_reports_unsatisfiable(n):
 def test_search_final_state_factorizes():
     oracle = apps.parse_truth_table("0100")
     result = apps.abrams_lloyd_run(oracle)
-    assert apps.flag_basis_fidelity(result.record.final_state, 1) > 1.0 - 1e-9
+    assert stepwise.flag_basis_fidelity(result.record.final_state, 1) > 1.0 - 1e-9
 
 
 def test_search_rejects_multiple_satisfiers():
@@ -397,7 +416,7 @@ def test_search_sampled_rate():
 
 
 def test_failure_operator_variant_is_complete():
-    m1 = apps.abrams_lloyd_failure_op()
+    m1 = stepwise.abrams_lloyd_failure_op()
     n_al = gates.abrams_lloyd().matrix
     assert np.allclose(
         m1.conj().T @ m1 + n_al.conj().T @ n_al, np.eye(4), atol=1e-10

@@ -132,7 +132,7 @@ def test_parse_matrixgate(tmp_path):
         ("qubits 1\ngate\n", "line 2: missing gate label on 'gate' line"),
         ("qubits 1\ngate MAT({dir}/missing.mat) 0\n", "line 2: cannot read matrix file: "
          "[Errno 2] No such file or directory: '{dir}/missing.mat'"),
-        ("", "line 1: missing qubits line"),
+        ("", "missing qubits line"),
     ],
 )
 def test_parse_errors(text, fragment, tmp_path, capsys):
@@ -152,6 +152,14 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(CircuitParseError) as err:
         circuit.parse("qubits 2\n\ngate BOGUS 0\n")
     assert str(err.value).startswith("line 3:")
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_missing_qubits_line_names_no_line(text):
+    with pytest.raises(CircuitParseError) as err:
+        circuit.parse(text)
+    assert str(err.value) == "missing qubits line"
+    assert err.value.line is None
 
 
 def test_run_branch_probability_and_state():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nuqc import gates, measure
-from nuqc.errors import DegenerateBranchError, IrreversibleError, MeasurementError
+from nuqc.errors import DegenerateBranchError, DomainError, IrreversibleError, MeasurementError
 from nuqc.qstate import StateVector, basis_state, norm_sq, uniform_state
 
 import stepwise
@@ -122,6 +122,34 @@ def test_a_failure_operator_below_the_inversion_floor_is_irreversible():
     with pytest.raises(IrreversibleError,
                        match=r"^failure operator has eigenvalue .*; inverse is untrustworthy$"):
         measure.build_reversal(pair)
+
+
+def _gate_above_one(excess, rotate):
+    """``from_matrix`` of diag(1 + excess * UNITARY_ATOL, 0.5), optionally U . U^dag."""
+    m = np.diag([1.0 + excess * gates.UNITARY_ATOL, 0.5]).astype(complex)
+    if rotate:
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        m = u @ m @ u.conj().T
+    return gates.from_matrix(m)
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("excess", [0.5, 1.0])
+def test_build_pair_accepts_every_gate_from_matrix_accepts(excess, rotate):
+    gate = _gate_above_one(excess, rotate)
+    for c in (1.0, 0.9):
+        pair = measure.build_pair(gate, c)
+        # M1 clamps the direction where M0 exceeds 1 to zero, so completeness
+        # is off by at most M0's excess over 1 in the Gram matrix
+        bound = max(abs(c) ** 2 * (1.0 + excess * gates.UNITARY_ATOL) ** 2 - 1.0, 0.0)
+        assert measure.completeness_defect(pair) <= bound + 1e-12
+        assert np.linalg.eigvalsh(pair.m1).min() >= -1e-15
+
+
+def test_from_matrix_refuses_twice_the_unitary_slack():
+    with pytest.raises(DomainError, match=r"^largest singular value .* exceeds 1; "):
+        gates.from_matrix(np.diag([1.0 + 2 * gates.UNITARY_ATOL, 0.5]))
 
 
 def test_success_prob_basis_states():

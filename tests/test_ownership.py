@@ -3,11 +3,13 @@
 ``qstate`` owns the state kernel and its rule for which unitary steps fuse
 into one pass; ``measure`` owns the protocol draw.  The other modules use
 them through public names only, so a test that patches an owner's constant
-changes what every caller does.
+changes what every caller does.  The package's export list has one owner
+too: the import blocks of ``nuqc/__init__.py``.
 """
 
 import ast
 import os
+import types
 
 import pytest
 
@@ -58,3 +60,18 @@ def test_the_reader_sees_both_import_forms():
 def test_circuit_leaves_the_fusion_rule_to_qstate():
     kernel_bounds = {"COPY_FREE_MIN_SIZE", "MONOMIAL_BLOCK_BITS"}
     assert not kernel_bounds & set(_reads("circuit", "qstate"))
+
+
+def test_the_export_list_is_what_star_import_binds():
+    namespace = {}
+    exec("from nuqc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nuqc.__all__)
+    assert len(set(nuqc.__all__)) == len(nuqc.__all__)
+    assert nuqc.__all__ == sorted(nuqc.__all__[:-1]) + ["__version__"]
+    for name in nuqc.__all__:
+        assert not name.startswith("_") or name == "__version__", name
+        assert not isinstance(getattr(nuqc, name), types.ModuleType), name
+    for gone in ("qubit_savings", "QubitSavings", "annotations"):
+        assert gone not in nuqc.__all__
+        assert not hasattr(nuqc, gone)

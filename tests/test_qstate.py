@@ -15,12 +15,13 @@ from nuqc.qstate import (
     dump_state,
     embedded_matrix,
     fidelity,
-    is_normalized,
     load_state,
     norm_sq,
     normalize,
     uniform_state,
 )
+
+from stepwise import is_normalized
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

@@ -123,7 +123,6 @@ def test_bare_walk_rejects_small_k():
     (lambda: synth.decompose_mcn1_ancilla(1.0, 2), "a must lie in [0, 1), got 1.0"),
     (lambda: synth.decompose_mcn1_ancilla(-0.5, 2), "a must lie in [0, 1), got -0.5"),
     (lambda: synth.decompose_mcn1_ancilla(0.5, -1), "n_controls must be >= 0, got -1"),
-    (lambda: synth.project_all(0), "n_qubits must be >= 1, got 0"),
 ])
 def test_decompositions_reject_their_domain(make, message):
     with pytest.raises(DomainError) as err:
@@ -141,13 +140,6 @@ def test_ancilla_route_exact(k):
     assert np.allclose(got, controlled_diag(a, k + 1), atol=1e-12)
 
 
-def test_ancilla_route_keep_n1():
-    net = synth.decompose_mcn1_ancilla(0.6, 2, keep_n1=True)
-    assert net.n_qubits == 4
-    assert net.ancillas == (3,)
-    assert np.allclose(synth.realized_operator(net), controlled_diag(0.6, 3), atol=1e-12)
-
-
 def test_ancilla_route_projective():
     net = synth.decompose_mcn1_ancilla(0.0, 1)
     assert np.allclose(synth.realized_operator(net), controlled_diag(0.0, 2), atol=1e-12)
@@ -162,12 +154,6 @@ def test_ancilla_marking_restores_ancillas():
         column = full[:, col]  # data basis column with ancillas in |0>
         live = np.flatnonzero(np.abs(column) > 1e-12)
         assert np.all(live < dim_data)
-
-
-def test_project_all():
-    net = synth.project_all(2)
-    want = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    assert np.allclose(synth.netlist_matrix(net), want, atol=1e-12)
 
 
 def test_approximate_n1_reference_point():
