@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import gates
-from .circuit import CircuitProgram, CircuitStep, RunRecord, run_branch, run_sampled
+from .circuit import (CircuitProgram, CircuitStep, RunRecord, numbered_lines, read_number,
+                      run_branch, run_sampled)
 from .errors import (
     CircuitParseError,
     DomainError,
@@ -74,20 +75,13 @@ def parse_nand_netlist(text: str) -> NandNetlist:
     outputs: tuple[str, ...] | None = None
     live: set[str] = set()
     defined: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in numbered_lines(text):
         if tokens[0] == "inputs":
             if n_inputs is not None:
                 raise CircuitParseError("duplicate inputs line", lineno)
             if len(tokens) != 2:
                 raise CircuitParseError("expected 'inputs <k>'", lineno)
-            try:
-                n_inputs = int(tokens[1])
-            except ValueError:
-                raise CircuitParseError(f"bad input count {tokens[1]!r}", lineno) from None
+            n_inputs = read_number(tokens[1], int, "input count", lineno)
             if n_inputs < 1:
                 raise CircuitParseError("need at least one input wire", lineno)
             live = {f"in{i}" for i in range(n_inputs)}
@@ -107,7 +101,7 @@ def parse_nand_netlist(text: str) -> NandNetlist:
             outputs = tuple(tokens[1:])
             continue
         if "=" not in tokens:
-            raise CircuitParseError(f"unrecognized line {raw!r}", lineno)
+            raise CircuitParseError(f"unrecognized line {' '.join(tokens)!r}", lineno)
         eq = tokens.index("=")
         outs = tuple(_check_wire_name(w, lineno) for w in tokens[:eq])
         rhs = tokens[eq + 1:]
@@ -309,8 +303,10 @@ def parse_truth_table(text: str, n: int | None = None) -> TruthTableOracle:
     bits = text.strip()
     # a character other than 0 and 1 gives a byte above 1 here (uint8 wraps)
     values = np.frombuffer(bits.encode(), dtype=np.uint8) - np.uint8(ord("0"))
-    if (values > 1).any():
-        raise ShapeError(f"truth table must be a bit string, got {bits!r}")
+    bad = values > 1
+    if bad.any():
+        i = int(bad.argmax())  # every byte before it is one ASCII bit, so it indexes bits too
+        raise ShapeError(f"truth table must be a bit string, got {bits[i]!r} at index {i}")
     width = (len(bits) - 1).bit_length() if bits else 0
     if not bits or (1 << width) != len(bits):
         raise ShapeError(f"truth table length {len(bits)} is not a power of two")

@@ -25,7 +25,8 @@ from typing import Callable, Iterator, TextIO
 import numpy as np
 
 from . import gates, measure
-from .errors import AnnihilatedStateError, CircuitError, CircuitParseError, DomainError
+from .errors import (AnnihilatedStateError, CircuitError, CircuitParseError, DomainError,
+                     MeasurementError)
 from .gates import GateSpec
 from .linops import read_matrix
 from .measure import MeasurementPair, ReversalPolicy
@@ -42,8 +43,6 @@ from .qstate import (
     normalize,
     uniform_state,
 )
-
-_FULL_STRENGTH_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +91,8 @@ class CircuitProgram:
         found = self._prepared.get(key)
         if found is not None:
             return found
-        if (
-            step.gate.is_unitary
-            and abs(step.c - 1.0) <= _FULL_STRENGTH_ATOL
-            and step.max_reversals == 0
-        ):
+        if (step.gate.is_unitary and abs(step.c - 1.0) <= measure.STRENGTH_SLACK
+                and step.max_reversals == 0):
             found = None, None
         else:
             pair = measure.build_pair(step.gate, step.c)
@@ -378,48 +374,45 @@ def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
     )
 
 
-def _number(text: str, kind: type, what: str, lineno: int):
+def read_number(text: str, kind: type, what: str, lineno: int):
+    """``kind(text)``, or a ``CircuitParseError`` about the ``what`` on line ``lineno``."""
     try:
         return kind(text)
     except ValueError:
         raise CircuitParseError(f"bad {what} {text!r}", lineno) from None
 
 
+def numbered_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Number (from 1) and tokens of each line of ``text`` that has any; ``#`` starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def _parse_attributes(tokens: list[str], lineno: int) -> tuple[float, float | None, int]:
-    c = 1.0
-    q: float | None = None
-    q_optimal = False
-    k = 0
+    """``c``, ``q`` (``opt`` resolved) and ``k`` of a step line, checked by ``measure``."""
+    c, q, k = 1.0, None, 0
     for token in tokens:
         name, _, value = token.partition("=")
         if not value:
             raise CircuitParseError(f"bad attribute {token!r}; expected name=value", lineno)
         if name == "c":
-            c = _number(value, float, "strength c", lineno)
+            c = read_number(value, float, "strength c", lineno)
         elif name == "q":
-            if value == "opt":
-                q_optimal = True
-            else:
-                q = _number(value, float, "reversal strength q", lineno)
+            q = (value if value == "opt"
+                 else read_number(value, float, "reversal strength q", lineno))
         elif name == "k":
-            k = _number(value, int, "reversal count k", lineno)
+            k = read_number(value, int, "reversal count k", lineno)
             if k < 0:
                 raise CircuitParseError(f"k must be >= 0, got {k}", lineno)
         else:
             raise CircuitParseError(f"unknown attribute {name!r}", lineno)
-    if not 0.0 < c <= 1.0:
-        raise CircuitParseError(f"c must lie in (0, 1], got {c!r}", lineno)
-    if (q is not None or q_optimal or k > 0) and c > 1.0 - 1e-12:
-        raise CircuitParseError("reversal requires c < 1 (failure operator must be invertible)", lineno)
-    if q is not None:
-        bound = float(np.sqrt(1.0 - c * c))
-        if not 0.0 < q <= bound + 1e-12:
-            raise CircuitParseError(
-                f"q must lie in (0, sqrt(1-c^2)] = (0, {bound!r}], got {q!r}", lineno
-            )
-    if q_optimal:
-        q = float(np.sqrt(1.0 - c * c))
-    return c, q, k
+    try:
+        optimum = measure.check_strengths(c, None if q == "opt" else q, q is not None or k > 0)
+    except MeasurementError as exc:
+        raise CircuitParseError(str(exc), lineno) from None
+    return c, optimum if q == "opt" else q, k
 
 
 def _qubit_list(tokens: list[str], n_qubits: int, lineno: int,
@@ -458,18 +451,14 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
     steps: list[CircuitStep] = []
     # one GateSpec per distinct label, so that its steps share one prepared pair
     known_gates: dict[str, GateSpec] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in numbered_lines(text):
         keyword = tokens[0]
         if keyword == "qubits":
             if n_qubits is not None:
                 raise CircuitParseError("duplicate qubits line", lineno)
             if len(tokens) != 2:
                 raise CircuitParseError("expected 'qubits <n>' alone on its line", lineno)
-            n_qubits = _number(tokens[1], int, "qubit count", lineno)
+            n_qubits = read_number(tokens[1], int, "qubit count", lineno)
             if not 1 <= n_qubits <= MAX_QUBITS:
                 raise CircuitParseError(
                     f"qubit count must lie in [1, {MAX_QUBITS}], got {n_qubits}", lineno
@@ -487,7 +476,7 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
             if len(tokens) >= 2 and tokens[1] == "basis":
                 if len(tokens) != 3:
                     raise CircuitParseError("expected 'init basis <index>'", lineno)
-                index = _number(tokens[2], int, "basis index", lineno)
+                index = read_number(tokens[2], int, "basis index", lineno)
                 if not 0 <= index < (1 << n_qubits):
                     raise CircuitParseError(f"basis index {index} out of range", lineno)
                 init_state = basis_state(n_qubits, index)
@@ -512,7 +501,7 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
         if keyword == "scale":
             if len(tokens) != 2:
                 raise CircuitParseError("expected 'scale <s>'", lineno)
-            scale = _number(tokens[1], float, "scale", lineno)
+            scale = read_number(tokens[1], float, "scale", lineno)
             if not 0.0 < scale < float("inf"):
                 raise CircuitParseError(f"scale must be positive and finite, got {scale!r}",
                                         lineno)

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .linops import max_abs, require_square
 
+# A normalized gate's largest singular value may exceed 1, and a unitary gate's
+# Gram matrix differ from I, by at most this.
 UNITARY_ATOL = 1e-9
 
 # Gates whose smallest singular value sits below this are logically
@@ -143,10 +145,11 @@ def cu1(a: float) -> GateSpec:
 
 
 def diagonal(entries: Sequence[float]) -> GateSpec:
-    """Diagonal gate D(d_1, ..., d_m) with entries in [0, 1]."""
+    """Diagonal gate D(d_1, ..., d_m) with entries in [0, 1], as ``from_matrix`` bounds them."""
     values = [float(v) for v in entries]
     for v in values:
-        _check_unit_interval("diagonal entry", v, closed_top=True)
+        if not 0.0 <= v <= 1.0 + UNITARY_ATOL:
+            raise DomainError(f"diagonal entry must lie in [0, 1], got {v!r}")
     label = f"D({','.join(_fmt(v) for v in values)})"
     return _make(label, np.diag(values), sv=sorted(values, reverse=True))
 

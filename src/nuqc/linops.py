@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Matrices are numpy ``complex128`` arrays throughout.  Comparisons use the
-entrywise max norm: 1e-10 for exact identities, 1e-9 for factorization
-round-trips.  Decompositions delegate to ``numpy.linalg``; the wrappers add
+entrywise max norm, within ``ATOL_EXACT`` for exact identities such as
+Hermiticity.  Decompositions delegate to ``numpy.linalg``; the wrappers add
 the domain checks and ordering conventions the rest of the package relies on.
 """
 
@@ -17,8 +17,8 @@ from .errors import DomainError, ShapeError
 
 ATOL_EXACT = 1e-10
 
-# Eigenvalues of a nominally PSD matrix in [-1e-10, 0) are rounding noise and
-# are clamped to zero; anything more negative is a genuine domain violation.
+# Eigenvalues of a nominally PSD matrix in [-PSD_CLAMP, 0) are rounding noise
+# and are clamped to zero; anything more negative is a domain violation.
 PSD_CLAMP = 1e-10
 
 

@@ -36,7 +36,8 @@ INVERSION_FLOOR = 1e-12
 # A sampled branch with less probability mass than this is numerical noise.
 DEGENERATE_MASS = 1e-12
 
-_STRENGTH_SLACK = 1e-12
+# How far each bound of the strength rule (check_strengths) gives way.
+STRENGTH_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +89,38 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_strengths(c: complex, q: complex | None = None,
+                    reversal: bool = False) -> complex | None:
+    """The rule for legal strengths; returns the ``reversal`` strength, or None without one.
+
+    |c| lies in (0, 1]; a reversal needs 1 - |c|^2 > 0 and |q| in (0, sqrt(1 - |c|^2)],
+    the optimum that ``q=None`` resolves to.  Each bound gives way by ``STRENGTH_SLACK``.
+    Raises ``IrreversibleError`` when no reversal exists, else ``MeasurementError``.
+    """
+    if not STRENGTH_SLACK < abs(c) <= 1.0 + STRENGTH_SLACK:
+        raise MeasurementError(
+            f"c must lie in ({STRENGTH_SLACK!r}, 1 + {STRENGTH_SLACK!r}] in magnitude, got {c!r}")
+    if not reversal:
+        return None
+    bound_sq = 1.0 - abs(c) * abs(c)
+    if bound_sq <= STRENGTH_SLACK:
+        raise IrreversibleError(
+            "reversal requires c < 1 (failure operator must be invertible): "
+            f"1 - |c|^2 must exceed {STRENGTH_SLACK!r}, got c = {c!r}")
+    bound = math.sqrt(bound_sq)
+    if q is None:
+        return bound
+    if not STRENGTH_SLACK < abs(q) <= bound + STRENGTH_SLACK:
+        raise MeasurementError(
+            f"q must lie in ({STRENGTH_SLACK!r}, sqrt(1-|c|^2) + {STRENGTH_SLACK!r}] in "
+            f"magnitude, where sqrt(1-|c|^2) = {bound!r}, got {q!r}")
+    return q
+
+
 def build_pair(gate: GateSpec, c: complex = 1.0) -> MeasurementPair:
     """Construct the measurement operators for ``gate`` at strength ``c``."""
+    check_strengths(c)
     c = complex(c)
-    mag = abs(c)
-    if mag > 1.0 + _STRENGTH_SLACK:
-        raise MeasurementError(f"|c| must not exceed 1, got {mag!r}")
-    if mag <= _STRENGTH_SLACK:
-        raise MeasurementError("c = 0 leaves the gate with zero success probability")
     m0 = c * gate.matrix
     eye = np.eye(m0.shape[0], dtype=np.complex128)
     # gate factories accept singular values up to 1 + UNITARY_ATOL, which puts
@@ -153,29 +178,13 @@ def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
 
 def build_reversal(pair: MeasurementPair, q: complex | None = None,
                    max_reversals: int = 0) -> ReversalPolicy:
-    """Construct the reversing measurement for ``pair``.
+    """Construct the reversing measurement for ``pair``; :func:`check_strengths` checks ``q``.
 
-    ``q`` defaults to its optimum sqrt(1 - |c|^2), which makes the reversal
-    succeed with certainty.  Raises ``IrreversibleError`` at |c| = 1 and
-    ``MeasurementError`` when ``q`` violates its bound.
+    Raises ``IrreversibleError`` also when M1 has an eigenvalue below ``INVERSION_FLOOR``.
     """
     if max_reversals < 0:
         raise MeasurementError(f"max_reversals must be >= 0, got {max_reversals}")
-    c_mag = abs(pair.c)
-    bound_sq = 1.0 - c_mag * c_mag
-    if bound_sq <= _STRENGTH_SLACK:
-        raise IrreversibleError("|c| = 1 leaves a singular failure operator; nothing to reverse")
-    bound = math.sqrt(bound_sq)
-    if q is None:
-        q = bound
-    q = complex(q)
-    q_mag = abs(q)
-    if q_mag <= _STRENGTH_SLACK:
-        raise MeasurementError("q = 0 leaves the reversal with zero success probability")
-    if q_mag > bound + _STRENGTH_SLACK:
-        raise MeasurementError(
-            f"|q| = {q_mag!r} exceeds the reversal bound sqrt(1-|c|^2) = {bound!r}"
-        )
+    q = complex(check_strengths(pair.c, q, reversal=True))
     w, v = np.linalg.eigh(pair.m1)
     if w.min() < INVERSION_FLOOR:
         raise IrreversibleError(

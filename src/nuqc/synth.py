@@ -25,14 +25,15 @@ import numpy as np
 from . import gates
 from .circuit import CircuitProgram, CircuitStep, format_program, parse_file
 from .errors import DomainError, SearchBudgetError, ShapeError
-from .gates import GateSpec
+from .gates import SINGULAR_ATOL, UNITARY_ATOL, GateSpec
 from .linops import max_abs, svd, write_matrix
 from .qstate import Gathers, apply_columns
 
+# entries within ZERO_ATOL of 0, or UNIT_ATOL of 1 or I, count as exactly that
 ZERO_ATOL = 1e-12
 UNIT_ATOL = 1e-12
-RESIDUAL_ATOL = 1e-8
-NORMALIZED_SLACK = 1e-9
+RESIDUAL_ATOL = 1e-8  # largest relative reconstruction residual a netlist may have
+EPSILON_FLOOR = 1e-12  # approximate_n1's smallest log-domain accuracy
 DEFAULT_EXPONENT_BUDGET = 10**7
 
 
@@ -40,11 +41,11 @@ def svd_split(gate: GateSpec) -> tuple[GateSpec, np.ndarray, GateSpec]:
     """Split ``gate`` as left_unitary @ diag(d) @ right_unitary.
 
     Singular values come back descending and clipped to [0, 1]; a largest
-    singular value beyond 1 + 1e-9 means the gate was never normalized and
-    raises ``DomainError``.
+    singular value beyond 1 + ``UNITARY_ATOL`` means the gate was never
+    normalized and raises ``DomainError``.
     """
     u, s, v = svd(gate.matrix)
-    if s[0] > 1.0 + NORMALIZED_SLACK:
+    if s[0] > 1.0 + UNITARY_ATOL:
         raise DomainError(f"gate is not normalized: largest singular value {s[0]!r}")
     s = np.minimum(s, 1.0)
     # numpy's factors are unitary: no SVD of theirs is needed to check them
@@ -58,7 +59,7 @@ def factor_diagonal(d: Sequence[float]) -> list[tuple[int, float]]:
     Returns ``(x_mask, a)`` pairs, one per diagonal entry below 1: conjugating
     a multi-controlled diag(1, a) on the full register by X gates on the
     qubits set in ``x_mask`` moves its action onto that entry.  Entries within
-    1e-12 of 1 are skipped and entries below 1e-12 are snapped to 0.
+    ``UNIT_ATOL`` of 1 are skipped, and entries below ``SINGULAR_ATOL`` snap to 0.
     """
     values = [float(v) for v in d]
     n = (len(values) - 1).bit_length()
@@ -66,13 +67,13 @@ def factor_diagonal(d: Sequence[float]) -> list[tuple[int, float]]:
         raise ShapeError(f"diagonal length {len(values)} is not a power of two >= 2")
     out: list[tuple[int, float]] = []
     for idx, v in enumerate(values):
-        if v < -ZERO_ATOL or v > 1.0 + NORMALIZED_SLACK:
+        if v < -ZERO_ATOL or v > 1.0 + UNITARY_ATOL:
             raise DomainError(f"diagonal entry {v!r} outside [0, 1]")
         v = min(max(v, 0.0), 1.0)
         if abs(v - 1.0) <= UNIT_ATOL:
             continue
         mask = ~idx & ((1 << n) - 1)
-        out.append((mask, 0.0 if v < ZERO_ATOL else v))
+        out.append((mask, 0.0 if v < SINGULAR_ATOL else v))
     return out
 
 
@@ -255,8 +256,8 @@ def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if gamma <= 0.0:
         raise DomainError(f"gamma must be positive, got {gamma!r}")
-    if epsilon <= 1e-12:
-        raise DomainError(f"epsilon must exceed 1e-12, got {epsilon!r}")
+    if epsilon <= EPSILON_FLOOR:
+        raise DomainError(f"epsilon must exceed {EPSILON_FLOOR!r}, got {epsilon!r}")
     goal = math.log(a) / math.log(alpha)
     found: tuple[int, int] | None = None
     m = 0
@@ -344,7 +345,7 @@ def _split_or_passthrough(gate: GateSpec):
         max_abs(m - np.diag(d)) <= ZERO_ATOL
         and max_abs(d.imag) <= ZERO_ATOL
         and np.all(d.real >= -ZERO_ATOL)
-        and np.all(d.real <= 1.0 + NORMALIZED_SLACK)
+        and np.all(d.real <= 1.0 + UNITARY_ATOL)
     ):
         return None, np.clip(d.real, 0.0, 1.0), None
     return svd_split(gate)
@@ -356,7 +357,7 @@ def _factor_core(a: float, n: int, mode: str, memo: GateMemo) -> CircuitProgram:
         return decompose_mcn1_ancilla(a, n - 1, memo=memo)
     if n == 1:
         return CircuitProgram(1, [memo.step(memo.gate(gates.n1, a), (0,))])
-    if a < ZERO_ATOL:
+    if a < SINGULAR_ATOL:
         # a projective factor has no legal parameter-inverted mirror, so emit
         # it as a single gate and let the runtime realize it as a measurement
         if n == 2:

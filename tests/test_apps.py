@@ -283,6 +283,16 @@ def test_truth_table_rejects_non_bit_characters(text):
         apps.parse_truth_table(text)
 
 
+def test_a_truth_table_error_names_the_first_bad_character_not_the_table():
+    with pytest.raises(ShapeError) as err:
+        apps.parse_truth_table("0" * 262143 + "x")
+    assert str(err.value) == "truth table must be a bit string, got 'x' at index 262143"
+    assert len(str(err.value)) < 80
+    # the first bad character may take several bytes of the encoded text
+    with pytest.raises(ShapeError, match="got '\u00e9' at index 2$"):
+        apps.parse_truth_table("01\u00e9\u00e90")
+
+
 @pytest.mark.parametrize("text", ["", "   ", "0", "011", "01010"])
 def test_truth_table_rejects_lengths_that_are_not_powers_of_two(text):
     if text.strip() == "0":  # one row is 2^0, but n = 0 is no register

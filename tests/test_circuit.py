@@ -121,6 +121,11 @@ def test_parse_matrixgate(tmp_path):
         ("qubits abc\n", "line 1: bad qubit count 'abc'"),
         ("qubits 1\ngate X 0 c=\n", "line 2: bad attribute 'c='; expected name=value"),
         ("qubits 1\ngate N1(0.5) 0 c=0.6 k=-1\n", "line 2: k must be >= 0, got -1"),
+        # the strength rule is measure's: refused here, not when the step is prepared
+        ("qubits 1\ngate N1(0.5) 0 c=1e-13\n",
+         "line 2: c must lie in (1e-12, 1 + 1e-12] in magnitude, got 1e-13"),
+        ("qubits 1\ngate N1(0.5) 0 c=0.6 q=5e-13 k=1\n", "line 2: q must lie in (1e-12, "
+         "sqrt(1-|c|^2) + 1e-12] in magnitude, where sqrt(1-|c|^2) = 0.8, got 5e-13"),
         ("qubits 2\ngate X a\n", "line 2: bad target list ['a']"),
         ("qubits 2\ninit basis\n", "line 2: expected 'init basis <index>'"),
         ("qubits 2\ninit zero\n",
@@ -146,6 +151,21 @@ def test_parse_errors(text, fragment, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert cli.main(["simulate", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {err.value}\n")
+
+
+def test_a_reversal_near_full_strength_parses_and_runs():
+    # 1 - c^2 = 1.4e-12 exceeds STRENGTH_SLACK, so M1 is invertible and q=opt is legal
+    c = 0.9999999999993
+    prog = circuit.parse(f"qubits 1\ninit uniform\ngate N1(0.5) 0 c={c!r} k=1\n")
+    record = circuit.run_branch(prog)
+    assert record.outcome == "success"
+    p = c * c * (1.0 + 0.25) / 2.0
+    assert record.total_probability == pytest.approx(p * (2.0 - c * c), rel=1e-12)
+
+
+def test_numbered_lines_skip_comments_and_blank_lines():
+    text = "# header\n\nqubits 2  # width\n   \ngate X 0\n"
+    assert list(circuit.numbered_lines(text)) == [(3, ["qubits", "2"]), (5, ["gate", "X", "0"])]
 
 
 def test_parse_errors_carry_line_numbers():
