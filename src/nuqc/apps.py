@@ -282,13 +282,25 @@ class TruthTableOracle:
     table: tuple[int, ...]
 
     def __post_init__(self):
+        self._keep(np.array(self.table))
+
+    @classmethod
+    def _from_bits(cls, n: int, bits: np.ndarray) -> "TruthTableOracle":
+        """The oracle of the table held in the array ``bits``, checked as a built one is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", tuple(bits.tolist()))
+        self._keep(bits)
+        return self
+
+    def _keep(self, bits: np.ndarray) -> None:
+        """Check ``n`` and the table, given as the array ``bits``, and keep ``bits``."""
         if self.n < 1:
             raise ShapeError(f"n must be >= 1, got {self.n}")
         if len(self.table) != 1 << self.n:
             raise ShapeError(
                 f"table length {len(self.table)} does not match n={self.n}"
             )
-        bits = np.array(self.table)
         if ((bits != 0) & (bits != 1)).any():
             raise ShapeError("table entries must be bits")
         object.__setattr__(self, "_bits", bits.astype(np.intp))
@@ -312,7 +324,7 @@ def parse_truth_table(text: str, n: int | None = None) -> TruthTableOracle:
         raise ShapeError(f"truth table length {len(bits)} is not a power of two")
     if n is not None and n != width:
         raise ShapeError(f"table has {len(bits)} rows, expected 2^{n}")
-    return TruthTableOracle(width, tuple(values.tolist()))
+    return TruthTableOracle._from_bits(width, values)
 
 
 @dataclass

@@ -144,14 +144,17 @@ def _stages(program: CircuitProgram) -> Iterator[tuple]:
 
     ``i`` is the position of ``steps[0]``.  A measured step comes alone with
     its pair and policy; unitary steps come with the ``op`` and ``targets``
-    that :func:`~nuqc.qstate.kernel_passes` applies for them.  Read as the run
-    meets them, so no change to ``program.steps`` between runs goes unseen.
+    that :func:`~nuqc.qstate.kernel_passes` applies for them.  Every step is
+    prepared before the first pass, so a step that ``measure`` refuses fails
+    every run, however far its trajectory would have got; and the steps are
+    read anew per run, so no change to ``program.steps`` between runs goes unseen.
     """
     steps = program.steps
-    ops = ((step.gate.matrix if program.prepared(step)[0] is None else None, step.targets)
-           for step in steps)
+    prepared = [program.prepared(step) for step in steps]
+    ops = ((step.gate.matrix if pair is None else None, step.targets)
+           for step, (pair, _) in zip(steps, prepared))
     for start, stop, op, targets in kernel_passes(program.n_qubits, ops):
-        pair, policy = (None, None) if op is not None else program.prepared(steps[start])
+        pair, policy = (None, None) if op is not None else prepared[start]
         yield start, steps[start:stop], pair, policy, op, targets
 
 

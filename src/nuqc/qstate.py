@@ -10,6 +10,7 @@ matrices are written down.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -22,8 +23,11 @@ MAX_QUBITS = 24
 # program's initial state.  Measured with tracemalloc at 16 qubits: branch
 # runs and sampled runs with reversals peak at 3.1 states on the copy-free
 # kernel paths (the initial state, the current one and one Buffers array)
-# and at 4.0 on the transpose path, which needs one more for its GEMM; mc's
-# branch pass, which also holds each step's failure branch, at 4.1 and 5.0.
+# and at 3.3 on the transpose path, whose blocks add a quarter state; mc's
+# branch pass, which also holds each step's failure branch, at 4.1 and 4.3.
+# Diagonal measured steps whose targets span more than MONOMIAL_BLOCK_BITS,
+# such as CN1 on (15, 1), build gather tables per call: 4.4 states sampled
+# and 5.4 in mc's branch pass.
 LIVE_STATES = 6
 
 # Norms below this are treated as an annihilated (fully suppressed) state.
@@ -234,6 +238,13 @@ MONOMIAL_BLOCK_BITS = 14
 FOLD_BELOW = 64
 FOLD_BITS = 10
 
+# The transpose path works through blocks of at most this many entries, so
+# an array this small is one block.  On 14-qubit states blocks of 2^13
+# entries took AL on (11, 0) in 66 us and of 2^14 (one block) in 168 us,
+# against 79 us before blocking; from 16 qubits on, 2^14 was up to 10%
+# faster (one x86-64 core).
+TRANSPOSE_BLOCK_ENTRIES = 1 << 13
+
 
 def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
            out: np.ndarray | None = None) -> np.ndarray:
@@ -274,24 +285,39 @@ def _into(out: np.ndarray | None, shape) -> np.ndarray | None:
 
 def _apply_transposed(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
                       out: np.ndarray | None = None) -> np.ndarray:
-    """The kernel for any operator: target axes first, one GEMM, axes back."""
+    """The kernel for any operator: one GEMM on the target axes per block of the others.
+
+    A block's columns are a batch's columns and the lowest other qubit axes,
+    as many as fit in ``TRANSPOSE_BLOCK_ENTRIES >> k`` entries.  Per index of
+    the axes above them, the block's slab is gathered (a view where its axes
+    merge), multiplied by one GEMM and written into place, so no state-sized
+    temporary is made.  From ``COPY_FREE_MIN_SIZE`` entries on, a real
+    ``op`` multiplies the float64 view, as :func:`_apply_adjacent_real` does,
+    unless a block is one column, for which numpy takes a complex gemv,
+    whose sums differ; smaller arrays keep the complex GEMM, which is as
+    fast there and leaves mc's small registers their bits and memory.
+    """
     n = amps.shape[0].bit_length() - 1
     k = len(targets)
     psi = amps.reshape((2,) * n + amps.shape[1:])
-    # the target axes first, as np.moveaxis would put them, without its
-    # axis normalization, which costs more than the rest on small registers
     axes = [n - 1 - t for t in targets]
-    order = axes + [a for a in range(psi.ndim) if a not in axes]
+    rest = [a for a in range(psi.ndim) if a not in axes]
+    cols = amps.size >> n  # a batch's columns; 1 for a state
+    low = min(n - k, max(((TRANSPOSE_BLOCK_ENTRIES >> k) // cols).bit_length() - 1, 0))
+    split = n - k - low  # the other qubit axes above a block
+    order = rest[:split] + axes + rest[split:]
     moved = psi.transpose(order)
-    inverse = sorted(range(psi.ndim), key=order.__getitem__)
-    if out is not None:  # the reordered copy goes into out, which takes the result back
-        out.reshape(moved.shape)[...] = moved
-        moved = out.reshape(moved.shape)
-    product = (op @ moved.reshape(1 << k, -1)).reshape(moved.shape).transpose(inverse)
-    if out is None:
-        return product.reshape(amps.shape)
-    out.reshape(psi.shape)[...] = product
-    return out
+    result = np.empty(amps.shape, dtype=np.complex128) if out is None else out
+    into = result.reshape(psi.shape).transpose(order)
+    real = amps.size >= COPY_FREE_MIN_SIZE and cols << low > 1 and not op.imag.any()
+    if real:
+        op = op.real
+    for index in itertools.product(*map(range, moved.shape[:split])):
+        block = moved[index].reshape(1 << k, -1)  # a view where the axes merge, else a copy
+        if real:
+            block = np.ascontiguousarray(block).view(np.float64)
+        into[index] = (op @ block).view(np.complex128).reshape(moved.shape[split:])
+    return result
 
 
 def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],

@@ -35,6 +35,7 @@ UNIT_ATOL = 1e-12
 RESIDUAL_ATOL = 1e-8  # largest relative reconstruction residual a netlist may have
 EPSILON_FLOOR = 1e-12  # approximate_n1's smallest log-domain accuracy
 DEFAULT_EXPONENT_BUDGET = 10**7
+SEARCH_CHUNK = 1 << 12  # approximate_n1 tries this many m at a time
 
 
 def svd_split(gate: GateSpec) -> tuple[GateSpec, np.ndarray, GateSpec]:
@@ -245,8 +246,9 @@ def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
 
     Searches for integers (m, l) with |log_alpha(a) - (m*gamma + l)| < epsilon,
     trying |m| = 0, 1, 2, ... with the positive sign first and picking l by
-    rounding.  Negative powers are realized through X conjugation, which costs
-    a known proportionality constant folded into the netlist scale.  Raises
+    rounding, ``SEARCH_CHUNK`` values of m per array pass.  Negative powers
+    are realized through X conjugation, which costs a known proportionality
+    constant folded into the netlist scale.  Raises
     ``SearchBudgetError`` once |m| exceeds ``budget``, and ``DomainError``
     when that scale overflows a float.
     """
@@ -259,22 +261,22 @@ def approximate_n1(a: float, alpha: float, gamma: float, epsilon: float,
     if epsilon <= EPSILON_FLOOR:
         raise DomainError(f"epsilon must exceed {EPSILON_FLOOR!r}, got {epsilon!r}")
     goal = math.log(a) / math.log(alpha)
-    found: tuple[int, int] | None = None
-    m = 0
-    while True:
-        for candidate in ((m,) if m == 0 else (m, -m)):
-            l = round(goal - candidate * gamma)
-            if abs(goal - candidate * gamma - l) < epsilon:
-                found = (candidate, int(l))
-                break
-        if found is not None:
+    last = max(budget, 0)  # m = 0 is always tried
+    for start in range(0, last + 1, SEARCH_CHUNK):
+        # per m of the chunk, the candidates m and -m in the order they are
+        # tried; -0 repeats 0, which is tried first anyway
+        chunk = np.arange(start, min(start + SEARCH_CHUNK, last + 1))
+        candidates = chunk[:, None] * np.array([1, -1])
+        # a non-finite gamma gives nan at m = 0, which ends the search where round() raises
+        with np.errstate(invalid="ignore"):
+            rest = goal - candidates * gamma
+            ends = ~np.isfinite(rest) | (np.abs(rest - np.rint(rest)) < epsilon)
+        if ends.any():
+            first = int(ends.argmax())
+            m, l = int(candidates.flat[first]), round(float(rest.flat[first]))
             break
-        m += 1
-        if m > budget:
-            raise SearchBudgetError(
-                f"no (m, l) within epsilon={epsilon!r} for |m| <= {budget}"
-            )
-    m, l = found
+    else:
+        raise SearchBudgetError(f"no (m, l) within epsilon={epsilon!r} for |m| <= {budget}")
     steps: list[CircuitStep] = []
     scale = 1.0
     strong = alpha ** gamma

@@ -3,8 +3,10 @@
 The runners compose permutation runs on wide registers; these oracles never
 do, so the tests can hold the runners' states and records to them bit for bit.
 ``replay`` and ``trial`` draw one mc trial at a time with scalar uniforms, the
-reference for the ensemble's array passes (``measure.draw_trials``).  The
-search app's test-only references and ``is_normalized`` close the module.
+reference for the ensemble's array passes (``measure.draw_trials``), and
+``n1_search`` the scalar reference for ``synth.approximate_n1``'s chunked
+search, and ``transposed_whole`` the unblocked transpose path.  The search app's test-only references and ``is_normalized`` close
+the module.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from nuqc import circuit, measure
+from nuqc.errors import SearchBudgetError
 from nuqc.qstate import StateVector, apply_embedded, fidelity, norm_sq, normalize
 
 NORM_ATOL = 1e-10
@@ -95,6 +98,42 @@ def trial(plan, rng):
         if not passed:
             return i, reversals
     return None, reversals
+
+
+def n1_search(a, alpha, gamma, epsilon, budget):
+    """``(m, l)`` of ``synth.approximate_n1``, searched one candidate at a time.
+
+    Tries m = 0, 1, -1, 2, -2, ... and picks l by rounding; raises
+    ``SearchBudgetError`` once |m| exceeds ``budget``.
+    """
+    goal = math.log(a) / math.log(alpha)
+    m = 0
+    while True:
+        for candidate in ((m,) if m == 0 else (m, -m)):
+            l = round(goal - candidate * gamma)
+            if abs(goal - candidate * gamma - l) < epsilon:
+                return candidate, int(l)
+        m += 1
+        if m > budget:
+            raise SearchBudgetError(
+                f"no (m, l) within epsilon={epsilon!r} for |m| <= {budget}"
+            )
+
+
+def transposed_whole(amps, op, targets):
+    """The transpose path unblocked: target axes first, one complex GEMM over the array, axes back.
+
+    The reference for ``qstate._apply_transposed``, which gives its bits
+    below ``COPY_FREE_MIN_SIZE`` entries and for complex operators, and its
+    values, up to the sign of an exact zero, for real ones above.
+    """
+    n = amps.shape[0].bit_length() - 1
+    psi = amps.reshape((2,) * n + amps.shape[1:])
+    axes = [n - 1 - t for t in targets]
+    order = axes + [a for a in range(psi.ndim) if a not in axes]
+    moved = psi.transpose(order)
+    product = (op @ moved.reshape(1 << len(targets), -1)).reshape(moved.shape)
+    return product.transpose(np.argsort(order)).reshape(amps.shape)
 
 
 def flag_basis_fidelity(state, s):

@@ -311,6 +311,10 @@ def test_truth_table_parse_matches_the_per_character_loop():
         assert oracle.table == tuple(int(b) for b in text)
         assert all(type(b) is int for b in oracle.table)
         assert oracle.satisfying_count == text.count("1")
+        # the parser keeps its array, which must be what building from the table keeps
+        built = apps.TruthTableOracle(oracle.n, oracle.table)
+        assert built == oracle and built._bits.dtype == oracle._bits.dtype
+        assert np.array_equal(built._bits, oracle._bits)
 
 
 def test_truth_table_oracle_checks_its_length():

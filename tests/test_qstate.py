@@ -21,6 +21,7 @@ from nuqc.qstate import (
     uniform_state,
 )
 
+import stepwise
 from stepwise import is_normalized
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -538,15 +539,106 @@ def test_no_cached_monomial_table_exceeds_the_block_bound(monkeypatch):
     assert sizes and max(sizes) <= 1 << qstate.MONOMIAL_BLOCK_BITS == 1 << 14
 
 
+def _zero_rich_amplitudes(rng, shape):
+    """Amplitudes whose parts are signed zeros, subnormals and small numbers.
+
+    Many products and sums over them are exact zeros, whose sign shows how
+    they were computed.
+    """
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-320, -5e-320])
+    amps = rng.choice(parts, size=shape).astype(complex)
+    amps.imag = rng.choice(parts, size=shape)
+    return amps
+
+
+def _transpose_path_cases(n, rng):
+    """Dense operators and targets on an n-qubit register that only the transpose path serves."""
+    from nuqc import gates
+
+    al = gates.abrams_lloyd().matrix
+    unitary = np.linalg.qr(_random_amplitudes(rng, (4, 4)))[0]
+    dense = [rng.normal(size=(8, 8)).astype(complex), _random_amplitudes(rng, (8, 8))]
+    return ([(al, (i, 0)) for i in (4, n // 2, n - 1)] + [(al, (0, 2))]
+            + [(gates.nand().matrix, (n - 3, 2)), (unitary, (0, n - 2)), (unitary, (n - 1, 1))]
+            + [(op, (2, n - 1, 0)) for op in dense])
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+def test_blocked_transpose_path_is_bitwise_the_one_block_path(cols, monkeypatch):
+    from nuqc import qstate
+
+    rng = np.random.default_rng(67)
+    # registers below, at and above one block of TRANSPOSE_BLOCK_ENTRIES
+    for n in ((11, 13, 14, 16) if cols is None else (9, 11, 13)):
+        shape = (1 << n,) if cols is None else (1 << n, cols)
+        amps = _zero_rich_amplitudes(rng, shape)
+        for op, targets in _transpose_path_cases(n, rng):
+            with monkeypatch.context() as one_block:
+                one_block.setattr(qstate, "TRANSPOSE_BLOCK_ENTRIES", 1 << 30)
+                want = qstate._apply_transposed(amps, op, targets)
+            out = np.empty(shape, dtype=complex)
+            for got in (qstate._apply_transposed(amps, op, targets),
+                        qstate._apply_transposed(amps, op, targets, out)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, targets)
+            assert np.shares_memory(got, out)
+
+
+def test_a_real_operator_on_the_whole_register_is_its_matrix_vector_product():
+    # one column: numpy takes a complex gemv, whose sums the float64 view's would
+    # not repeat; 10 qubits reach the float64 view's array size
+    rng = np.random.default_rng(69)
+    for n in (1, 2, 3, 10):
+        for _ in range(20 if n < 10 else 2):
+            op = rng.normal(size=(1 << n, 1 << n)).astype(complex)
+            state = StateVector(n, _random_amplitudes(rng, 1 << n))
+            got = apply_embedded(state, op, tuple(range(n - 1, -1, -1))).amplitudes
+            assert np.array_equal(got.view(np.uint64), (op @ state.amplitudes).view(np.uint64))
+
+
+def test_transpose_path_repeats_the_unblocked_gemm():
+    from nuqc import qstate
+
+    rng = np.random.default_rng(70)
+    for n, cols in ((6, None), (7, None), (9, None), (6, 3), (8, 3), (11, None), (14, None),
+                    (12, 3)):
+        shape = (1 << n,) if cols is None else (1 << n, cols)
+        amps = _zero_rich_amplitudes(rng, shape)
+        for op, targets in _transpose_path_cases(n, rng):
+            got = qstate._apply_transposed(amps, op, targets)
+            want = stepwise.transposed_whole(amps, op, targets)
+            if amps.size < qstate.COPY_FREE_MIN_SIZE or op.imag.any():  # the same complex GEMM
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, targets)
+            else:  # the float64 view: the same values, an exact zero's sign aside
+                assert np.array_equal(got, want), (n, cols, targets)
+
+
+def test_blocked_transpose_path_matches_embedded_matrix(monkeypatch):
+    from nuqc import qstate
+
+    monkeypatch.setattr(qstate, "TRANSPOSE_BLOCK_ENTRIES", 1 << 4)  # many blocks, few qubits
+    rng = np.random.default_rng(68)
+    for n, cols in ((7, None), (6, None), (6, 3), (6, 2)):
+        shape = (1 << n,) if cols is None else (1 << n, cols)
+        amps = _random_amplitudes(rng, shape)
+        for op, targets in _transpose_path_cases(n, rng):
+            want = embedded_matrix(op, targets, n) @ amps
+            assert np.allclose(qstate._apply_transposed(amps, op, targets), want,
+                               rtol=1e-13, atol=1e-13), (n, cols, targets)
+
+
 def _kernel_path_cases():
     """Operators and targets of a 16-qubit register that reach every kernel path."""
     from nuqc import gates
 
     al = gates.abrams_lloyd().matrix
+    # dense operators the transpose path serves, in blocks on 16 qubits:
+    # real and complex, on 2 and 3 non-adjacent targets
+    swap_phase = np.kron(H, np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0))
     return [(np.asarray(CNOT), (3, 9)), (np.asarray(CNOT), (0, 15)),
             (gates.ckx(2).matrix, (15, 0, 1)), (np.diag([0.5, 0.25]).astype(complex), (0,)),
             (np.asarray(H), (9,)), (al, (6, 5)), (al, (3, 0)), (al, (9, 0)),
-            (np.diag([1.0, 1j]), (4,))]
+            (np.diag([1.0, 1j]), (4,)), (gates.nand().matrix, (9, 2)), (swap_phase, (2, 13)),
+            (np.kron(H, al), (14, 7, 0)), (np.kron(swap_phase, H), (1, 12, 6))]
 
 
 def test_kernel_results_never_share_memory_with_their_input():
@@ -876,9 +968,43 @@ def test_the_ensemble_branch_pass_holds_one_failure_branch_more():
     assert states <= 3.5
 
 
-def test_kernel_paths_write_into_out_with_the_same_bits():
+def _transposed_sizes(monkeypatch):
+    """A list of the array size of every transpose-path call from now on."""
     from nuqc import qstate
 
+    sizes = []
+    transposed = qstate._apply_transposed
+    monkeypatch.setattr(qstate, "_apply_transposed",
+                        lambda amps, *args: sizes.append(amps.size) or transposed(amps, *args))
+    return sizes
+
+
+# dense measured steps with reversals that only the transpose path serves
+_TRANSPOSE_PROGRAM = ("qubits 16\ninit uniform\ngate H 4\ngate H 9\n"
+                      "gate NAND 9 2 c=0.9 q=opt k=2\ngate AL 12 0 c=0.9 q=opt k=2\ngate H 1\n")
+
+
+@pytest.mark.parametrize("runner, states", [("branch", 2.5), ("sampled", 2.5), ("mc", 3.5)])
+def test_transpose_path_steps_hold_no_state_sized_temporary(runner, states, monkeypatch):
+    program = circuit.parse(_TRANSPOSE_PROGRAM)
+    # at seed 0 the NAND step fails once, its reversal restores the state and
+    # the retry succeeds
+    run = {"branch": lambda: circuit.run_branch(program),
+           "sampled": lambda: circuit.run_sampled(program, seed=0),
+           "mc": lambda: circuit.run_ensemble(program, seed=1, trials=20)}[runner]
+    sizes = _transposed_sizes(monkeypatch)
+    result, peak = _run_peak_states(program, run)
+    assert max(sizes) == 1 << 16
+    if runner == "sampled":
+        assert result.outcome == "success"
+        assert [step.reversals for step in result.steps] == [0, 0, 1, 0, 0]
+    assert peak <= states
+
+
+def test_kernel_paths_write_into_out_with_the_same_bits(monkeypatch):
+    from nuqc import qstate
+
+    sizes = _transposed_sizes(monkeypatch)
     rng = np.random.default_rng(65)
     for n in (8, 16):  # the transpose path alone, then every kernel path
         state = StateVector(n, _random_amplitudes(rng, 1 << n))
@@ -898,6 +1024,8 @@ def test_kernel_paths_write_into_out_with_the_same_bits():
                 got = apply_embedded(own, op, targets, out=buffer).amplitudes
                 assert np.shares_memory(got, buffer)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), targets
+    # the transpose path ran in one block on 8 qubits and in several on 16
+    assert min(sizes) <= qstate.TRANSPOSE_BLOCK_ENTRIES < max(sizes)
 
 
 def test_runs_write_only_into_states_they_made():

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -9,6 +10,8 @@ from nuqc.circuit import CircuitProgram, CircuitStep
 from nuqc.errors import CircuitParseError, DomainError, SearchBudgetError, ShapeError
 from nuqc.linops import write_matrix
 from nuqc.qstate import StateVector, embedded_matrix
+
+import stepwise
 
 
 def controlled_diag(a, n_qubits):
@@ -185,6 +188,39 @@ def test_approximate_n1_search_order_prefers_small_m():
 def test_approximate_n1_budget():
     with pytest.raises(SearchBudgetError):
         synth.approximate_n1(0.3, 0.5, np.sqrt(2.0), 1e-9, budget=50)
+
+
+def _search_outcome(search, *args):
+    """``(m, l)`` a search returns, or the type and message of what it raises."""
+    try:
+        return search(*args)
+    except DomainError as exc:  # the scale of the (m, l) found overflows
+        found = re.search(r"\(m, l\) = \((-?\d+), (-?\d+)\)", str(exc))
+        return int(found[1]), int(found[2])
+    except (SearchBudgetError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("chunk", [synth.SEARCH_CHUNK, 7])
+def test_approximate_n1_finds_what_the_scalar_search_finds(chunk, monkeypatch):
+    monkeypatch.setattr(synth, "SEARCH_CHUNK", chunk)  # 7: hits fall anywhere in a chunk
+    grid = [(a, alpha, gamma, eps, budget)
+            for a in (0.3, 0.05, 0.999) for alpha in (0.5, 0.9)
+            for gamma in (2.0 ** 0.5, 0.7, 3.0, (1 + 5.0 ** 0.5) / 2)
+            for eps in (1e-2, 1e-4, 1e-6) for budget in (0, 13, 4000)]
+    # a non-finite gamma ends both searches where round() raises on nan
+    grid += [(0.3, 0.5, gamma, 1e-9, 50) for gamma in (np.inf, np.nan)]
+    # m = 1 and m = -1 both hit, and m comes first; then an epsilon that m = 0 misses by 0
+    grid.append((0.5 ** 2.5, 0.5, 0.5, 1e-6, 10))
+    goal = np.log(0.3) / np.log(0.5)
+    grid.append((0.3, 0.5, 2.0 ** 0.5, abs(goal - round(goal)), 100))
+    outcomes = []
+    for args in grid:
+        want = _search_outcome(stepwise.n1_search, *args)
+        got = _search_outcome(lambda *a: synth.approximate_n1(*a)[:2], *args)
+        assert got == want, args
+        outcomes.append(type(want[0]))
+    assert int in outcomes and type in outcomes  # found and exhausted budgets both checked
 
 
 def test_approximate_n1_domain():
