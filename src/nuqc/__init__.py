@@ -60,7 +60,6 @@ from .synth import (
 )
 from .apps import (
     NandNetlist,
-    SearchResult,
     TruthTableOracle,
     abrams_lloyd_run,
     compile_nand,

@@ -45,16 +45,8 @@ class NandNetlist:
     outputs: tuple[str, ...]
 
     @property
-    def input_wires(self) -> tuple[str, ...]:
-        return tuple(f"in{i}" for i in range(self.n_inputs))
-
-    @property
     def nand_count(self) -> int:
         return sum(1 for n in self.nodes if n.kind == "nand")
-
-    @property
-    def copy_count(self) -> int:
-        return sum(1 for n in self.nodes if n.kind == "copy")
 
 
 def _check_wire_name(name: str, lineno: int) -> str:
@@ -156,73 +148,10 @@ def evaluate_netlist(netlist: NandNetlist, bits: Sequence[int]) -> dict[str, int
     return values
 
 
-@dataclass
-class NandLayout:
-    """Register plan for a compiled netlist."""
-
-    n_qubits: int
-    wire_qubits: dict[str, int]  # live wires after the last node
-    output_qubits: tuple[int, ...]
-    quantum_nands: int
-    toffoli_nands: int
-    copies: int
-
-
-def _check_split(netlist: NandNetlist, m: int) -> None:
-    if not 0 <= m <= netlist.nand_count:
-        raise NetlistError(
-            f"quantum prefix m={m} must lie in [0, {netlist.nand_count}]"
-        )
-
-
-def _allocate(netlist: NandNetlist,
-              m: int) -> tuple[list[tuple[str, tuple[int, ...]]], dict[str, int], int]:
-    """``(gate kind, targets)`` per step, the live wires' qubits and the register width."""
-    wire_q = {f"in{i}": i for i in range(netlist.n_inputs)}
-    next_q = netlist.n_inputs
-    plan: list[tuple[str, tuple[int, ...]]] = []
-    nand_seen = 0
-    for node in netlist.nodes:
-        if node.kind == "copy":
-            src = wire_q.pop(node.inputs[0])
-            fresh = next_q
-            next_q += 1
-            plan.append(("cnot", (src, fresh)))
-            wire_q[node.outputs[0]] = src
-            wire_q[node.outputs[1]] = fresh
-            continue
-        qa = wire_q.pop(node.inputs[0])
-        qb = wire_q.pop(node.inputs[1])
-        nand_seen += 1
-        if nand_seen <= m:
-            plan.append(("nand", (qa, qb)))
-            wire_q[node.outputs[0]] = qa
-        else:
-            fresh = next_q
-            next_q += 1
-            plan.append(("x", (fresh,)))
-            plan.append(("ckx", (qa, qb, fresh)))
-            wire_q[node.outputs[0]] = fresh
-    return plan, wire_q, next_q
-
-
-def nand_layout(netlist: NandNetlist, m: int) -> NandLayout:
-    """Register plan for :func:`compile_nand` with the same split."""
-    _check_split(netlist, m)
-    _, wire_q, n_qubits = _allocate(netlist, m)
-    return NandLayout(
-        n_qubits=n_qubits,
-        wire_qubits=wire_q,
-        output_qubits=tuple(wire_q[w] for w in netlist.outputs),
-        quantum_nands=m,
-        toffoli_nands=netlist.nand_count - m,
-        copies=netlist.copy_count,
-    )
-
-
 def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
                  input_bits: Sequence[int] | None = None,
-                 input_state: StateVector | None = None) -> CircuitProgram:
+                 input_state: StateVector | None = None
+                 ) -> tuple[CircuitProgram, dict[str, int]]:
     """Compile the netlist with its first ``m`` NAND nodes run as quantum gates.
 
     Input wires sit on qubits 0..k-1.  A quantum NAND leaves its result on the
@@ -232,17 +161,40 @@ def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
     basis state from ``input_bits`` (default all ones) or an arbitrary
     ``input_state`` over the input wires with work qubits in |0>.  Steps of
     one kind share one gate object, and with it its prepared measurement.
+    Returns the program and the qubit of each wire live after the last node.
     """
-    _check_split(netlist, m)
+    if not 0 <= m <= netlist.nand_count:
+        raise NetlistError(f"quantum prefix m={m} must lie in [0, {netlist.nand_count}]")
     k = netlist.n_inputs
     if input_bits is not None and input_state is not None:
         raise NetlistError("give input_bits or input_state, not both")
-    plan, _, n_qubits = _allocate(netlist, m)
     factories = {"cnot": gates.cnot, "nand": gates.nand, "x": gates.x,
                  "ckx": lambda: gates.ckx(2)}
-    made = {kind: factories[kind]() for kind in dict.fromkeys(kind for kind, _ in plan)}
-    steps = [CircuitStep(made[kind], targets, c=c if kind == "nand" else 1.0)
-             for kind, targets in plan]
+    made = {}
+    steps = []
+
+    def emit(kind, *targets):
+        if kind not in made:
+            made[kind] = factories[kind]()
+        steps.append(CircuitStep(made[kind], targets, c=c if kind == "nand" else 1.0))
+
+    wires = {f"in{i}": i for i in range(k)}
+    n_qubits = k
+    for node in netlist.nodes:
+        inputs = [wires.pop(w) for w in node.inputs]
+        if node.kind == "copy":
+            emit("cnot", inputs[0], n_qubits)
+            wires[node.outputs[0]], wires[node.outputs[1]] = inputs[0], n_qubits
+            n_qubits += 1
+        elif m:  # one of the first m NAND nodes
+            m -= 1
+            emit("nand", *inputs)
+            wires[node.outputs[0]] = inputs[0]
+        else:
+            emit("x", n_qubits)
+            emit("ckx", *inputs, n_qubits)
+            wires[node.outputs[0]] = n_qubits
+            n_qubits += 1
     if input_state is not None:
         if input_state.n_qubits != k:
             raise NetlistError(
@@ -260,7 +212,7 @@ def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
         index = sum(b << i for i, b in enumerate(bits))
         init = basis_state(n_qubits, index)
         init_label = f"basis {index}"
-    return CircuitProgram(n_qubits, steps, init, init_label)
+    return CircuitProgram(n_qubits, steps, init, init_label), wires
 
 
 def qubit_bit(state: StateVector, qubit: int) -> int:
@@ -274,40 +226,36 @@ def qubit_bit(state: StateVector, qubit: int) -> int:
     return int(prob_one / total > 0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthTableOracle:
-    """Boolean function given by its full truth table."""
+    """Boolean function given by its full truth table, kept as a read-only array of bits."""
 
     n: int
-    table: tuple[int, ...]
+    bits: np.ndarray
 
     def __post_init__(self):
-        self._keep(np.array(self.table))
-
-    @classmethod
-    def _from_bits(cls, n: int, bits: np.ndarray) -> "TruthTableOracle":
-        """The oracle of the table held in the array ``bits``, checked as a built one is."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", tuple(bits.tolist()))
-        self._keep(bits)
-        return self
-
-    def _keep(self, bits: np.ndarray) -> None:
-        """Check ``n`` and the table, given as the array ``bits``, and keep ``bits``."""
+        bits = np.asarray(self.bits)
         if self.n < 1:
             raise ShapeError(f"n must be >= 1, got {self.n}")
-        if len(self.table) != 1 << self.n:
-            raise ShapeError(
-                f"table length {len(self.table)} does not match n={self.n}"
-            )
+        if len(bits) != 1 << self.n:
+            raise ShapeError(f"table length {len(bits)} does not match n={self.n}")
         if ((bits != 0) & (bits != 1)).any():
             raise ShapeError("table entries must be bits")
-        object.__setattr__(self, "_bits", bits.astype(np.intp))
+        bits = bits.astype(np.intp)
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TruthTableOracle) and self.n == other.n
+                and np.array_equal(self.bits, other.bits))
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        return tuple(self.bits.tolist())
 
     @property
     def satisfying_count(self) -> int:
-        return int(self._bits.sum())
+        return int(self.bits.sum())
 
 
 def parse_truth_table(text: str, n: int | None = None) -> TruthTableOracle:
@@ -324,16 +272,7 @@ def parse_truth_table(text: str, n: int | None = None) -> TruthTableOracle:
         raise ShapeError(f"truth table length {len(bits)} is not a power of two")
     if n is not None and n != width:
         raise ShapeError(f"table has {len(bits)} rows, expected 2^{n}")
-    return TruthTableOracle._from_bits(width, values)
-
-
-@dataclass
-class SearchResult:
-    outcome: str
-    s_found: int | None
-    total_probability: float
-    final_state: StateVector | None
-    record: RunRecord
+    return TruthTableOracle(width, values)
 
 
 def search_program(oracle: TruthTableOracle) -> CircuitProgram:
@@ -348,7 +287,7 @@ def search_program(oracle: TruthTableOracle) -> CircuitProgram:
     width = n + 1
     check_memory(width)
     amps = np.zeros(1 << width, dtype=np.complex128)
-    amps[(np.arange(1 << n) << 1) | oracle._bits] = 1.0 / math.sqrt(1 << n)
+    amps[(np.arange(1 << n) << 1) | oracle.bits] = 1.0 / math.sqrt(1 << n)
     init = StateVector(width, amps, copy=False)
     gate = gates.abrams_lloyd()
     steps = [CircuitStep(gate, (i, 0)) for i in range(1, width)]
@@ -356,11 +295,12 @@ def search_program(oracle: TruthTableOracle) -> CircuitProgram:
 
 
 def abrams_lloyd_run(oracle: TruthTableOracle, mode: str = "branch",
-                     seed: int = 0) -> SearchResult:
-    """Run the search; the flag qubit ends in |s> for instances with s <= 1.
+                     seed: int = 0) -> tuple[RunRecord, int | None]:
+    """Run the search: the record and ``s``, the flag qubit's bit, or None on failure.
 
-    Each of the n steps succeeds with probability 1/6, so the all-success
-    branch carries probability (1/6)^n.
+    The flag qubit ends in |s> for instances with s <= 1.  Each of the n
+    steps succeeds with probability 1/6, so the all-success branch carries
+    probability (1/6)^n.
     """
     if oracle.satisfying_count >= 2:
         raise UnsupportedInstanceError(
@@ -371,8 +311,5 @@ def abrams_lloyd_run(oracle: TruthTableOracle, mode: str = "branch",
     program = search_program(oracle)
     record = run_branch(program) if mode == "branch" else run_sampled(program, seed)
     if record.outcome != "success":
-        return SearchResult("failure", None, record.total_probability, None, record)
-    s_found = qubit_bit(record.final_state, 0)
-    return SearchResult(
-        "success", s_found, record.total_probability, record.final_state, record
-    )
+        return record, None
+    return record, qubit_bit(record.final_state, 0)

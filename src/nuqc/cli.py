@@ -159,46 +159,43 @@ def _cmd_demo_nand(args) -> int:
             print(f"--input must be {netlist.n_inputs} bits", file=sys.stderr)
             return EXIT_USAGE
         bits = [int(b) for b in args.input]
-    program = apps.compile_nand(netlist, args.m, c=args.c, input_bits=bits)
-    layout = apps.nand_layout(netlist, args.m)
+    program, wires = apps.compile_nand(netlist, args.m, c=args.c, input_bits=bits)
     # each quantum NAND retires one qubit the all-reversible route keeps
-    all_reversible = layout.n_qubits + layout.quantum_nands
+    all_reversible = program.n_qubits + args.m
     record = _run(program, args)
     if record is None:
         return EXIT_OK
     output_bits = None
     if record.outcome == "success":
-        output_bits = {
-            wire: apps.qubit_bit(record.final_state, layout.wire_qubits[wire])
-            for wire in netlist.outputs
-        }
+        output_bits = {wire: apps.qubit_bit(record.final_state, wires[wire])
+                       for wire in netlist.outputs}
     if args.json:
         circuit.write_record_json(record, sys.stdout, outputs=output_bits,
-                                  qubits=layout.n_qubits, qubit_savings={
-                                      "quantum_route": layout.n_qubits,
+                                  qubits=program.n_qubits, qubit_savings={
+                                      "quantum_route": program.n_qubits,
                                       "toffoli_route": all_reversible,
-                                      "saved": layout.quantum_nands,
+                                      "saved": args.m,
                                   })
     else:
         _print_record(record, False)
         if output_bits is not None:
             rendered = " ".join(f"{w}={b}" for w, b in output_bits.items())
             print(f"outputs: {rendered}")
-        print(f"qubits used: {layout.n_qubits} "
-              f"(all-reversible route: {all_reversible}, saved: {layout.quantum_nands})")
+        print(f"qubits used: {program.n_qubits} "
+              f"(all-reversible route: {all_reversible}, saved: {args.m})")
     return EXIT_OK if record.outcome == "success" else EXIT_RUN_FAILED
 
 
 def _cmd_demo_al(args) -> int:
     oracle = apps.parse_truth_table(args.table, n=args.n)
-    result = apps.abrams_lloyd_run(oracle, mode=args.mode, seed=args.seed)
+    record, s = apps.abrams_lloyd_run(oracle, mode=args.mode, seed=args.seed)
     if args.json:
-        circuit.write_record_json(result.record, sys.stdout, s=result.s_found)
+        circuit.write_record_json(record, sys.stdout, s=s)
     else:
-        _print_record(result.record, False)
-        if result.s_found is not None:
-            print(f"s: {result.s_found}")
-    return EXIT_OK if result.outcome == "success" else EXIT_RUN_FAILED
+        _print_record(record, False)
+        if s is not None:
+            print(f"s: {s}")
+    return EXIT_OK if record.outcome == "success" else EXIT_RUN_FAILED
 
 
 def _cmd_probe(args) -> int:

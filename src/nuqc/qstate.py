@@ -78,9 +78,6 @@ class StateVector:
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
-    def __reduce__(self):
-        return (StateVector, (self.n_qubits, np.asarray(self.amplitudes)))
-
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits

@@ -111,21 +111,27 @@ def _x_step(qubit: int, memo: GateMemo) -> CircuitStep:
     return memo.step(memo.gate(gates.x), (qubit,))
 
 
-def _inverse_cn1_steps(v: float, control: int, target: int,
-                       memo: GateMemo) -> tuple[list[CircuitStep], float]:
-    """Steps realizing v * controlled-diag(1, 1/v), i.e. diag(v, v, v, 1).
+def _cn1_steps(v: float, control: int, target: int, memo: GateMemo,
+               inverted: bool = False) -> list[CircuitStep]:
+    """Steps realizing sqrt(v) * controlled-diag(1, v), or v * controlled-diag(1, 1/v).
 
-    Mirrors :func:`decompose_cn1` with the diagonal parameter inverted via the
-    X-conjugation identity diag(1, 1/w) = (1/w) X diag(1, w) X; the dropped
-    proportionality constant contributes 1/v to the netlist scale.
+    Three N1(sqrt(v)) factors, on the target, the target and the control,
+    sit between two CNOTs.  The middle factor is X-conjugated; ``inverted``
+    conjugates the other two instead, which inverts the diagonal parameter
+    by the identity diag(1, 1/w) = (1/w) X diag(1, w) X.
     """
     n1 = memo.gate(gates.n1, math.sqrt(v))
-    x_target, n1_target = _x_step(target, memo), memo.step(n1, (target,))
-    x_control = _x_step(control, memo)
     cnot = memo.step(memo.gate(gates.cnot), (control, target))
-    steps = [x_target, n1_target, x_target, cnot, n1_target, cnot,
-             x_control, memo.step(n1, (control,)), x_control]
-    return steps, 1.0 / v
+
+    def factor(wire: int, conjugated: bool) -> list[CircuitStep]:
+        step = memo.step(n1, (wire,))
+        if not conjugated:
+            return [step]
+        x = _x_step(wire, memo)
+        return [x, step, x]
+
+    return [*factor(target, inverted), cnot, *factor(target, not inverted), cnot,
+            *factor(control, inverted)]
 
 
 def decompose_cn1(a_prime: float, memo: GateMemo | None = None) -> CircuitProgram:
@@ -137,13 +143,7 @@ def decompose_cn1(a_prime: float, memo: GateMemo | None = None) -> CircuitProgra
     if not 0.0 < a_prime < 1.0:
         raise DomainError(f"a' must lie in (0, 1), got {a_prime!r}")
     memo = GateMemo() if memo is None else memo
-    root = math.sqrt(a_prime)
-    n1_target = memo.step(memo.gate(gates.n1, root), (1,))
-    x_target = _x_step(1, memo)
-    cnot = memo.step(memo.gate(gates.cnot), (0, 1))
-    steps = [n1_target, cnot, x_target, n1_target, x_target, cnot,
-             memo.step(memo.gate(gates.n1, root), (0,))]
-    return CircuitProgram(2, steps, scale=1.0 / root)
+    return CircuitProgram(2, _cn1_steps(a_prime, 0, 1, memo), scale=1.0 / math.sqrt(a_prime))
 
 
 def decompose_mcn1_bare(a: float, n_controls: int, memo: GateMemo | None = None) -> CircuitProgram:
@@ -179,9 +179,9 @@ def decompose_mcn1_bare(a: float, n_controls: int, memo: GateMemo | None = None)
         if bin(pattern).count("1") % 2 == 1:
             steps.append(memo.step(cn1, (wire, target)))
         else:
-            inv, factor = _inverse_cn1_steps(root, wire, target, memo)
-            steps.extend(inv)
-            scale *= factor
+            # the constant the inverted ladder drops, 1 over root, joins the netlist scale
+            steps.extend(_cn1_steps(root, wire, target, memo, inverted=True))
+            scale *= 1.0 / root
         last = pattern
     return CircuitProgram(k + 1, steps, scale=scale)
 

@@ -273,16 +273,16 @@ def test_09_search_flag_matches_satisfier_count():
     for oracle in cases:
         s = oracle.satisfying_count
         label = f"n={oracle.n} table={''.join(map(str, oracle.table))}"
-        result = apps.abrams_lloyd_run(oracle)
-        _check(failures, result.outcome == "success", f"{label}: branch run failed")
-        if result.outcome != "success":
+        record, s_found = apps.abrams_lloyd_run(oracle)
+        _check(failures, record.outcome == "success", f"{label}: branch run failed")
+        if record.outcome != "success":
             continue
         _check(
             failures,
-            result.s_found == s,
-            f"{label}: flag {result.s_found}, expected {s}",
+            s_found == s,
+            f"{label}: flag {s_found}, expected {s}",
         )
-        for j, step in enumerate(result.record.steps):
+        for j, step in enumerate(record.steps):
             _check(
                 failures,
                 abs(step.probability - 1.0 / 6.0) <= 1e-10,
@@ -291,10 +291,10 @@ def test_09_search_flag_matches_satisfier_count():
         want = (1.0 / 6.0) ** oracle.n
         _check(
             failures,
-            abs(result.total_probability - want) <= 1e-10,
-            f"{label}: total {result.total_probability!r}, expected {want!r}",
+            abs(record.total_probability - want) <= 1e-10,
+            f"{label}: total {record.total_probability!r}, expected {want!r}",
         )
-        fid = stepwise.flag_basis_fidelity(result.final_state, s)
+        fid = stepwise.flag_basis_fidelity(record.final_state, s)
         _check(failures, fid > 1.0 - 1e-9, f"{label}: fidelity {fid!r}")
     _verdict("09 search-flag-matches-satisfier-count", failures)
 
@@ -336,7 +336,7 @@ def test_11_nand_chain_scaling():
         for c in (1.0, 0.8):
             want = (c * c / 3.0) ** m
             for bits in itertools.product((0, 1), repeat=net.n_inputs):
-                program = apps.compile_nand(net, net.nand_count, c=c, input_bits=list(bits))
+                program, _ = apps.compile_nand(net, net.nand_count, c=c, input_bits=list(bits))
                 record = circuit.run_branch(program)
                 label = f"m={m} c={c} bits={''.join(map(str, bits))}"
                 _check(failures, record.outcome == "success", f"{label}: branch failed")

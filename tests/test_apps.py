@@ -38,13 +38,9 @@ outputs v
 
 
 def run_quantum(netlist, m, bits, c=0.6):
-    prog = apps.compile_nand(netlist, m, c=c, input_bits=list(bits))
+    prog, wires = apps.compile_nand(netlist, m, c=c, input_bits=list(bits))
     record = circuit.run_branch(prog)
-    layout = apps.nand_layout(netlist, m)
-    outs = {
-        w: apps.qubit_bit(record.final_state, layout.wire_qubits[w])
-        for w in netlist.outputs
-    }
+    outs = {w: apps.qubit_bit(record.final_state, wires[w]) for w in netlist.outputs}
     return record, outs
 
 
@@ -52,9 +48,9 @@ def test_parse_counts():
     net = apps.parse_nand_netlist(XOR_NETLIST)
     assert net.n_inputs == 2
     assert net.nand_count == 4
-    assert net.copy_count == 3
+    assert sum(node.kind == "copy" for node in net.nodes) == 3
     assert net.outputs == ("s",)
-    assert net.input_wires == ("in0", "in1")
+    assert list(apps.evaluate_netlist(net, [0, 0]))[:2] == ["in0", "in1"]
 
 
 @pytest.mark.parametrize(
@@ -163,20 +159,21 @@ def test_qubit_savings():
     # 2 inputs + 3 copies = 5 wires before any NAND; each irreversible NAND
     # adds one qubit, each measured NAND adds none
     for m in range(5):
-        layout = apps.nand_layout(net, m)
-        assert layout.n_qubits == 9 - m
-        assert layout.quantum_nands == m
-        assert layout.n_qubits + layout.quantum_nands == 9
+        prog, _ = apps.compile_nand(net, m)
+        assert prog.n_qubits == 9 - m
+        assert [step.gate.label for step in prog.steps].count("NAND") == m
+        assert prog.n_qubits + m == 9
 
 
 def test_layout_counts():
     net = apps.parse_nand_netlist(XOR_NETLIST)
-    layout = apps.nand_layout(net, 2)
-    assert layout.quantum_nands == 2
-    assert layout.toffoli_nands == 2
-    assert layout.copies == 3
-    assert layout.n_qubits == 7
-    assert set(layout.output_qubits) == {layout.wire_qubits["s"]}
+    prog, wires = apps.compile_nand(net, 2)
+    labels = [step.gate.label for step in prog.steps]
+    assert labels.count("NAND") == 2
+    assert labels.count("CKX(2)") == 2
+    assert labels.count("CNOT") == 3
+    assert prog.n_qubits == 7
+    assert {wires[w] for w in net.outputs} == {wires["s"]}
 
 
 def _count_gates_made(monkeypatch) -> list[str]:
@@ -197,16 +194,15 @@ def test_demo_nand_makes_one_gate_per_kind(monkeypatch, capsys):
     argv = ["demo-nand", "--netlist", xor, "--m", "2", "--c", "0.8"]
     assert cli.main(argv) == 0
     assert "outputs: s=0" in capsys.readouterr().out
-    # 9 steps of four kinds, across compile_nand and nand_layout
+    # 9 steps of four kinds
     assert sorted(made) == ["CKX(2)", "CNOT", "NAND", "X"]
 
 
 def test_compiled_steps_share_one_gate_per_kind(monkeypatch):
     net = apps.parse_nand_netlist(XOR_NETLIST)
     made = _count_gates_made(monkeypatch)
-    assert apps.nand_layout(net, 2).n_qubits == 7
-    assert made == []
-    prog = apps.compile_nand(net, 2, c=0.8)
+    prog, _ = apps.compile_nand(net, 2, c=0.8)
+    assert prog.n_qubits == 7
     by_label = {}
     for step in prog.steps:
         assert by_label.setdefault(step.gate.label, step.gate) is step.gate
@@ -243,18 +239,17 @@ def test_not_gate_via_copy():
 
 def test_compile_defaults_to_all_ones():
     net = apps.parse_nand_netlist(NOT_NETLIST)
-    prog = apps.compile_nand(net, 0)
+    prog, wires = apps.compile_nand(net, 0)
     record = circuit.run_branch(prog)
-    layout = apps.nand_layout(net, 0)
-    assert apps.qubit_bit(record.final_state, layout.wire_qubits["v"]) == 0
+    assert apps.qubit_bit(record.final_state, wires["v"]) == 0
 
 
 def test_compile_accepts_input_state():
     from nuqc.qstate import basis_state
 
     net = apps.parse_nand_netlist(NOT_NETLIST)
-    bit_prog = apps.compile_nand(net, 1, c=0.7, input_bits=[1])
-    state_prog = apps.compile_nand(net, 1, c=0.7, input_state=basis_state(1, 1))
+    bit_prog, _ = apps.compile_nand(net, 1, c=0.7, input_bits=[1])
+    state_prog, _ = apps.compile_nand(net, 1, c=0.7, input_state=basis_state(1, 1))
     a = circuit.run_branch(bit_prog)
     b = circuit.run_branch(state_prog)
     assert a.total_probability == pytest.approx(b.total_probability, rel=1e-12)
@@ -313,8 +308,17 @@ def test_truth_table_parse_matches_the_per_character_loop():
         assert oracle.satisfying_count == text.count("1")
         # the parser keeps its array, which must be what building from the table keeps
         built = apps.TruthTableOracle(oracle.n, oracle.table)
-        assert built == oracle and built._bits.dtype == oracle._bits.dtype
-        assert np.array_equal(built._bits, oracle._bits)
+        assert built == oracle and built.bits.dtype == oracle.bits.dtype
+        assert np.array_equal(built.bits, oracle.bits)
+
+
+def test_a_truth_table_keeps_one_read_only_copy_of_its_bits():
+    values = np.array([0, 1, 0, 0], dtype=np.uint8)
+    oracle = apps.TruthTableOracle(2, values)
+    values[0] = 1  # the caller's array is not the oracle's
+    assert oracle.table == (0, 1, 0, 0) and oracle.bits.dtype == np.intp
+    with pytest.raises(ValueError):
+        oracle.bits[0] = 1
 
 
 def test_truth_table_oracle_checks_its_length():
@@ -376,27 +380,27 @@ def test_search_finds_unique_satisfier(n):
     table = [0] * (1 << n)
     table[s_index] = 1
     oracle = apps.TruthTableOracle(n, tuple(table))
-    result = apps.abrams_lloyd_run(oracle)
-    assert result.outcome == "success"
-    assert result.s_found == 1
-    assert result.total_probability == pytest.approx((1.0 / 6.0) ** n, rel=1e-10)
-    for step in result.record.steps:
+    record, s = apps.abrams_lloyd_run(oracle)
+    assert record.outcome == "success"
+    assert s == 1
+    assert record.total_probability == pytest.approx((1.0 / 6.0) ** n, rel=1e-10)
+    for step in record.steps:
         assert step.probability == pytest.approx(1.0 / 6.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_search_reports_unsatisfiable(n):
     oracle = apps.TruthTableOracle(n, tuple([0] * (1 << n)))
-    result = apps.abrams_lloyd_run(oracle)
-    assert result.outcome == "success"
-    assert result.s_found == 0
-    assert result.total_probability == pytest.approx((1.0 / 6.0) ** n, rel=1e-10)
+    record, s = apps.abrams_lloyd_run(oracle)
+    assert record.outcome == "success"
+    assert s == 0
+    assert record.total_probability == pytest.approx((1.0 / 6.0) ** n, rel=1e-10)
 
 
 def test_search_final_state_factorizes():
     oracle = apps.parse_truth_table("0100")
-    result = apps.abrams_lloyd_run(oracle)
-    assert stepwise.flag_basis_fidelity(result.record.final_state, 1) > 1.0 - 1e-9
+    record, _ = apps.abrams_lloyd_run(oracle)
+    assert stepwise.flag_basis_fidelity(record.final_state, 1) > 1.0 - 1e-9
 
 
 def test_search_rejects_multiple_satisfiers():
@@ -411,17 +415,27 @@ def test_search_rejects_bad_mode():
 
 def test_search_sampled_is_seed_deterministic():
     oracle = apps.parse_truth_table("0100")
-    a = apps.abrams_lloyd_run(oracle, mode="sampled", seed=4)
-    b = apps.abrams_lloyd_run(oracle, mode="sampled", seed=4)
+    a, s_a = apps.abrams_lloyd_run(oracle, mode="sampled", seed=4)
+    b, s_b = apps.abrams_lloyd_run(oracle, mode="sampled", seed=4)
     assert a.outcome == b.outcome
-    assert a.s_found == b.s_found
+    assert s_a == s_b
+
+
+def test_a_failed_search_reports_no_flag_bit():
+    oracle = apps.parse_truth_table("01")
+    outcomes = set()
+    for seed in range(20):
+        record, s = apps.abrams_lloyd_run(oracle, mode="sampled", seed=seed)
+        outcomes.add(record.outcome)
+        assert (s is None) == (record.outcome != "success")
+    assert outcomes == {"success", "failure"}
 
 
 def test_search_sampled_rate():
     # per-trial success probability is 1/6 for a single data qubit
     oracle = apps.parse_truth_table("01")
     hits = sum(
-        apps.abrams_lloyd_run(oracle, mode="sampled", seed=seed).outcome == "success"
+        apps.abrams_lloyd_run(oracle, mode="sampled", seed=seed)[0].outcome == "success"
         for seed in range(600)
     )
     p = 1.0 / 6.0

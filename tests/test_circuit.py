@@ -518,7 +518,7 @@ def _parity_programs():
     return {
         "nand_reversal": circuit.parse_file(os.path.join(DEMOS, "nand_reversal.qc")),
         "interference": circuit.parse_file(os.path.join(DEMOS, "interference.qc")),
-        "xor": apps.compile_nand(xor, m=2, c=0.8),
+        "xor": apps.compile_nand(xor, m=2, c=0.8)[0],
         "multi_step": circuit.parse(MULTI_STEP),
     }
 

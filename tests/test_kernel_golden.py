@@ -1,4 +1,4 @@
-"""Fixed-seed ``simulate`` output on a 13-qubit register, byte for byte, against a stored corpus.
+"""Fixed-seed ``simulate`` output on 13 and 16 qubits, byte for byte, against a stored corpus.
 
 ``data/kernel_golden/wide.qc`` sends every state through the kernel's
 wide-register paths: monomial gates on low, high, adjacent and wide-span
@@ -9,6 +9,15 @@ final AL step, whose reversal rarely succeeds, so the sampled files pin the
 per-step probabilities of the sampled path and the branch files its final
 state.  The corpus is checked again with the transpose path's blocks made
 small, so that the same bits must come out of many blocks as of one.
+
+``data/kernel_golden/wide16.qc`` reaches what 13 qubits cannot: the
+transpose path over several full blocks, with a complex (``mix.mat``) and
+real dense operators on non-adjacent targets, and the chunked monomial path
+for targets more than ``MONOMIAL_BLOCK_BITS`` apart, the identity among them.
+Its ``wide16_*`` files hold the stdout of the blocked transpose path as it
+first landed (one BLAS thread); that branch run's final state equals the
+step-by-step reference of ``tests/stepwise.py`` bit for bit.  Sampled seed 0
+succeeds, and seeds 1 and 2 fail at the final AL step.
 """
 
 import os
@@ -19,14 +28,15 @@ from nuqc import cli, qstate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "kernel_golden")
 CIRCUIT = os.path.join(GOLDEN, "wide.qc")
+WIDE16 = os.path.join(GOLDEN, "wide16.qc")
 RUNS = {"branch": ["--mode", "branch"]}
 RUNS.update({f"sampled_seed{s}": ["--mode", "sampled", "--seed", str(s)] for s in (0, 1, 2)})
 
 
-def _check_against_the_corpus(name, fmt, capsys):
-    with open(os.path.join(GOLDEN, f"{name}.{fmt}"), "rb") as fh:
+def _check_against_the_corpus(name, fmt, capsys, circuit=CIRCUIT, prefix=""):
+    with open(os.path.join(GOLDEN, f"{prefix}{name}.{fmt}"), "rb") as fh:
         expected = fh.read()
-    argv = ["simulate", CIRCUIT, *RUNS[name]]
+    argv = ["simulate", circuit, *RUNS[name]]
     if fmt == "json":
         argv.append("--json")
     code = cli.main(argv)
@@ -56,3 +66,34 @@ def test_simulate_stdout_in_small_transpose_blocks_matches_the_corpus(name, fmt,
                         lambda amps, *args: sizes.append(amps.size) or transposed(amps, *args))
     _check_against_the_corpus(name, fmt, capsys)
     assert max(sizes) == 1 << 13
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_16_qubit_stdout_matches_the_corpus(name, fmt, capsys):
+    _check_against_the_corpus(name, fmt, capsys, WIDE16, "wide16_")
+
+
+def test_the_16_qubit_circuit_takes_the_paths_it_pins(capsys, monkeypatch):
+    transposed, chunked = [], []
+    apply_transposed, apply_chunks = qstate._apply_transposed, qstate._apply_monomial_chunks
+
+    def spy_transposed(amps, op, targets, out=None):
+        transposed.append((amps.size, bool(op.imag.any()), targets))
+        return apply_transposed(amps, op, targets, out)
+
+    def spy_chunks(view, rows, targets, out=None):
+        chunked.append((view.size, rows == tuple((i, 1.0) for i in range(len(rows)))))
+        return apply_chunks(view, rows, targets, out)
+
+    monkeypatch.setattr(qstate, "_apply_transposed", spy_transposed)
+    monkeypatch.setattr(qstate, "_apply_monomial_chunks", spy_chunks)
+    assert cli.main(["simulate", WIDE16]) == 0
+    capsys.readouterr()
+    size = 1 << 16
+    assert size > qstate.TRANSPOSE_BLOCK_ENTRIES
+    # complex on both target orders, real on (10, 3) and AL on (7, 0)
+    assert {(c, t) for s, c, t in transposed if s == size} >= {
+        (True, (9, 2)), (True, (2, 13)), (False, (10, 3)), (False, (7, 0))}
+    # CNOT and CN1 on (15, 0), and the identity D(1,1,1,1) on (15, 1)
+    assert (size, True) in chunked and (size, False) in chunked

@@ -83,9 +83,18 @@ def test_the_export_list_is_what_star_import_binds():
     for name in nuqc.__all__:
         assert not name.startswith("_") or name == "__version__", name
         assert not isinstance(getattr(nuqc, name), types.ModuleType), name
-    for gone in ("qubit_savings", "QubitSavings", "annotations"):
+    for gone in ("qubit_savings", "QubitSavings", "annotations", "SearchResult"):
         assert gone not in nuqc.__all__
         assert not hasattr(nuqc, gone)
+
+
+@pytest.mark.parametrize("module,gone", [
+    ("apps", "nand_layout"), ("apps", "NandLayout"), ("apps", "_allocate"),
+    ("synth", "_inverse_cn1_steps"),
+])
+def test_second_copies_stay_deleted(module, gone):
+    # compile_nand alone allocates a netlist's register; one ladder builds both CN1 signs
+    assert not hasattr(importlib.import_module(f"nuqc.{module}"), gone)
 
 
 def _tolerances() -> dict[str, list[str]]:
