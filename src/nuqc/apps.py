@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gates
+from . import gates, measure
 from .circuit import (CircuitProgram, CircuitStep, RunRecord, numbered_lines, read_number,
                       run_branch, run_sampled)
 from .errors import (
@@ -165,6 +165,7 @@ def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
     """
     if not 0 <= m <= netlist.nand_count:
         raise NetlistError(f"quantum prefix m={m} must lie in [0, {netlist.nand_count}]")
+    measure.check_strengths(c)  # also when no NAND step is measured
     k = netlist.n_inputs
     if input_bits is not None and input_state is not None:
         raise NetlistError("give input_bits or input_state, not both")

@@ -3,9 +3,10 @@
 A program is a register width, an initial state, and a list of gate steps.
 Unitary steps at full strength apply deterministically; everything else runs
 as a two-outcome measurement, optionally wrapped in the reversal protocol.
-``run_branch`` follows the all-success branch analytically, ``run_sampled``
-draws one trajectory, and ``run_ensemble`` aggregates many seeded trials,
-each drawn against thresholds from a single branch pass.  The ensemble runs
+Each runner is one pass along the all-success branch, where a successful
+reversal leaves every trajectory still running: ``run_branch`` multiplies its
+probabilities, ``run_sampled`` draws one trajectory against its masses, and
+``run_ensemble`` draws many seeded trials against them.  The ensemble runs
 in this process as array passes over chunks of trials; it reproduces each
 trial's ``trial_rng`` stream bit for bit, so its output equals that of
 running the trials one by one.
@@ -160,18 +161,23 @@ def _stages(program: CircuitProgram) -> Iterator[tuple]:
 
 def run_branch(program: CircuitProgram) -> RunRecord:
     """Follow the all-success branch, multiplying protocol probabilities."""
-    return _follow_branch(program, None)
+    return _follow_branch(program)
 
 
 Plan = list[tuple[int, measure.Thresholds]]
 
 
-def _follow_branch(program: CircuitProgram, plan: Plan | None) -> RunRecord:
+def _follow_branch(program: CircuitProgram, plan: Plan | None = None,
+                   rng: np.random.Generator | None = None) -> RunRecord:
     """``run_branch``; with a ``plan`` list, also append each measured step's thresholds.
 
-    The plan ends at a step whose branch is annihilated: no trial passes it.
+    With an ``rng``, each measured step is drawn against its thresholds and
+    the run stops at the first failed one.  The plan ends at a step whose
+    branch is annihilated: no trial passes it.
     """
     state, buffers = program.initial_state, Buffers(program.initial_state)
+    # the pre-state's squared norm: the initial state's up to the first measured step
+    norm = None if plan is None and rng is None else norm_sq(state)
     records: list[StepRecord] = []
     total = 1.0
     for i, steps, pair, policy, op, targets in _stages(program):
@@ -180,19 +186,27 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None) -> RunRecord:
             records += [StepRecord(s.gate.label, s.targets, 1.0, 0) for s in steps]
             continue
         step = steps[0]
-        branch = apply_embedded(state, pair.m0, targets,
-                                out=buffers.out(state, pair.m0, keep=plan is not None))
+        branch = apply_embedded(state, pair.m0, targets, out=buffers.out(state, pair.m0))
         mass = norm_sq(branch)
-        if plan is not None:
-            plan.append((i, measure.thresholds(pair, policy, state, targets, mass, buffers)))
         p = measure.protocol_success(mass, policy)
+        reversals = step.max_reversals
+        if norm is not None:
+            th = measure.thresholds(policy, mass, norm)
+            norm = 1.0
+            if plan is not None:
+                plan.append((i, th))
+            if rng is not None:
+                passed, reversals = measure.draw(th, rng)
+                if not passed:
+                    records.append(StepRecord(step.gate.label, step.targets, p, reversals))
+                    return RunRecord("failure", 0.0, records, None, failed_step=i)
         try:
             state = normalize(branch, mass, out=buffers.out(branch))
         except AnnihilatedStateError:
             records.append(StepRecord(step.gate.label, step.targets, 0.0, 0))
             return RunRecord("failure", 0.0, records, None, failed_step=i)
         total *= p
-        records.append(StepRecord(step.gate.label, step.targets, p, step.max_reversals))
+        records.append(StepRecord(step.gate.label, step.targets, p, reversals))
     return RunRecord("success", total, records, state)
 
 
@@ -200,28 +214,12 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
                 rng: np.random.Generator | None = None) -> RunRecord:
     """Sample one trajectory; a failed step aborts the run.
 
-    With the default ``rng`` this is exactly trial 0 of ``run_ensemble`` under
-    the same seed.
+    Each measured step is drawn from ``rng`` against the masses of the
+    all-success branch, so a successful run ends in ``run_branch``'s final
+    state, bit for bit.  With the default ``rng`` this is exactly trial 0 of
+    ``run_ensemble`` under the same seed.
     """
-    if rng is None:
-        rng = trial_rng(seed, 0)
-    state, buffers = program.initial_state, Buffers(program.initial_state)
-    records: list[StepRecord] = []
-    total = 1.0
-    for i, steps, pair, policy, op, targets in _stages(program):
-        if pair is None:
-            state = apply_embedded(state, op, targets, out=buffers.out(state, op))
-            records += [StepRecord(s.gate.label, s.targets, 1.0, 0) for s in steps]
-            continue
-        step = steps[0]
-        result = measure.run_with_reversal(pair, policy, state, step.targets, rng, buffers)
-        p = measure.protocol_success(result.first_success_mass, policy)
-        records.append(StepRecord(step.gate.label, step.targets, p, result.reversals))
-        if result.outcome == measure.FAILURE:
-            return RunRecord("failure", 0.0, records, None, failed_step=i)
-        state = result.state
-        total *= p
-    return RunRecord("success", total, records, state)
+    return _follow_branch(program, rng=trial_rng(seed, 0) if rng is None else rng)
 
 
 # Trials per array pass: bounds the stream state's memory at any trial count.

@@ -11,6 +11,9 @@ R0 = q M1^{-1}, R1 = sqrt(I - R0^dag R0), legal for 0 < |q| <= sqrt(1-|c|^2).
 An R0 outcome restores the pre-measurement state exactly, so the main
 measurement can simply be retried; chaining up to k reversals raises the
 overall success probability to p * (1-|q|^(2k+2)) / (1-|q|^2).
+
+The runners draw against the closed-form masses of :func:`thresholds`
+instead of applying M1, R0 or R1; :func:`run_with_reversal` is their reference.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import DegenerateBranchError, IrreversibleError, MeasurementError
 from .gates import UNITARY_ATOL, GateSpec
 from .linops import PSD_CLAMP, max_abs, sqrtm_psd
-from .qstate import Buffers, StateVector, apply_embedded, norm_sq, normalize
+from .qstate import StateVector, apply_embedded, norm_sq, normalize
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -141,39 +144,30 @@ def _check_mass(outcome: str, mass: float) -> None:
         )
 
 
-def _sample_two_outcome(op_success, op_failure, state, targets, rng, success=None,
-                        buffers=None) -> tuple[str, StateVector]:
-    if buffers is None:
-        buffers = Buffers(state, success[0]) if success else Buffers(state)
+def _sample_two_outcome(op_success, op_failure, state, targets, rng,
+                        success=None) -> tuple[str, StateVector]:
     if success is None:
-        kept = apply_embedded(state, op_success, targets,
-                              out=buffers.out(state, op_success, keep=True))
+        kept = apply_embedded(state, op_success, targets)
         success = (kept, norm_sq(kept))
     kept, p = success
     if rng.random() < p:
         branch, mass, outcome = kept, p, SUCCESS
-        buffers.release(state)
     else:
-        buffers.release(kept)  # a success branch the run made is written over next
-        kept = success = None
-        branch = apply_embedded(state, op_failure, targets, out=buffers.out(state, op_failure))
+        branch, outcome = apply_embedded(state, op_failure, targets), FAILURE
         mass = norm_sq(branch)
-        outcome = FAILURE
     _check_mass(outcome, mass)
-    return outcome, normalize(branch, mass, out=buffers.out(branch))
+    return outcome, normalize(branch, mass)
 
 
 def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
-           rng: np.random.Generator, success: tuple[StateVector, float] | None = None,
-           buffers: Buffers | None = None) -> tuple[str, StateVector]:
+           rng: np.random.Generator,
+           success: tuple[StateVector, float] | None = None) -> tuple[str, StateVector]:
     """Draw one outcome; consumes exactly one uniform variate from ``rng``.
 
     ``success``, when given, is ``(M0 state, |M0 state|^2)`` already computed
-    by the caller, and is used instead of applying ``M0`` again.  With the
-    ``buffers`` of a run, the run gives ``state`` and that branch up, and
-    those of them it made are written over; other states are never modified.
+    by the caller, and is used instead of applying ``M0`` again.
     """
-    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng, success, buffers)
+    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng, success)
 
 
 def build_reversal(pair: MeasurementPair, q: complex | None = None,
@@ -199,70 +193,75 @@ def build_reversal(pair: MeasurementPair, q: complex | None = None,
 
 
 def sample_reversal(policy: ReversalPolicy, state: StateVector, targets: Sequence[int],
-                    rng: np.random.Generator,
-                    buffers: Buffers | None = None) -> tuple[str, StateVector]:
+                    rng: np.random.Generator) -> tuple[str, StateVector]:
     """Draw one reversing-measurement outcome after a failure, as :func:`sample` does."""
-    return _sample_two_outcome(policy.r0, policy.r1, state, targets, rng, None, buffers)
+    return _sample_two_outcome(policy.r0, policy.r1, state, targets, rng)
 
 
 def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
                       state: StateVector, targets: Sequence[int],
-                      rng: np.random.Generator,
-                      buffers: Buffers | None = None) -> ProtocolResult:
+                      rng: np.random.Generator) -> ProtocolResult:
     """Attempt the gate, reversing failures until the budget runs out.
 
     ``attempts`` counts main-measurement samples, ``reversals`` counts
     reversing samples.  The returned state is the post-measurement state of
     whichever branch ended the protocol.  ``first_success_mass`` is
-    |M0 state|^2, the single-attempt success probability.  With the
-    ``buffers`` of a run, the run gives ``state`` up, as to :func:`sample`.
+    |M0 state|^2, the single-attempt success probability.
     """
-    buffers = Buffers(state) if buffers is None else buffers
     budget = policy.max_reversals if policy is not None else 0
-    current = state
-    attempts = 0
-    reversals = 0
-    kept = apply_embedded(state, pair.m0, targets, out=buffers.out(state, pair.m0, keep=True))
+    attempts = reversals = 0
+    kept = apply_embedded(state, pair.m0, targets)
     first_mass = norm_sq(kept)
     success = (kept, first_mass)
     while True:
         attempts += 1
-        outcome, post = sample(pair, current, targets, rng, success, buffers)
-        success = current = None
+        outcome, post = sample(pair, state, targets, rng, success)
+        success = None
         if outcome == SUCCESS:
             return ProtocolResult(SUCCESS, post, attempts, reversals, first_mass)
-        if policy is None or reversals >= budget:
+        if reversals == budget:
             return ProtocolResult(FAILURE, post, attempts, reversals, first_mass)
         reversals += 1
-        r_outcome, current = sample_reversal(policy, post, targets, rng, buffers)
+        r_outcome, state = sample_reversal(policy, post, targets, rng)
         if r_outcome == FAILURE:
-            return ProtocolResult(FAILURE, current, attempts, reversals, first_mass)
+            return ProtocolResult(FAILURE, state, attempts, reversals, first_mass)
 
 
-def thresholds(pair: MeasurementPair, policy: ReversalPolicy | None, state: StateVector,
-               targets: Sequence[int], success_mass: float,
-               buffers: Buffers | None = None) -> Thresholds:
-    """Branch masses of the protocol on ``state``, given its ``success_mass`` |M0 state|^2.
+def thresholds(policy: ReversalPolicy | None, success_mass: float, norm: float) -> Thresholds:
+    """Branch masses of the protocol on a state of squared norm ``norm`` and ``success_mass``.
 
-    Each mass comes from the same operations ``run_with_reversal`` performs
-    on its first attempt, so comparing the same uniforms against them gives
-    the same outcomes.  A successful reversal restores ``state`` exactly
-    (R0 M1 = q I), so the masses hold for every retry too.  With the
-    ``buffers`` of a run, the run gives ``state`` up, as to :func:`sample`.
+    M0^dag M0 + M1^dag M1 = I makes the failure mass ``norm - success_mass``;
+    R0 M1 = q I makes the restore mass |q|^2 norm / failure, clamped at 1, and
+    restores the state exactly, so the masses hold for every retry.
     """
-    buffers = Buffers(state) if buffers is None else buffers
-    failed = apply_embedded(state, pair.m1, targets, out=buffers.out(state, pair.m1))
-    failure = norm_sq(failed)
+    failure = norm - success_mass
     budget = policy.max_reversals if policy is not None else 0
     if budget == 0 or failure < DEGENERATE_MASS:
         return Thresholds(success_mass, failure, 0.0, 0.0, budget)
-    failed = normalize(failed, failure, out=buffers.out(failed))
-    restored = apply_embedded(failed, policy.r0, targets,
-                              out=buffers.out(failed, policy.r0, keep=True))
-    restore = norm_sq(restored)
-    buffers.release(restored)  # the last pass writes into its array
-    spoiled = apply_embedded(failed, policy.r1, targets, out=buffers.out(failed, policy.r1))
-    return Thresholds(success_mass, failure, restore, norm_sq(spoiled), budget)
+    restore = min(abs(policy.q) ** 2 * norm / failure, 1.0)
+    return Thresholds(success_mass, failure, restore, 1.0 - restore, budget)
+
+
+def draw(th: Thresholds, rng: np.random.Generator) -> tuple[bool, int]:
+    """Draw the protocol against ``th``: whether it succeeded, and the reversals spent.
+
+    Draws the uniforms ``run_with_reversal`` draws, in its order, and raises
+    ``DegenerateBranchError`` where it does.
+    """
+    success, failure, restore, spoil, budget = th
+    reversals = 0
+    while True:
+        if rng.random() < success:
+            _check_mass(SUCCESS, success)
+            return True, reversals
+        _check_mass(FAILURE, failure)
+        if reversals == budget:
+            return False, reversals
+        reversals += 1
+        if rng.random() >= restore:
+            _check_mass(FAILURE, spoil)
+            return False, reversals
+        _check_mass(SUCCESS, restore)
 
 
 def _surviving(rows: np.ndarray, outcome: str, mass: float, raised: list) -> np.ndarray:

@@ -20,15 +20,13 @@ from .errors import AnnihilatedStateError, ShapeError, StateMemoryError
 MAX_QUBITS = 24
 
 # Register-sized arrays alive at once while one step runs, counting the
-# program's initial state.  Measured with tracemalloc at 16 qubits: branch
-# runs and sampled runs with reversals peak at 3.1 states on the copy-free
-# kernel paths (the initial state, the current one and one Buffers array)
-# and at 3.3 on the transpose path, whose blocks add a quarter state; mc's
-# branch pass, which also holds each step's failure branch, at 4.1 and 4.3.
-# Diagonal measured steps whose targets span more than MONOMIAL_BLOCK_BITS,
-# such as CN1 on (15, 1), build gather tables per call: 4.4 states sampled
-# and 5.4 in mc's branch pass.
-LIVE_STATES = 6
+# program's initial state.  Measured with tracemalloc at 16 qubits: every
+# runner (branch, sampled with reversals, and mc's branch pass) peaks at 3.1
+# states on the copy-free kernel paths (the initial state, the current one
+# and one Buffers array), at 3.3 on the transpose path, whose blocks add a
+# quarter state, and at 3.0 on a diagonal measured step whose targets span
+# more than MONOMIAL_BLOCK_BITS, such as CN1 on (15, 1).
+LIVE_STATES = 4
 
 # Norms below this are treated as an annihilated (fully suppressed) state.
 ANNIHILATION_THRESHOLD = 1e-14
@@ -591,22 +589,17 @@ class Buffers:
         self.foreign = {id(state.amplitudes): state for state in foreign}
         self.spare = None
 
-    def release(self, state: StateVector) -> None:
-        """Give ``state`` up; its array becomes the spare if the run made it."""
+    def out(self, state: StateVector, op=None) -> np.ndarray | None:
+        """``out=`` for ``op`` (None: normalizing) on ``state``, which the run gives up."""
+        out, self.spare = self.spare, None
         amps = state.amplitudes
         if amps.size >= COPY_FREE_MIN_SIZE and id(amps) not in self.foreign:
             amps.flags.writeable = True  # read-only only as the state's
             self.spare = amps
-
-    def out(self, state: StateVector, op=None, keep: bool = False) -> np.ndarray | None:
-        """``out=`` for ``op`` (None: normalizing) on ``state``, given up unless ``keep``."""
-        out, self.spare = self.spare, None
-        if not keep:
-            self.release(state)
-            # normalizing (no op, no rows) and a real diagonal write over the input itself
-            rows = None if self.spare is None else () if op is None else _structure(op.tobytes())[1]
-            if rows is not None and all(col == row for row, (col, _) in enumerate(rows)):
-                out, self.spare = self.spare, out
+        # normalizing (no op, no rows) and a real diagonal write over the input itself
+        rows = None if self.spare is None else () if op is None else _structure(op.tobytes())[1]
+        if rows is not None and all(col == row for row, (col, _) in enumerate(rows)):
+            out, self.spare = self.spare, out
         return out
 
 

@@ -39,9 +39,14 @@ def branch(program):
     return state, records
 
 
-def sampled(program, seed):
-    """``(final state, per-step records)`` of ``run_sampled``; ``None`` state on failure."""
-    rng = circuit.trial_rng(seed, 0)
+def sampled(program, seed=0, rng=None):
+    """``(final state, per-step records)`` of one trajectory; ``None`` state on failure.
+
+    The state-vector sampler: every failure and reversal is applied to the
+    state by ``measure.run_with_reversal``.  ``run_sampled`` draws the same
+    outcomes against the branch masses instead.
+    """
+    rng = circuit.trial_rng(seed, 0) if rng is None else rng
     state = program.initial_state
     records = []
     for step in program.steps:

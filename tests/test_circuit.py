@@ -228,15 +228,85 @@ def test_run_sampled_is_deterministic():
     assert a.steps == b.steps
 
 
+def _is_trial_zero(prog, seed):
+    """Whether ``run_sampled`` at ``seed`` ends as trial 0 of the ensemble at ``seed``."""
+    single = circuit.run_sampled(prog, seed=seed)
+    stats = circuit.run_ensemble(prog, seed=seed, trials=1)
+    failed = {} if single.failed_step is None else {single.failed_step: 1}
+    return (stats.successes == (1 if single.outcome == "success" else 0)
+            and stats.failures_by_step == failed
+            and stats.mean_reversals == sum(r.reversals for r in single.steps))
+
+
 def test_run_sampled_matches_ensemble_trial_zero():
     for prog in (circuit.parse(NAND_REVERSAL), circuit.parse(MULTI_STEP)):
         for seed in range(6):
-            single = circuit.run_sampled(prog, seed=seed)
-            stats = circuit.run_ensemble(prog, seed=seed, trials=1)
-            assert stats.successes == (1 if single.outcome == "success" else 0)
-            failed = {} if single.failed_step is None else {single.failed_step: 1}
-            assert stats.failures_by_step == failed
-            assert stats.mean_reversals == sum(r.reversals for r in single.steps)
+            assert _is_trial_zero(prog, seed), seed
+
+
+def test_run_sampled_is_trial_zero_from_an_unnormalized_start():
+    parsed = circuit.parse(
+        "qubits 11\ngate H 7\ngate N1(0.6) 3 c=0.9 q=opt k=3\n"
+        "gate CN1(0.7) 10 0 c=0.9 q=opt k=3\ngate CNOT 0 10\n")
+    rng = np.random.default_rng(60)
+    amps = rng.normal(size=1 << 11) + 1j * rng.normal(size=1 << 11)
+    # squared norm 0.09: the first measured step's masses carry it, the later ones do not
+    start = StateVector(11, 0.3 * amps / np.linalg.norm(amps))
+    prog = circuit.CircuitProgram(11, parsed.steps, start)
+    assert all(_is_trial_zero(prog, seed) for seed in range(300))
+    # the drawn masses are those the operators give on each step's pre-state
+    state = qstate.apply_embedded(start, prog.steps[0].gate.matrix, (7,))
+    plan = _plan(prog)
+    assert [i for i, _ in plan] == [1, 2]
+    for (_, th), step in zip(plan, prog.steps[1:]):
+        pair, policy = prog.prepared(step)
+        failed = qstate.apply_embedded(state, pair.m1, step.targets)
+        assert th.failure == pytest.approx(qstate.norm_sq(failed), rel=1e-12)
+        restored = qstate.apply_embedded(qstate.normalize(failed), policy.r0, step.targets)
+        assert th.restore == pytest.approx(qstate.norm_sq(restored), rel=1e-12)
+        state = qstate.normalize(qstate.apply_embedded(state, pair.m0, step.targets))
+    records = [circuit.run_sampled(prog, seed=seed) for seed in range(300)]
+    # the seeds reach both outcomes, and the reversals restore as well as spoil
+    assert {r.outcome for r in records} == {"success", "failure"}
+    assert {sum(s.reversals for s in r.steps) for r in records if r.outcome == "success"} != {0}
+
+
+def test_a_sampled_run_that_reversed_ends_in_the_branch_state():
+    prog = _random_program(PERMUTATION_RUNS, 70)
+    branch = circuit.run_branch(prog)
+    reversed_runs = 0
+    for seed in range(40):
+        record = circuit.run_sampled(prog, seed=seed)
+        if record.outcome == "success" and any(r.reversals for r in record.steps):
+            reversed_runs += 1
+            assert _same_bits(record.final_state, branch.final_state), seed
+            assert record.total_probability == branch.total_probability
+    assert reversed_runs >= 3
+
+
+def test_no_runner_applies_a_failure_or_reversing_operator(monkeypatch):
+    progs = [circuit.parse(NAND_REVERSAL), circuit.parse(MULTI_STEP)]
+    forbidden = [op for prog in progs for step in prog.steps
+                 for pair, policy in [prog.prepared(step)] if pair is not None
+                 for op in (pair.m1,) + ((policy.r0, policy.r1) if policy else ())]
+    applied = []
+    for module in (circuit, measure):
+        original = module.apply_embedded
+
+        def spy(state, op, targets, out=None, original=original):
+            applied.append(op)
+            return original(state, op, targets, out=out)
+
+        monkeypatch.setattr(module, "apply_embedded", spy)
+    records = [circuit.run_sampled(prog, seed=seed) for prog in progs for seed in range(40)]
+    for prog in progs:
+        circuit.run_ensemble(prog, seed=1, trials=200)
+    # the runs failed and reversed, where a state-vector sampler applies them
+    assert {r.outcome for r in records} == {"success", "failure"}
+    assert sum(s.reversals for r in records for s in r.steps) > 10
+    assert applied
+    assert not [op for op in applied for bad in forbidden
+                if op is bad or (op.shape == bad.shape and np.array_equal(op, bad))]
 
 
 def test_run_sampled_success_probability_is_branch_value():
@@ -530,8 +600,8 @@ def _plan(prog):
 
 
 def _oracle(prog, rng):
-    record = circuit.run_sampled(prog, rng=rng)
-    return record.failed_step, sum(r.reversals for r in record.steps)
+    state, records = stepwise.sampled(prog, rng=rng)
+    return None if state is not None else len(records) - 1, sum(r.reversals for r in records)
 
 
 @pytest.mark.parametrize("name", ["nand_reversal", "interference", "xor", "multi_step"])
@@ -601,6 +671,11 @@ def _fast(prog, rng):
     return stepwise.trial(_plan(prog), rng)
 
 
+def _drawn(prog, rng):
+    record = circuit.run_sampled(prog, rng=rng)
+    return record.failed_step, sum(r.reversals for r in record.steps)
+
+
 def _or_degenerate(run, prog, draws):
     try:
         return run(prog, _scripted(draws))
@@ -630,10 +705,13 @@ def test_degenerate_branches_raise_exactly_when_the_sampler_does(case):
     prog, draws = DEGENERATE_CASES[case]
     assert _or_degenerate(_oracle, prog, draws) == "degenerate"
     assert _or_degenerate(_fast, prog, draws) == "degenerate"
+    assert _or_degenerate(_drawn, prog, draws) == "degenerate"
     # the other draws at each decision stay clear of the negligible branch
     for other in ([0.0], [0.5], [ALMOST_ONE], [0.99, 0.0, 0.0], [0.99, 0.5, 0.5],
                   [0.99, ALMOST_ONE], [0.99, 0.0, 0.99, 0.0, 0.0]):
-        assert _or_degenerate(_fast, prog, other) == _or_degenerate(_oracle, prog, other), other
+        want = _or_degenerate(_oracle, prog, other)
+        assert _or_degenerate(_fast, prog, other) == want, other
+        assert _or_degenerate(_drawn, prog, other) == want, other
 
 
 def test_annihilated_branch_ends_every_trial_like_the_sampler():
@@ -766,6 +844,14 @@ def _same_bits(a, b):
     return np.array_equal(a.amplitudes.view(np.uint64), b.amplitudes.view(np.uint64))
 
 
+def _same_draws(steps, oracle_steps):
+    """Equal step records, but each ``p`` only within 1e-15 relative."""
+    return len(steps) == len(oracle_steps) and all(
+        (a.label, a.targets, a.reversals) == (b.label, b.targets, b.reversals)
+        and a.probability == pytest.approx(b.probability, rel=1e-15, abs=0.0)
+        for a, b in zip(steps, oracle_steps))
+
+
 def test_composed_permutation_runs_equal_the_stepwise_oracle(monkeypatch):
     prog = _random_program(PERMUTATION_RUNS, 70)
     calls = _kernel_targets(monkeypatch)
@@ -778,14 +864,17 @@ def test_composed_permutation_runs_equal_the_stepwise_oracle(monkeypatch):
     assert record.total_probability == math.prod(r.probability for r in records)
     # mc's branch pass keeps the measured step's own position
     assert [i for i, _ in _plan(prog)] == [2]
+    branch_state = state
     for seed in range(6):
         calls.clear()
         record = circuit.run_sampled(prog, seed=seed)
         state, records = stepwise.sampled(prog, seed)
-        assert record.steps == records
+        # after a reversal the oracle's restored state, and with it a later p,
+        # can differ from the branch's in the last bit
+        assert _same_draws(record.steps, records)
         assert record.outcome == ("success" if state is not None else "failure")
         if state is not None:
-            assert _same_bits(record.final_state, state)
+            assert _same_bits(record.final_state, branch_state)
             assert calls[:1] == [(0, 12)] and (3, 7, 11) in calls
 
 

@@ -2,11 +2,14 @@ import importlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nuqc
 from nuqc import cli, gates, measure
 from nuqc.errors import DegenerateBranchError
 from nuqc.linops import write_matrix
@@ -311,6 +314,14 @@ def test_demo_nand_rejects_bad_input(netlist_file, capsys):
     assert "bits" in err
 
 
+@pytest.mark.parametrize("m", ["0", "1"])
+def test_demo_nand_rejects_a_bad_strength_even_without_measured_nands(netlist_file, m, capsys):
+    code, _, err = run_cli(capsys, "demo-nand", "--netlist", str(netlist_file),
+                           "--m", m, "--c", "7")
+    assert code == 1
+    assert err.startswith("error: c must lie in")
+
+
 def test_demo_nand_mc(netlist_file, capsys):
     code, out, _ = run_cli(capsys, "demo-nand", "--netlist", str(netlist_file),
                            "--m", "4", "--c", "0.8", "--mode", "mc",
@@ -338,18 +349,18 @@ def test_demo_al_rejects_bad_table(capsys):
 def test_register_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch):
     from nuqc import qstate
 
-    monkeypatch.setattr(qstate, "_mem_available", lambda: 64 << 20)
+    monkeypatch.setattr(qstate, "_mem_available", lambda: 48 << 20)
     path = tmp_path / "wide.qc"
     path.write_text("qubits 22\ngate X 0\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "simulate", str(path))
     assert (code, out) == (1, "")
-    assert "22-qubit register needs about 384.0 MiB" in err
+    assert "22-qubit register needs about 256.0 MiB" in err
     code, out, err = run_cli(capsys, "demo-al", "--table", "0" * (1 << 21))
     assert (code, out) == (1, "")
     assert "22-qubit register" in err
-    path.write_text("qubits 20\ngate X 0\n", encoding="utf-8")  # 96 MiB is too much too
+    path.write_text("qubits 20\ngate X 0\n", encoding="utf-8")  # 64 MiB is too much too
     assert run_cli(capsys, "simulate", str(path))[0] == 1
-    path.write_text("qubits 18\ngate X 0\n", encoding="utf-8")  # 24 MiB fits
+    path.write_text("qubits 18\ngate X 0\n", encoding="utf-8")  # 16 MiB fits
     assert run_cli(capsys, "simulate", str(path))[0] == 0
 
 
@@ -408,3 +419,29 @@ def test_every_traced_function_exists():
                for fn in functions
                if not callable(getattr(importlib.import_module(f"nuqc.{module}"), fn, None))]
     assert missing == []
+
+
+# the benchmark's --trace 1 entry: a fresh interpreter that imported nuqc.cli alone
+_TRACED_RUN = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import nuqc.cli
+from tracer import Tracer
+tracer = Tracer()
+with tracer.patched(nuqc):
+    code = nuqc.cli.main(["simulate", sys.argv[3], "--mode", "sampled", "--seed", "3"])
+totals = tracer.layer_totals()
+print(code, totals["cli.main"][0], totals["circuit.run_sampled"][0])
+"""
+
+
+def test_the_benchmark_tracer_wraps_a_fresh_cli_import():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nuqc.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, src, os.path.join(root, "bench"),
+         os.path.join(root, "demos", "nand_reversal.qc")],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, cli_calls, sampled_calls = done.stdout.split("\n")[-2].split()
+    assert code in ("0", "2") and (cli_calls, sampled_calls) == ("1", "1")

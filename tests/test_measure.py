@@ -3,7 +3,8 @@ import pytest
 
 from nuqc import gates, measure
 from nuqc.errors import DegenerateBranchError, DomainError, IrreversibleError, MeasurementError
-from nuqc.qstate import StateVector, basis_state, norm_sq, uniform_state
+from nuqc.qstate import (StateVector, apply_embedded, basis_state, norm_sq, normalize,
+                         uniform_state)
 
 import stepwise
 
@@ -231,19 +232,56 @@ def test_thresholds_follow_the_reversal_identity():
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi = StateVector(2, amps / np.linalg.norm(amps))
     p = measure.success_prob(pair, psi, (1, 0))
-    th = measure.thresholds(pair, policy, psi, (1, 0), p)
+    th = measure.thresholds(policy, p, 1.0)
     assert th.success == p and th.budget == 2
-    assert th.failure == pytest.approx(1.0 - p, abs=1e-12)
-    assert th.restore == pytest.approx(q * q / (1.0 - p), abs=1e-12)
-    assert th.restore + th.spoil == pytest.approx(1.0, abs=1e-12)
+    assert th.restore == q * q / (1.0 - p)
+    # the reference: the masses of the branches the operators make
+    failed = apply_embedded(psi, pair.m1, (1, 0))
+    assert th.failure == pytest.approx(norm_sq(failed), rel=1e-14)
+    failed = normalize(failed)
+    assert th.restore == pytest.approx(norm_sq(apply_embedded(failed, policy.r0, (1, 0))),
+                                       rel=1e-14)
+    assert th.spoil == pytest.approx(norm_sq(apply_embedded(failed, policy.r1, (1, 0))),
+                                     rel=1e-13)
     # fail, restore, fail, lose the reversal: two reversals spent
     assert stepwise.replay(th, FixedRng([0.99, 0.0, 0.99, 0.99])) == (False, 2)
     # fail, restore, succeed
     assert stepwise.replay(th, FixedRng([0.99, 0.0, 0.0])) == (True, 1)
     # without a budget the failure branch ends the protocol and no reversal is drawn
-    bare = measure.thresholds(pair, None, psi, (1, 0), p)
+    bare = measure.thresholds(None, p, 1.0)
     assert (bare.restore, bare.spoil, bare.budget) == (0.0, 0.0, 0)
     assert stepwise.replay(bare, FixedRng([0.99])) == (False, 0)
+
+
+def test_thresholds_at_their_edges():
+    almost_one = 1.0 - 2.0 ** -53
+    clamped = False
+    for c in (0.6, 0.9, 0.99):
+        pair = measure.build_pair(gates.n1(0.5), c)
+        policy = measure.build_reversal(pair, max_reversals=2)
+        for amp in (0.3, 0.7, 1.0):
+            # on the top singular vector of N1, s = |c|^2 n: every reversal restores
+            psi = StateVector(1, np.array([amp, 0.0]))
+            n, s = norm_sq(psi), measure.success_prob(pair, psi, (0,))
+            th = measure.thresholds(policy, s, n)
+            assert th.restore == pytest.approx(1.0, abs=1e-15) and th.restore <= 1.0
+            assert th.spoil == 1.0 - th.restore
+            if abs(policy.q) ** 2 * n / (n - s) > 1.0:  # rounded above 1
+                clamped = True
+                assert (th.restore, th.spoil) == (1.0, 0.0), (c, amp)
+                # fail, restore on the highest uniform, succeed
+                assert measure.draw(th, FixedRng([almost_one, almost_one, 0.0])) == (True, 1)
+    assert clamped
+    # a pre-state of squared norm 3e-12: success mass above DEGENERATE_MASS, failure below
+    pair = measure.build_pair(gates.n1(0.5), 0.9)
+    policy = measure.build_reversal(pair, max_reversals=2)
+    psi = StateVector(1, np.array([np.sqrt(3e-12), 0.0]))
+    th = measure.thresholds(policy, measure.success_prob(pair, psi, (0,)), norm_sq(psi))
+    assert th.failure < measure.DEGENERATE_MASS <= th.success
+    assert (th.restore, th.spoil, th.budget) == (0.0, 0.0, 2)
+    assert measure.draw(th, FixedRng([0.0])) == (True, 0)
+    with pytest.raises(DegenerateBranchError, match="failure"):
+        measure.draw(th, FixedRng([0.5]))
 
 
 def test_analytic_success_zero_reversals_is_plain_probability():

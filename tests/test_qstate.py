@@ -701,7 +701,7 @@ def test_runs_leave_the_program_state_unchanged():
         circuit.run_sampled(program, seed=int(rng.integers(1 << 30)))
     pair = measure.build_pair(gates.n1(0.6), 0.9)
     policy = measure.build_reversal(pair, max_reversals=3)
-    measure.thresholds(pair, policy, start, (3,), 0.5)
+    measure.thresholds(policy, 0.5, norm_sq(start))
     for seed in range(8):
         measure.run_with_reversal(pair, policy, start, (3,), np.random.default_rng(seed))
     assert np.array_equal(start.amplitudes.view(np.uint64), saved.view(np.uint64))
@@ -801,7 +801,9 @@ def test_dump_state_peak_stays_within_the_memory_budget():
     state = qstate.uniform_state(16)
     text, peak = _traced_peak(lambda: dump_state(state))
     assert text.count("\n") == 1 << 16
-    assert peak <= qstate.LIVE_STATES * state.amplitudes.nbytes
+    # the returned text is exempt from LIVE_STATES: this one is two state
+    # sizes, held once as pieces and once joined
+    assert peak <= 4.5 * state.amplitudes.nbytes
 
 
 def test_streamed_dump_of_a_random_state_stays_within_the_memory_budget():
@@ -909,16 +911,16 @@ def test_memory_guard_refuses_a_register_before_allocating(monkeypatch):
     monkeypatch.setattr(qstate, "_mem_available", lambda: 1 << 20)
     _, peak = _traced_peak(refuse_all)
     assert peak < 1 << 20
-    monkeypatch.setattr(qstate, "_mem_available", lambda: 32 << 20)
-    qstate.check_memory(18)  # 2^18 * 16 B * LIVE_STATES = 24 MiB fits
+    monkeypatch.setattr(qstate, "_mem_available", lambda: 24 << 20)
+    qstate.check_memory(18)  # 2^18 * 16 B * LIVE_STATES = 16 MiB fits
     with pytest.raises(StateMemoryError):
-        qstate.check_memory(19)  # 48 MiB does not
+        qstate.check_memory(19)  # 32 MiB does not
 
     def unread():
         raise AssertionError("read /proc/meminfo for a small register")
 
     monkeypatch.setattr(qstate, "_mem_available", unread)
-    qstate.check_memory(17)  # 14 MiB: below MEMORY_CHECK_MIN_BYTES
+    qstate.check_memory(17)  # 8 MiB: below MEMORY_CHECK_MIN_BYTES
     monkeypatch.setattr(qstate, "_mem_available", lambda: None)  # unreadable: no check
     qstate.check_memory(24)
 
@@ -960,12 +962,32 @@ def test_a_sampled_run_that_fails_and_restores_holds_two_states():
     assert states <= 2.5
 
 
-def test_the_ensemble_branch_pass_holds_one_failure_branch_more():
+def test_the_ensemble_branch_pass_holds_what_a_branch_run_holds():
     program = circuit.parse(_WIDE_PROGRAM)
     stats, states = _run_peak_states(
         program, lambda: circuit.run_ensemble(program, seed=1, trials=20))
     assert stats.trials == 20
-    assert states <= 3.5
+    assert states <= 2.5
+
+
+# a diagonal measured step whose targets span more than MONOMIAL_BLOCK_BITS,
+# so that each kernel call builds its gather tables anew
+_WIDE_SPAN_PROGRAM = "qubits 16\ninit uniform\ngate CN1(0.5) 15 1 c=0.9 q=opt k=2\n"
+
+
+@pytest.mark.parametrize("runner", ["branch", "sampled", "mc"])
+def test_a_wide_span_diagonal_step_holds_two_states_on_every_runner(runner):
+    program = circuit.parse(_WIDE_SPAN_PROGRAM)
+    # at seed 9 the step fails once, its reversal restores the state and the
+    # retry succeeds
+    run = {"branch": lambda: circuit.run_branch(program),
+           "sampled": lambda: circuit.run_sampled(program, seed=9),
+           "mc": lambda: circuit.run_ensemble(program, seed=1, trials=20)}[runner]
+    result, states = _run_peak_states(program, run)
+    if runner == "sampled":
+        assert result.outcome == "success"
+        assert [step.reversals for step in result.steps] == [1]
+    assert states <= 2.5
 
 
 def _transposed_sizes(monkeypatch):
@@ -984,7 +1006,7 @@ _TRANSPOSE_PROGRAM = ("qubits 16\ninit uniform\ngate H 4\ngate H 9\n"
                       "gate NAND 9 2 c=0.9 q=opt k=2\ngate AL 12 0 c=0.9 q=opt k=2\ngate H 1\n")
 
 
-@pytest.mark.parametrize("runner, states", [("branch", 2.5), ("sampled", 2.5), ("mc", 3.5)])
+@pytest.mark.parametrize("runner, states", [("branch", 2.5), ("sampled", 2.5), ("mc", 2.5)])
 def test_transpose_path_steps_hold_no_state_sized_temporary(runner, states, monkeypatch):
     program = circuit.parse(_TRANSPOSE_PROGRAM)
     # at seed 0 the NAND step fails once, its reversal restores the state and
@@ -1067,7 +1089,7 @@ def test_runs_write_only_into_states_they_made():
     for seed in range(8):
         measure.run_with_reversal(pair, policy, caller, (3,), np.random.default_rng(seed))
         measure.sample_reversal(policy, caller, (3,), np.random.default_rng(seed))
-    measure.thresholds(pair, policy, caller, (3,), 0.5)
+    measure.thresholds(policy, 0.5, 1.0)
     assert np.array_equal(caller.amplitudes.view(np.uint64), caller_saved.view(np.uint64))
     assert np.array_equal(start.amplitudes.view(np.uint64), saved.view(np.uint64))
     # no later run wrote into a final state a caller holds
