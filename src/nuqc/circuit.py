@@ -21,13 +21,14 @@ import operator
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
 from . import gates, measure
 from .errors import (AnnihilatedStateError, CircuitError, CircuitParseError, DomainError,
-                     MeasurementError)
+                     MeasurementError, ShapeError)
 from .gates import GateSpec
 from .linops import read_matrix
 from .measure import MeasurementPair, ReversalPolicy
@@ -75,7 +76,15 @@ class CircuitProgram:
     def __post_init__(self):
         if self.initial_state is None:
             self.initial_state = basis_state(self.n_qubits, 0)
+        self._start()
         self._prepared: dict[tuple, tuple[MeasurementPair | None, ReversalPolicy | None]] = {}
+
+    def _start(self) -> StateVector:
+        """``initial_state``; ``ShapeError`` if its width is not ``n_qubits``."""
+        if self.initial_state.n_qubits != self.n_qubits:
+            raise ShapeError(f"initial state has {self.initial_state.n_qubits} qubits, "
+                             f"the program {self.n_qubits}")
+        return self.initial_state
 
     @property
     def gate_count(self) -> int:
@@ -171,11 +180,14 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None = None,
                    rng: np.random.Generator | None = None) -> RunRecord:
     """``run_branch``; with a ``plan`` list, also append each measured step's thresholds.
 
-    With an ``rng``, each measured step is drawn against its thresholds and
+    With an ``rng``, each measured step is drawn against its thresholds as
+    one trial of ``measure.draw_trials``, whose uniforms ``rng`` gives, and
     the run stops at the first failed one.  The plan ends at a step whose
     branch is annihilated: no trial passes it.
     """
-    state, buffers = program.initial_state, Buffers(program.initial_state)
+    state = program._start()
+    buffers = Buffers(state)
+    trial = SimpleNamespace(draw=lambda rows: rng.random(rows.size))
     # the pre-state's squared norm: the initial state's up to the first measured step
     norm = None if plan is None and rng is None else norm_sq(state)
     records: list[StepRecord] = []
@@ -196,7 +208,7 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None = None,
             if plan is not None:
                 plan.append((i, th))
             if rng is not None:
-                passed, reversals = measure.draw(th, rng)
+                passed, reversals, _ = measure.draw_trials([(i, th)], trial, 1)
                 if not passed:
                     records.append(StepRecord(step.gate.label, step.targets, p, reversals))
                     return RunRecord("failure", 0.0, records, None, failed_step=i)
@@ -214,10 +226,11 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
                 rng: np.random.Generator | None = None) -> RunRecord:
     """Sample one trajectory; a failed step aborts the run.
 
-    Each measured step is drawn from ``rng`` against the masses of the
-    all-success branch, so a successful run ends in ``run_branch``'s final
-    state, bit for bit.  With the default ``rng`` this is exactly trial 0 of
-    ``run_ensemble`` under the same seed.
+    Each measured step is drawn from ``rng`` as one trial of
+    ``measure.draw_trials`` against the masses of the all-success branch, so
+    a successful run ends in ``run_branch``'s final state, bit for bit.  With
+    the default ``rng`` this is exactly trial 0 of ``run_ensemble`` under the
+    same seed.
     """
     return _follow_branch(program, rng=trial_rng(seed, 0) if rng is None else rng)
 

@@ -12,8 +12,10 @@ An R0 outcome restores the pre-measurement state exactly, so the main
 measurement can simply be retried; chaining up to k reversals raises the
 overall success probability to p * (1-|q|^(2k+2)) / (1-|q|^2).
 
-The runners draw against the closed-form masses of :func:`thresholds`
-instead of applying M1, R0 or R1; :func:`run_with_reversal` is their reference.
+Every runner draws the protocol with :func:`draw_trials`, against the
+closed-form masses of :func:`thresholds` instead of applying M1, R0 or R1: a
+sampled run as one trial, an ensemble as arrays of them.  The state-vector
+sampler :func:`run_with_reversal` is their reference.
 """
 
 from __future__ import annotations
@@ -144,12 +146,9 @@ def _check_mass(outcome: str, mass: float) -> None:
         )
 
 
-def _sample_two_outcome(op_success, op_failure, state, targets, rng,
-                        success=None) -> tuple[str, StateVector]:
-    if success is None:
-        kept = apply_embedded(state, op_success, targets)
-        success = (kept, norm_sq(kept))
-    kept, p = success
+def _sample_two_outcome(op_success, op_failure, state, targets, rng) -> tuple[str, StateVector]:
+    kept = apply_embedded(state, op_success, targets)
+    p = norm_sq(kept)
     if rng.random() < p:
         branch, mass, outcome = kept, p, SUCCESS
     else:
@@ -160,14 +159,9 @@ def _sample_two_outcome(op_success, op_failure, state, targets, rng,
 
 
 def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
-           rng: np.random.Generator,
-           success: tuple[StateVector, float] | None = None) -> tuple[str, StateVector]:
-    """Draw one outcome; consumes exactly one uniform variate from ``rng``.
-
-    ``success``, when given, is ``(M0 state, |M0 state|^2)`` already computed
-    by the caller, and is used instead of applying ``M0`` again.
-    """
-    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng, success)
+           rng: np.random.Generator) -> tuple[str, StateVector]:
+    """Draw one outcome; consumes exactly one uniform variate from ``rng``."""
+    return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng)
 
 
 def build_reversal(pair: MeasurementPair, q: complex | None = None,
@@ -187,7 +181,10 @@ def build_reversal(pair: MeasurementPair, q: complex | None = None,
     m1_inv = (v / w) @ v.conj().T
     r0 = q * m1_inv
     eye = np.eye(r0.shape[0], dtype=np.complex128)
-    r1 = sqrtm_psd(eye - r0.conj().T @ r0)
+    # a gate's singular values up to 1 + UNITARY_ATOL put eigenvalues of
+    # I - R0^dag R0 down to about -2 UNITARY_ATOL |c|^2 / (1 - |c|^2) at the optimal q
+    c_sq = abs(pair.c) ** 2
+    r1 = sqrtm_psd(eye - r0.conj().T @ r0, tol=2 * UNITARY_ATOL * c_sq / (1.0 - c_sq) + PSD_CLAMP)
     return ReversalPolicy(q=q, max_reversals=int(max_reversals),
                           r0=_frozen(r0), r1=_frozen(r1))
 
@@ -210,13 +207,10 @@ def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
     """
     budget = policy.max_reversals if policy is not None else 0
     attempts = reversals = 0
-    kept = apply_embedded(state, pair.m0, targets)
-    first_mass = norm_sq(kept)
-    success = (kept, first_mass)
+    first_mass = success_prob(pair, state, targets)
     while True:
         attempts += 1
-        outcome, post = sample(pair, state, targets, rng, success)
-        success = None
+        outcome, post = sample(pair, state, targets, rng)
         if outcome == SUCCESS:
             return ProtocolResult(SUCCESS, post, attempts, reversals, first_mass)
         if reversals == budget:
@@ -242,28 +236,6 @@ def thresholds(policy: ReversalPolicy | None, success_mass: float, norm: float) 
     return Thresholds(success_mass, failure, restore, 1.0 - restore, budget)
 
 
-def draw(th: Thresholds, rng: np.random.Generator) -> tuple[bool, int]:
-    """Draw the protocol against ``th``: whether it succeeded, and the reversals spent.
-
-    Draws the uniforms ``run_with_reversal`` draws, in its order, and raises
-    ``DegenerateBranchError`` where it does.
-    """
-    success, failure, restore, spoil, budget = th
-    reversals = 0
-    while True:
-        if rng.random() < success:
-            _check_mass(SUCCESS, success)
-            return True, reversals
-        _check_mass(FAILURE, failure)
-        if reversals == budget:
-            return False, reversals
-        reversals += 1
-        if rng.random() >= restore:
-            _check_mass(FAILURE, spoil)
-            return False, reversals
-        _check_mass(SUCCESS, restore)
-
-
 def _surviving(rows: np.ndarray, outcome: str, mass: float, raised: list) -> np.ndarray:
     """``rows`` that drew a branch of ``mass``; none if that branch is degenerate.
 
@@ -284,8 +256,9 @@ def draw_trials(plan: Sequence[tuple[int, Thresholds]], streams,
     all-success branch, where every surviving trial sits (R0 M1 = q I), and
     ``streams.draw(rows)`` gives the next uniform of each selected trial.  One
     array pass per draw; each trial draws exactly when ``run_with_reversal``
-    would, so it ends as it does alone.  If trials land on a degenerate
-    branch, the lowest one's error is raised, as running them one by one would.
+    would, so it ends as it does alone, and a sampled run is one trial of it.
+    If trials land on a degenerate branch, the lowest one's error is raised,
+    as running them one by one would.
     """
     alive = np.arange(n)
     reversals = 0

@@ -2,11 +2,12 @@
 
 The runners compose permutation runs on wide registers; these oracles never
 do, so the tests can hold the runners' states and records to them bit for bit.
-``replay`` and ``trial`` draw one mc trial at a time with scalar uniforms, the
-reference for the ensemble's array passes (``measure.draw_trials``), and
-``n1_search`` the scalar reference for ``synth.approximate_n1``'s chunked
-search, and ``transposed_whole`` the unblocked transpose path.  The search app's test-only references and ``is_normalized`` close
-the module.
+``replay`` and ``trial`` draw one trial at a time with scalar uniforms.  They
+are the reference for every runner's draw, ``measure.draw_trials``: the
+ensemble's array passes and a sampled run's one-trial draws.  ``n1_search`` is
+the scalar reference for ``synth.approximate_n1``'s chunked search, and
+``transposed_whole`` the unblocked transpose path.  The search app's test-only
+references and ``is_normalized`` close the module.
 """
 
 import math

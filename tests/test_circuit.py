@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from nuqc import apps, circuit, cli, gates, measure, qstate, synth
-from nuqc.errors import CircuitError, CircuitParseError, DegenerateBranchError, DomainError
+from nuqc.errors import (CircuitError, CircuitParseError, DegenerateBranchError, DomainError,
+                         ShapeError)
 from nuqc.linops import read_matrix, write_matrix
 from nuqc.qstate import StateVector, basis_state, dump_state, uniform_state
 
@@ -242,6 +243,19 @@ def test_run_sampled_matches_ensemble_trial_zero():
     for prog in (circuit.parse(NAND_REVERSAL), circuit.parse(MULTI_STEP)):
         for seed in range(6):
             assert _is_trial_zero(prog, seed), seed
+
+
+def test_a_start_of_another_width_is_refused():
+    step = circuit.CircuitStep(gates.x(), (0,))
+    with pytest.raises(ShapeError, match="^initial state has 3 qubits, the program 2$"):
+        circuit.CircuitProgram(2, [step], uniform_state(3))
+    # a start reassigned after construction is refused where a run starts
+    prog = circuit.CircuitProgram(2, [step])
+    prog.initial_state = uniform_state(3)
+    for run in (circuit.run_branch, circuit.run_sampled,
+                lambda p: circuit.run_ensemble(p, trials=10)):
+        with pytest.raises(ShapeError, match="^initial state has 3 qubits"):
+            run(prog)
 
 
 def test_run_sampled_is_trial_zero_from_an_unnormalized_start():
@@ -577,7 +591,7 @@ def test_measured_step_applies_m0_once(monkeypatch):
     assert len(calls) == 2
     calls.clear()
     # a first-attempt success needs no further pass either
-    record = circuit.run_sampled(prog, rng=SimpleNamespace(random=lambda: 0.0))
+    record = circuit.run_sampled(prog, rng=SimpleNamespace(random=lambda size: np.zeros(size)))
     assert record.outcome == "success"
     assert len(calls) == 2
 
@@ -616,6 +630,48 @@ def test_fast_trials_match_the_state_vector_sampler(name):
             outcomes.add(fast[0])
     # the trials reach both outcomes, so the comparison covers each
     assert None in outcomes and len(outcomes) > 1
+
+
+def test_every_sampled_draw_is_one_trial_of_draw_trials(monkeypatch):
+    # measure holds one protocol draw, and a sampled run draws every measured step with it
+    assert not hasattr(measure, "draw")
+    # it fails at each measured step, and succeeds, within the seeds below
+    prog = circuit.parse(
+        "qubits 2\ninit uniform\n"
+        "gate N1(0.5) 0 c=0.9 q=opt k=2\ngate CNOT 0 1\ngate N1(0.7) 1 c=0.8 q=opt k=1\n"
+        "gate H 0\ngate NAND 1 0 c=0.9 q=0.3 k=2\n")
+    measured = [i for i, step in enumerate(prog.steps) if prog.prepared(step)[0] is not None]
+    original = measure.draw_trials
+    calls, inside = [], []
+
+    def spy(plan, streams, n):
+        calls.append(([i for i, _ in plan], n))
+        inside.append(True)
+        try:
+            return original(plan, streams, n)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(measure, "draw_trials", spy)
+    ended = set()
+    for seed in range(40):
+        rng = circuit.trial_rng(seed, 0)
+
+        def random(size):
+            assert inside, "a draw outside measure.draw_trials"
+            return rng.random(size)
+
+        calls.clear()
+        record = circuit.run_sampled(prog, rng=SimpleNamespace(random=random))
+        reached = [i for i in measured if record.failed_step is None or i <= record.failed_step]
+        assert calls == [([i], 1) for i in reached], seed
+        # as many uniforms as the state-vector sampler draws, so its draws too
+        oracle = circuit.trial_rng(seed, 0)
+        assert _oracle(prog, oracle) == (record.failed_step,
+                                         sum(r.reversals for r in record.steps)), seed
+        assert oracle.bit_generator.state == rng.bit_generator.state, seed
+        ended.add(record.failed_step)
+    assert ended == {None, *measured}
 
 
 STREAM_INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7]
@@ -658,8 +714,13 @@ def test_ensemble_matches_the_trial_by_trial_loop(name, monkeypatch):
 
 
 def _scripted(draws):
-    """Stand-in rng serving ``draws`` in order, then 0.5 for ever."""
-    return SimpleNamespace(random=itertools.chain(draws, itertools.repeat(0.5)).__next__)
+    """Stand-in rng serving ``draws`` in order, then 0.5 for ever; ``random(size)`` as numpy's."""
+    source = itertools.chain(draws, itertools.repeat(0.5))
+
+    def random(size=None):
+        return next(source) if size is None else np.fromiter(source, float, count=size)
+
+    return SimpleNamespace(random=random)
 
 
 def _one_step(gate, state, c, q=None, k=0):

@@ -95,17 +95,17 @@ def test_simulate_sampled_failure_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["branch", "sampled"])
 def test_a_step_measure_refuses_fails_the_run_at_every_seed(tmp_path, capsys, mode):
-    # build_reversal refuses the second step, whose R1 = sqrt(I - R0^dag R0)
-    # meets an eigenvalue below -PSD_CLAMP; the first step fails for some
-    # seeds, which must not end those runs as ordinary failures
+    # build_reversal refuses the second step: c times the top singular value
+    # rounds to 1, so M1 has the eigenvalue 0 and no inverse; the first step
+    # fails for some seeds, which must not end those runs as ordinary failures
     path = tmp_path / "refused.qc"
     path.write_text("qubits 1\ninit uniform\ngate D(1.0000000005,0.5) 0\n"
-                    "gate D(1.0000000005,0.5) 0 c=0.9 k=1\n", encoding="utf-8")
+                    "gate D(1.000000001,0.5) 0 c=0.9999999989999999 k=1\n", encoding="utf-8")
     for seed in range(10):
         code, out, err = run_cli(capsys, "simulate", str(path), "--mode", mode,
                                  "--seed", str(seed))
         assert (code, out) == (1, ""), seed
-        assert "not positive semidefinite" in err
+        assert "failure operator has eigenvalue 0.000e+00" in err
 
 
 def test_simulate_missing_file(capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,18 @@ class FixedRng:
 
     def random(self):
         return self.values.pop(0)
+
+
+def _one_trial(th, values):
+    """``(succeeded, reversals)`` of one ``draw_trials`` trial whose uniforms are ``values``.
+
+    Every value is drawn, and no more.
+    """
+    rng = FixedRng(values)
+    streams = SimpleNamespace(draw=lambda rows: np.array([rng.random() for _ in rows]))
+    passed, reversals, _ = measure.draw_trials([(0, th)], streams, 1)
+    assert rng.values == []
+    return passed == 1, reversals
 
 
 def test_build_pair_completeness():
@@ -270,7 +284,7 @@ def test_thresholds_at_their_edges():
                 clamped = True
                 assert (th.restore, th.spoil) == (1.0, 0.0), (c, amp)
                 # fail, restore on the highest uniform, succeed
-                assert measure.draw(th, FixedRng([almost_one, almost_one, 0.0])) == (True, 1)
+                assert _one_trial(th, [almost_one, almost_one, 0.0]) == (True, 1)
     assert clamped
     # a pre-state of squared norm 3e-12: success mass above DEGENERATE_MASS, failure below
     pair = measure.build_pair(gates.n1(0.5), 0.9)
@@ -279,9 +293,9 @@ def test_thresholds_at_their_edges():
     th = measure.thresholds(policy, measure.success_prob(pair, psi, (0,)), norm_sq(psi))
     assert th.failure < measure.DEGENERATE_MASS <= th.success
     assert (th.restore, th.spoil, th.budget) == (0.0, 0.0, 2)
-    assert measure.draw(th, FixedRng([0.0])) == (True, 0)
+    assert _one_trial(th, [0.0]) == (True, 0)
     with pytest.raises(DegenerateBranchError, match="failure"):
-        measure.draw(th, FixedRng([0.5]))
+        _one_trial(th, [0.5])
 
 
 def test_analytic_success_zero_reversals_is_plain_probability():

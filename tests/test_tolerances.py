@@ -134,16 +134,9 @@ def test_every_layer_bounds_a_singular_value_by_the_unitary_slack(excess, rotate
         assert _runs(_program(gate, 0.9)) == [True, True]
 
 
-def _above_one(excess, rotate):
-    return pytest.param(excess, rotate, marks=pytest.mark.xfail(
-        strict=True, raises=DomainError,
-        reason="R0 = q M1^-1 at q = sqrt(1 - |c|^2) exceeds 1 for a gate above 1, "
-               "by about 2 excess UNITARY_ATOL |c|^2 / (1 - |c|^2), past PSD_CLAMP"))
-
-
 @pytest.mark.parametrize("excess,rotate", [
     (-2.0, False), (-0.5, False), (-2.0, True), (-0.5, True),
-    _above_one(0.5, False), _above_one(1.0, False), _above_one(0.5, True)])
+    (0.5, False), (1.0, False), (0.5, True)])
 def test_a_reversal_accepts_every_gate_a_factory_accepts(excess, rotate):
     gate = gates.from_matrix(_matrix(excess, rotate))
     pair = measure.build_pair(gate, 0.9)
@@ -151,3 +144,12 @@ def test_a_reversal_accepts_every_gate_a_factory_accepts(excess, rotate):
     program = _program(gate, 0.9, k=1)
     circuit.run_branch(program)
     circuit.run_sampled(program, seed=0)
+
+
+def test_a_reversal_refuses_a_gate_ten_slacks_above_one():
+    # I - R0^dag R0 then has an eigenvalue near -85 UNITARY_ATOL at |c| = 0.9, past
+    # the 8.5 UNITARY_ATOL + PSD_CLAMP that build_reversal allows
+    gate = gates._make("MAT(@)", np.diag([1.0 + 10 * UNITARY_ATOL, 0.5]))
+    pair = measure.build_pair(gate, 0.9)
+    with pytest.raises(DomainError, match="^matrix is not positive semidefinite"):
+        measure.build_reversal(pair, max_reversals=1)
