@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedInstanceError,
 )
-from .qstate import StateVector, basis_state, check_memory, norm_sq
+from .qstate import StateVector, basis_state, check_memory, norm_sq, start_state
 
 _WIRE_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -201,10 +201,7 @@ def compile_nand(netlist: NandNetlist, m: int, c: float = 1.0,
             raise NetlistError(
                 f"input_state spans {input_state.n_qubits} qubits, netlist has {k} inputs"
             )
-        check_memory(n_qubits)
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[: 1 << k] = input_state.amplitudes
-        init = StateVector(n_qubits, amps, copy=False)
+        init = start_state(n_qubits, slice(1 << k), input_state.amplitudes)
         init_label = "input state"
     else:
         bits = [1] * k if input_bits is None else [int(b) & 1 for b in input_bits]
@@ -286,10 +283,8 @@ def search_program(oracle: TruthTableOracle) -> CircuitProgram:
     """
     n = oracle.n
     width = n + 1
-    check_memory(width)
-    amps = np.zeros(1 << width, dtype=np.complex128)
-    amps[(np.arange(1 << n) << 1) | oracle.bits] = 1.0 / math.sqrt(1 << n)
-    init = StateVector(width, amps, copy=False)
+    check_memory(width)  # before the index array is built
+    init = start_state(width, (np.arange(1 << n) << 1) | oracle.bits, 1.0 / math.sqrt(1 << n))
     gate = gates.abrams_lloyd()
     steps = [CircuitStep(gate, (i, 0)) for i in range(1, width)]
     return CircuitProgram(width, steps, init, "oracle superposition")

@@ -5,6 +5,12 @@ q_0>`` reads left to right from the written ket.  When a k-qubit operator is
 applied to targets ``(t_0, ..., t_{k-1})``, target ``t_0`` supplies the most
 significant bit of the operator's local basis index, matching how small gate
 matrices are written down.
+
+Amplitudes are float64 or complex128.  The library's own real starts
+(:func:`start_state`) are float64 from ``COPY_FREE_MIN_SIZE`` amplitudes on,
+and a real program keeps them real: every kernel path takes either dtype,
+and a real operator's result has its input's dtype.  The first complex
+operator promotes a state to complex128; nothing demotes it.
 """
 
 from __future__ import annotations
@@ -19,13 +25,17 @@ from .errors import AnnihilatedStateError, ShapeError, StateMemoryError
 
 MAX_QUBITS = 24
 
-# Register-sized arrays alive at once while one step runs, counting the
-# program's initial state.  Measured with tracemalloc at 16 qubits: every
-# runner (branch, sampled with reversals, and mc's branch pass) peaks at 3.1
+# Register-sized complex arrays alive at once while one step runs, counting
+# the program's initial state.  Measured with tracemalloc at 16 qubits, in
+# sizes of the run's own states: every runner (branch, sampled with
+# reversals, and mc's branch pass) peaks at 3.1 complex or 3.2 float64
 # states on the copy-free kernel paths (the initial state, the current one
 # and one Buffers array), at 3.3 on the transpose path, whose blocks add a
-# quarter state, and at 3.0 on a diagonal measured step whose targets span
-# more than MONOMIAL_BLOCK_BITS, such as CN1 on (15, 1).
+# quarter state, and at 2.3 complex or 2.5 float64 states on a diagonal
+# measured step whose targets span more than MONOMIAL_BLOCK_BITS, such as
+# CN1 on (15, 1).  The step that promotes a float64 state peaks at 3.3
+# complex states: the float64 start and input, the input's complex copy,
+# the result and the transpose path's blocks.
 LIVE_STATES = 4
 
 # Norms below this are treated as an annihilated (fully suppressed) state.
@@ -44,7 +54,11 @@ DUMP_CHUNK = 1 << 12
 
 
 class StateVector:
-    """Immutable amplitude vector for an ``n_qubits`` register."""
+    """Immutable amplitude vector for an ``n_qubits`` register.
+
+    Constructed publicly, its amplitudes are complex128; the library's own
+    starts and kernel results may be float64 (see the module docstring).
+    """
 
     __slots__ = ("n_qubits", "amplitudes")
 
@@ -64,8 +78,8 @@ class StateVector:
     def _trusted(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
         """Wrap a kernel result without copying it or passing over it again.
 
-        Only for ``(2**n_qubits,)`` complex arrays computed from finite
-        operands; public construction validates instead.
+        Only for ``(2**n_qubits,)`` float64 or complex128 arrays computed
+        from finite operands; public construction validates instead.
         """
         amps.flags.writeable = False
         self = object.__new__(cls)
@@ -106,6 +120,8 @@ def check_memory(n_qubits: int) -> None:
 
     A step keeps up to ``LIVE_STATES`` register-sized arrays alive, so an
     ``n_qubits`` register needs ``2**n_qubits * 16 * LIVE_STATES`` bytes.
+    Complex ones are counted even for a real start: this runs before the
+    steps are known, and a complex step can promote any state.
     Called before the first allocation of a register; raises
     ``StateMemoryError`` when that exceeds ``MemAvailable``.
     """
@@ -121,25 +137,35 @@ def check_memory(n_qubits: int) -> None:
         )
 
 
+def start_state(n_qubits: int, index, values) -> StateVector:
+    """A start made by the library: finite ``values`` at the basis ``index``, zero elsewhere.
+
+    ``index`` selects amplitudes as in numpy (an index, an index array or a
+    slice).  Real ``values`` make a float64 state from ``COPY_FREE_MIN_SIZE``
+    amplitudes on; every other start is complex128.  Memory is checked before
+    the array is allocated.
+    """
+    check_memory(n_qubits)
+    real = 1 << n_qubits >= COPY_FREE_MIN_SIZE and not np.iscomplexobj(values)
+    amps = np.zeros(1 << n_qubits, dtype=np.float64 if real else np.complex128)
+    amps[index] = values
+    return StateVector._trusted(n_qubits, amps)
+
+
 def basis_state(n_qubits: int, index: int) -> StateVector:
     """Computational basis state ``|index>``."""
     if not 0 <= index < (1 << n_qubits):
         raise ShapeError(f"basis index {index} out of range for {n_qubits} qubits")
-    check_memory(n_qubits)
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps, copy=False)
+    return start_state(n_qubits, index, 1.0)
 
 
 def uniform_state(n_qubits: int) -> StateVector:
     """Equal superposition of all basis states."""
-    check_memory(n_qubits)
-    dim = 1 << n_qubits
-    amps = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    return StateVector(n_qubits, amps, copy=False)
+    return start_state(n_qubits, slice(None), 1.0 / np.sqrt(1 << n_qubits))
 
 
 def norm_sq(state: StateVector) -> float:
+    """``<state|state>``: ``ddot`` on a float64 state, ``zdotc`` on a complex one."""
     a = state.amplitudes
     return float(np.real(np.vdot(a, a)))
 
@@ -160,16 +186,21 @@ def normalize(state: StateVector, mass: float | None = None, *,
     if nrm < ANNIHILATION_THRESHOLD:
         raise AnnihilatedStateError(f"cannot normalize state with norm {nrm:.3e}")
     amps = state.amplitudes
-    if nrm >= 2.0:
+    if amps.dtype == np.float64:
+        # numpy's complex divide multiplies by s = 1/nrm (below), so the real
+        # parts of a complex state come out as re * s; a true division would not
+        scale = 1.0 / nrm
+    elif nrm >= 2.0:
         return StateVector._trusted(state.n_qubits, np.divide(amps, nrm, out=out))
-    # bit for bit ``amplitudes / nrm``, at a third of its cost: numpy divides
-    # by a real as by complex(nrm, 0), computing (re + im*0) * s and
-    # (im - re*0) * s with s = 1/nrm; multiplying by complex(s, -0.0) adds
-    # the same zero terms after the products instead of before, which gives
-    # the same bits unless a nonzero part underflows to zero, and that needs
-    # s <= 0.5
-    return StateVector._trusted(state.n_qubits,
-                                np.multiply(amps, complex(1.0 / nrm, -0.0), out=out))
+    else:
+        # bit for bit ``amplitudes / nrm``, at a third of its cost: numpy
+        # divides by a real as by complex(nrm, 0), computing (re + im*0) * s
+        # and (im - re*0) * s with s = 1/nrm; multiplying by complex(s, -0.0)
+        # adds the same zero terms after the products instead of before,
+        # which gives the same bits unless a nonzero part underflows to
+        # zero, and that needs s <= 0.5
+        scale = complex(1.0 / nrm, -0.0)
+    return StateVector._trusted(state.n_qubits, np.multiply(amps, scale, out=out))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -246,17 +277,21 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
     """The state kernel: ``op`` on ``targets`` of a ``(2**n,)`` or ``(2**n, cols)`` array.
 
     Each column is one register state.  Unchecked; callers validate through
-    :func:`_check_operator`.  From ``COPY_FREE_MIN_SIZE`` entries on, the
-    kernel makes one pass over the array without transposing it: one gather
-    and scale when a real ``op`` is monomial; one batched real GEMM when a
-    real ``op`` is dense on adjacent targets listed high to low, the lowest
-    at least ``REAL_ADJACENT_MIN_BIT`` (C-contiguous arrays only); and for a
-    state one GEMM when a real ``op`` is dense on low targets listed high to
-    low.  All give the transpose path's values exactly (the sign of an exact
-    zero aside): a real coefficient multiplies as zgemm does, and the GEMMs
-    keep zgemm's summation order.  Complex monomial operators and dense low
-    targets in other orders would round differently, and a batch would need
-    one small GEMM per low block, which is slower.
+    :func:`_check_operator`.  The array is float64 or complex128; a real
+    ``op`` gives a result of its dtype, a complex ``op`` a complex128 one.
+    ``out`` has the result's dtype.  From ``COPY_FREE_MIN_SIZE`` entries on,
+    the kernel makes one pass over the array without transposing it: one
+    gather and scale when a real ``op`` is monomial; one batched real GEMM
+    when a real ``op`` is dense on adjacent targets listed high to low, the
+    lowest at least ``REAL_ADJACENT_MIN_BIT`` (C-contiguous arrays only); and
+    for a state one GEMM when a real ``op`` is dense on low targets listed
+    high to low.  All give the transpose path's values exactly (the sign of
+    an exact zero aside): a real coefficient multiplies as zgemm does, and
+    the GEMMs keep zgemm's summation order.  On a float64 array each path
+    gives the real parts of what it gives the array's complex twin.  Complex
+    monomial operators and dense low targets in other orders would round
+    differently, and a batch would need one small GEMM per low block, which
+    is slower.
     """
     if amps.size >= COPY_FREE_MIN_SIZE:
         key = op.tobytes()
@@ -286,32 +321,38 @@ def _apply_transposed(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...]
     as many as fit in ``TRANSPOSE_BLOCK_ENTRIES >> k`` entries.  Per index of
     the axes above them, the block's slab is gathered (a view where its axes
     merge), multiplied by one GEMM and written into place, so no state-sized
-    temporary is made.  From ``COPY_FREE_MIN_SIZE`` entries on, a real
-    ``op`` multiplies the float64 view, as :func:`_apply_adjacent_real` does,
-    unless a block is one column, for which numpy takes a complex gemv,
-    whose sums differ; smaller arrays keep the complex GEMM, which is as
-    fast there and leaves mc's small registers their bits and memory.
+    temporary is made.  A complex ``op`` on a float64 array promotes it
+    first, with one ``astype``: every complex operator comes here.  From
+    ``COPY_FREE_MIN_SIZE`` entries on, a real ``op`` multiplies the float64
+    view, as :func:`_apply_adjacent_real` does, unless a block of a complex
+    array is one column, for which numpy takes a complex gemv, whose sums
+    differ; smaller arrays keep the complex GEMM, which is as fast there and
+    leaves mc's small registers their bits and memory.
     """
     n = amps.shape[0].bit_length() - 1
     k = len(targets)
-    psi = amps.reshape((2,) * n + amps.shape[1:])
-    axes = [n - 1 - t for t in targets]
-    rest = [a for a in range(psi.ndim) if a not in axes]
     cols = amps.size >> n  # a batch's columns; 1 for a state
     low = min(n - k, max(((TRANSPOSE_BLOCK_ENTRIES >> k) // cols).bit_length() - 1, 0))
     split = n - k - low  # the other qubit axes above a block
-    order = rest[:split] + axes + rest[split:]
-    moved = psi.transpose(order)
-    result = np.empty(amps.shape, dtype=np.complex128) if out is None else out
-    into = result.reshape(psi.shape).transpose(order)
-    real = amps.size >= COPY_FREE_MIN_SIZE and cols << low > 1 and not op.imag.any()
+    real_amps = amps.dtype == np.float64
+    real = ((real_amps or (amps.size >= COPY_FREE_MIN_SIZE and cols << low > 1))
+            and not op.imag.any())
     if real:
         op = op.real
+    elif real_amps:
+        amps = amps.astype(np.complex128)
+    psi = amps.reshape((2,) * n + amps.shape[1:])
+    axes = [n - 1 - t for t in targets]
+    rest = [a for a in range(psi.ndim) if a not in axes]
+    order = rest[:split] + axes + rest[split:]
+    moved = psi.transpose(order)
+    result = np.empty(amps.shape, dtype=amps.dtype) if out is None else out
+    into = result.reshape(psi.shape).transpose(order)
     for index in itertools.product(*map(range, moved.shape[:split])):
         block = moved[index].reshape(1 << k, -1)  # a view where the axes merge, else a copy
         if real:
             block = np.ascontiguousarray(block).view(np.float64)
-        into[index] = (op @ block).view(np.complex128).reshape(moved.shape[split:])
+        into[index] = (op @ block).view(amps.dtype).reshape(moved.shape[split:])
     return result
 
 
@@ -319,14 +360,16 @@ def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray, targets: tuple[int, .
                          out: np.ndarray | None = None) -> np.ndarray:
     """A real dense operator on adjacent targets listed high to low, as one batched GEMM.
 
-    In the float64 view each amplitude is two adjacent reals that the same
-    entries of ``op`` multiply, so the blocks are twice as long; zgemm adds
-    only exact zeros, ``0 * im`` and ``0 * re``, to the same products.
+    In the float64 view of a complex array each amplitude is two adjacent
+    reals that the same entries of ``op`` multiply, so the blocks are twice
+    as long; zgemm adds only exact zeros, ``0 * im`` and ``0 * re``, to the
+    same products.  A float64 array is its own view.
     """
     run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
-    blocks = amps.view(np.float64).reshape(-1, op.shape[0], 2 * run)
+    reals = amps.view(np.float64)
+    blocks = reals.reshape(-1, op.shape[0], reals.size // amps.size * run)
     into = None if out is None else out.view(np.float64).reshape(blocks.shape)
-    return np.matmul(op.real, blocks, out=into).view(np.complex128).reshape(amps.shape)
+    return np.matmul(op.real, blocks, out=into).view(amps.dtype).reshape(amps.shape)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -350,9 +393,12 @@ def _structure(key: bytes) -> tuple[bool, tuple[tuple[int, float], ...] | None]:
     return True, tuple((int(c), float(op.real[r, c])) for r, c in enumerate(cols))
 
 
-def _local_index(targets: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    """The operator's local basis index at each of the block positions ``block``."""
-    local = np.zeros_like(block)
+def _local_index(targets: tuple[int, ...], block):
+    """The operator's local basis index at each of the block positions ``block``.
+
+    Of ``block``'s integer dtype, or an int for an int ``block``.
+    """
+    local = 0
     for t in targets:
         local = (local << 1) | ((block >> t) & 1)
     return local
@@ -364,27 +410,31 @@ def _gather_tables(rows, targets: tuple[int, ...], block: np.ndarray,
 
     ``targets`` are bit positions within the block.  Position ``b`` of the
     result reads position ``index[b]`` times ``factor[b]``; ``index`` is
-    ``None`` for a diagonal and ``factor`` for a permutation.  ``local`` is
-    :func:`_local_index` of the targets and block, computed when not given.
+    ``None`` for a diagonal and ``factor``, float64, for a permutation.
+    ``local`` is :func:`_local_index` of the targets and block, computed
+    when not given.  Target bits missing from ``block``, such as bits above
+    its dtype, come from ``local``, so ``index`` gets them from the source.
     """
     if local is None:
         local = _local_index(targets, block)
     cols, coefs = zip(*rows)
     index = factor = None
     if cols != tuple(range(len(cols))):
-        source = np.array(cols)[local]
-        index = block
-        for j, t in enumerate(reversed(targets)):
-            index = (index & ~(1 << t)) | (((source >> j) & 1) << t)
+        # per local row, the target bits of its source at their block positions
+        spread = np.array([sum(((c >> j) & 1) << t for j, t in enumerate(reversed(targets)))
+                           for c in range(len(cols))])
+        index = spread[np.array(cols)][local]
+        index |= block & (~spread[-1]).astype(block.dtype)
     if any(c != 1.0 for c in coefs):
-        factor = np.array(coefs, dtype=np.complex128)[local]
+        factor = np.array(coefs)[local]
     return index, factor
 
 
 @functools.lru_cache(maxsize=128)
 def _monomial_block(rows, targets: tuple[int, ...], width: int):
     """:func:`_gather_tables` over a whole block of ``width`` bits, read-only."""
-    tables = _gather_tables(rows, targets, np.arange(1 << width))
+    positions = np.arange(1 << width, dtype=np.min_scalar_type((1 << width) - 1))
+    tables = _gather_tables(rows, targets, positions)
     for table in tables:
         if table is not None:
             table.flags.writeable = False
@@ -439,7 +489,9 @@ def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...],
     """A monomial operator as one gather and one scale over a block of index bits.
 
     The array is viewed as ``(A, B, C)``: ``B`` is the :func:`_block_span`
-    and ``C`` the rest below, columns included.
+    and ``C`` the rest below, columns included.  The factors are float64,
+    which multiply a complex array as complex factors with zero imaginary
+    parts do.
     """
     n = amps.shape[0].bit_length() - 1
     run = amps.size >> n
@@ -466,24 +518,29 @@ def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...],
     """:func:`_apply_monomial` on a ``(A * B, C)`` view whose block is too wide for one table.
 
     A chunk of ``2**MONOMIAL_BLOCK_BITS`` rows fixes the target bits above
-    it, so one table per value of those bits, built here, serves every chunk.
+    it.  The chunks go in order of those bits, and the tables for one value
+    of them, built here over uint16 positions, serve its chunks and are
+    dropped before the next are built: at most one set is alive, and none
+    outlives the call.
     """
     size = 1 << MONOMIAL_BLOCK_BITS
     high = sum(1 << t for t in targets if t >= MONOMIAL_BLOCK_BITS)
-    positions = np.arange(size)
-    tables = {}
+    positions = np.arange(size, dtype=np.min_scalar_type(size - 1))
     if out is None:
-        out = np.empty(view.shape, dtype=np.complex128)
-    for start in range(0, view.shape[0], size):
+        out = np.empty(view.shape, dtype=view.dtype)
+    fixed = None
+    for start in sorted(range(0, view.shape[0], size), key=lambda s: s & high):
+        if start & high != fixed:
+            fixed, base = start & high, 0
+            index = factor = None  # freed before the next tables are built
+            local = _local_index(targets, positions) | _local_index(targets, fixed)
+            index, factor = _gather_tables(rows, targets, positions, local)
         part = slice(start, start + size)
-        fixed = start & high
-        if fixed not in tables:
-            tables[fixed] = _gather_tables(rows, targets, positions | fixed)
-        index, factor = tables[fixed]
         source = view[part]
         if index is not None:
-            source = np.take(view, index + (start & ~high), axis=0, mode="clip",
-                             out=out[part])
+            index += (start & ~high) - base  # the rows of the chunk's other high bits
+            base = start & ~high
+            source = np.take(view, index, axis=0, mode="clip", out=out[part])
         if factor is not None:
             np.multiply(source, factor[:, None], out=out[part])
         elif index is None:
@@ -493,17 +550,21 @@ def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...],
 
 @functools.lru_cache(maxsize=1024)
 def _low_block(key: bytes, targets: tuple[int, ...]) -> np.ndarray:
-    """The operator in ``key`` embedded on ``targets`` of a ``max(targets) + 1``-qubit block."""
+    """The real operator in ``key`` embedded on ``targets`` of a ``max(targets) + 1``-qubit block.
+
+    float64, which multiplies a complex state as its complex128 twin does.
+    """
     k = len(targets)
     op = np.frombuffer(key, dtype=np.complex128).reshape(1 << k, 1 << k)
     block = _apply_transposed(np.eye(2 << max(targets), dtype=np.complex128), op, targets)
+    block = np.ascontiguousarray(block.real)
     block.flags.writeable = False
     return block
 
 
 def _apply_low_block(amps: np.ndarray, key: bytes, targets: tuple[int, ...],
                      out: np.ndarray | None = None) -> np.ndarray:
-    """A dense operator on low targets of a state, as one GEMM over contiguous index blocks."""
+    """A real dense operator on low targets of a state, as one GEMM over contiguous index blocks."""
     block = _low_block(key, targets)
     rows = amps.reshape(-1, block.shape[0])
     return np.matmul(rows, block.T, out=_into(out, rows.shape)).reshape(-1)
@@ -520,8 +581,10 @@ def apply_embedded(state: StateVector, op, targets: Sequence[int],
     finite already, so the result is finite short of a floating-point
     overflow, which :func:`normalize` reports.
 
-    ``out``, as in numpy, is a writeable ``(2**n,)`` complex array for the
-    result; for a real diagonal ``op`` it may be ``state.amplitudes`` itself.
+    The result is float64 when the state is and ``op`` is real, else
+    complex128.  ``out``, as in numpy, is a writeable ``(2**n,)`` array of
+    the result's dtype; for a real diagonal ``op`` it may be
+    ``state.amplitudes`` itself.
     """
     n = state.n_qubits
     op, targets = _check_operator(n, op, targets)
@@ -583,6 +646,8 @@ class Buffers:
     last state the run gave up.  A spare not written into before the next
     one comes is freed, so a run holds at most one idle array.  Arrays below
     ``COPY_FREE_MIN_SIZE`` entries are not recycled, which would cost more.
+    An array is handed only to a result of its dtype: a float64 spare is
+    freed at the step that promotes the state to complex128.
     """
 
     def __init__(self, *foreign: StateVector):
@@ -596,10 +661,15 @@ class Buffers:
         if amps.size >= COPY_FREE_MIN_SIZE and id(amps) not in self.foreign:
             amps.flags.writeable = True  # read-only only as the state's
             self.spare = amps
+        if out is None and self.spare is None:
+            return None
+        real, rows = (True, ()) if op is None else _structure(op.tobytes())
         # normalizing (no op, no rows) and a real diagonal write over the input itself
-        rows = None if self.spare is None else () if op is None else _structure(op.tobytes())[1]
-        if rows is not None and all(col == row for row, (col, _) in enumerate(rows)):
+        if (self.spare is not None and rows is not None
+                and all(col == row for row, (col, _) in enumerate(rows))):
             out, self.spare = self.spare, out
+        if out is not None and out.dtype != (amps.dtype if real else np.complex128):
+            return None
         return out
 
 
@@ -624,8 +694,8 @@ class Gathers(dict):
     ``gathers[gate, targets]`` is ``(index, coef)`` when ``gate.matrix`` is
     real and monomial (a diagonal or scaled permutation), and ``None``
     otherwise: on ``targets`` it maps a column ``v`` to ``coef * v[index]``,
-    where ``index`` is ``None`` for a diagonal and ``coef`` is ``None`` for
-    a permutation.  Each is built on first use per gate object and targets.
+    where ``index`` is ``None`` for a diagonal and ``coef``, float64, is
+    ``None`` for a permutation.  Each is built on first use per gate object and targets.
     """
 
     def __init__(self, n_qubits: int):
@@ -644,9 +714,7 @@ class Gathers(dict):
             local = self._local.get(targets)
             if local is None:
                 local = self._local[targets] = _local_index(targets, self._everywhere)
-            index, coef = _gather_tables(rows, targets, self._everywhere, local)
-            # the coefficients are real, and real factors keep the products real
-            found = index, None if coef is None else coef.real
+            found = _gather_tables(rows, targets, self._everywhere, local)
         self[key] = found
         return found
 
@@ -683,18 +751,19 @@ def embedded_matrix(op, targets: Sequence[int], n_qubits: int) -> np.ndarray:
 def live_amplitudes(state: StateVector, threshold: float = DUMP_THRESHOLD):
     """``(index, re, im)`` of each amplitude with magnitude above ``threshold``, by index.
 
-    Yields them in lists of at most ``DUMP_CHUNK``.
+    Yields them in lists of at most ``DUMP_CHUNK``.  A real state's ``im`` is 0.0.
     """
     amps = state.amplitudes
     for live in _live_chunks(amps, threshold):
-        yield list(zip(live.tolist(), amps.real[live].tolist(), amps.imag[live].tolist()))
+        values = amps[live].astype(np.complex128, copy=False)
+        yield list(zip(live.tolist(), values.real.tolist(), values.imag.tolist()))
 
 
 def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD,
                out: TextIO | None = None) -> str | None:
     """Text dump, one ``binary_index re im`` line per non-negligible amplitude.
 
-    Floats print as ``repr`` does.  Returns the text.  With ``out``, writes
+    Floats print as ``repr`` does; a real state's ``im`` as 0.0.  Returns the text.  With ``out``, writes
     the lines to it as they are formatted, ``DUMP_CHUNK`` amplitudes at a
     time, and returns None: the text, 3.8 state sizes for full-precision
     amplitudes, is then never held, let alone twice as the joined string
@@ -729,7 +798,8 @@ def _dump_lines(amps: np.ndarray, live: np.ndarray, n_qubits: int) -> str:
     # the index's big-endian bytes unpacked to bits, the last n_qubits of them
     index_bytes = live.astype(">u4").view(np.uint8).reshape(-1, 4)
     digits = np.unpackbits(index_bytes, axis=1)[:, 32 - n_qubits:] + ord("0")
-    floats, float_of = np.unique(amps[live].view(np.uint64), return_inverse=True)
+    values = amps[live].astype(np.complex128, copy=False)
+    floats, float_of = np.unique(values.view(np.uint64), return_inverse=True)
     texts = [repr(x) for x in floats.view(np.float64).tolist()]
     pairs, pair_of = np.unique(float_of[0::2] * floats.size + float_of[1::2],
                                return_inverse=True)

@@ -365,7 +365,9 @@ def test_search_amplitudes_equal_the_per_index_loop(n, monkeypatch):
     table = np.random.default_rng(n).integers(0, 2, 1 << n).tolist()
     oracle = apps.TruthTableOracle(n, tuple(table))
     amps = apps.search_program(oracle).initial_state.amplitudes
-    assert amps.tobytes() == _loop_search_amplitudes(oracle).tobytes()
+    # a real start: float64 from 2^10 amplitudes on
+    assert amps.dtype == (np.float64 if n + 1 >= 10 else np.complex128)
+    assert amps.astype(complex).tobytes() == _loop_search_amplitudes(oracle).tobytes()
     seen = []
     monkeypatch.setattr(stepwise, "fidelity", lambda a, b: seen.append(b.amplitudes) or 0.0)
     for s in (0, 1):

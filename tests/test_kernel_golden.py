@@ -3,8 +3,11 @@
 ``data/kernel_golden/wide.qc`` sends every state through the kernel's
 wide-register paths: monomial gates on low, high, adjacent and wide-span
 targets and dense gates on low, adjacent high and non-adjacent targets.
-The files beside it hold the stdout of the commands below as written before
-those paths were rebuilt (one BLAS thread).  Every sampled run fails at the
+The files beside it hold the stdout of the commands below (one BLAS thread),
+as written when real programs first ran on float64 states: the circuit is
+real, so from its float64 start every squared norm is a ``ddot``, which
+rounds its last digit apart from the ``zdotc`` of the complex start it was
+first written from.  Every sampled run fails at the
 final AL step, whose reversal rarely succeeds, so the sampled files pin the
 per-step probabilities of the sampled path and the branch files its final
 state.  The corpus is checked again with the transpose path's blocks made
@@ -17,14 +20,22 @@ for targets more than ``MONOMIAL_BLOCK_BITS`` apart, the identity among them.
 Its ``wide16_*`` files hold the stdout of the blocked transpose path as it
 first landed (one BLAS thread); that branch run's final state equals the
 step-by-step reference of ``tests/stepwise.py`` bit for bit.  Sampled seed 0
-succeeds, and seeds 1 and 2 fail at the final AL step.
+succeeds, and seeds 1 and 2 fail at the final AL step.  Its float64 start is
+promoted to complex128 by the first ``MAT`` step, before any measured step,
+so these files still hold the complex start's bits.
+
+Each corpus run is also held to its complex twin, the same start forced to
+complex128: the same exit code, text and indices, and floats within 1e-14.
 """
 
 import os
+import re
 
+import numpy as np
 import pytest
 
-from nuqc import cli, qstate
+from nuqc import circuit, cli, qstate
+from nuqc.qstate import StateVector
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "kernel_golden")
 CIRCUIT = os.path.join(GOLDEN, "wide.qc")
@@ -97,3 +108,40 @@ def test_the_16_qubit_circuit_takes_the_paths_it_pins(capsys, monkeypatch):
         (True, (9, 2)), (True, (2, 13)), (False, (10, 3)), (False, (7, 0))}
     # CNOT and CN1 on (15, 0), and the identity D(1,1,1,1) on (15, 1)
     assert (size, True) in chunked and (size, False) in chunked
+
+
+# a printed float: repr always writes a "." or an exponent, which indices and counts lack
+_FLOAT = re.compile(r"-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("path", [CIRCUIT, WIDE16], ids=["wide", "wide16"])
+def test_a_real_start_prints_what_its_complex_twin_prints(path, name, fmt, capsys, monkeypatch):
+    parse_file = circuit.parse_file
+    starts = []
+
+    def parse_as(twin):
+        def parse(file_name):
+            program = parse_file(file_name)
+            if twin:  # the same start, forced to complex128
+                program.initial_state = StateVector(program.n_qubits,
+                                                    program.initial_state.amplitudes)
+            starts.append(program.initial_state.amplitudes.dtype)
+            return program
+        return parse
+
+    runs = []
+    for twin in (False, True):
+        monkeypatch.setattr(circuit, "parse_file", parse_as(twin))
+        code = cli.main(["simulate", path, *RUNS[name]] + (["--json"] if fmt == "json" else []))
+        out, err = capsys.readouterr()
+        assert err == ""
+        runs.append((code, _FLOAT.split(out), [float(x) for x in _FLOAT.findall(out)]))
+    assert starts == [np.float64, np.complex128]
+    (code, text, floats), (twin_code, twin_text, twin_floats) = runs
+    # exit code, outcome, per-step reversal counts and printed indices
+    assert (code, text) == (twin_code, twin_text)
+    assert len(floats) == len(twin_floats)
+    for x, y in zip(floats, twin_floats):
+        assert abs(x - y) <= 1e-14 * max(abs(x), abs(y)), (x, y)

@@ -800,9 +800,10 @@ def test_dump_state_peak_stays_within_the_memory_budget():
     state = qstate.uniform_state(16)
     text, peak = _traced_peak(lambda: dump_state(state))
     assert text.count("\n") == 1 << 16
-    # the returned text is exempt from LIVE_STATES: this one is two state
-    # sizes, held once as pieces and once joined
-    assert peak <= 4.5 * state.amplitudes.nbytes
+    # the returned text is exempt from LIVE_STATES: this one is two complex
+    # state sizes, held once as pieces and once joined; the state is float64,
+    # but its text is as long as a complex one's
+    assert peak <= 4.5 * 2**16 * 16
 
 
 def test_streamed_dump_of_a_random_state_stays_within_the_memory_budget():
@@ -933,40 +934,56 @@ _WIDE_PROGRAM = (
     "gate CN1(0.6) 12 3 c=0.9 q=opt k=2\ngate N1(0.8) 9 c=0.9 q=opt k=2\ngate H 0\n")
 
 
-def _run_peak_states(program, run):
-    """``run()`` and its allocation peak in states, the program's initial state not counted.
+# a float64 16-qubit state's bytes: the runners' memory bounds are written
+# in them, for the real programs below start float64
+REAL_STATE_16 = 2**16 * 8
+
+
+def _run_peak(run):
+    """``run()`` and its allocation peak in bytes, the program's initial state not counted.
 
     ``run`` goes once untraced first, so that cached gate tables and
     prepared measurements are not counted.
     """
     run()
-    result, peak = _traced_peak(run)
-    return result, peak / program.initial_state.amplitudes.nbytes
+    return _traced_peak(run)
 
 
 def test_a_branch_run_holds_its_current_state_and_one_spare():
     program = circuit.parse(_WIDE_PROGRAM)
-    record, states = _run_peak_states(program, lambda: circuit.run_branch(program))
+    record, peak = _run_peak(lambda: circuit.run_branch(program))
     assert record.outcome == "success"
-    assert states <= 2.5
+    assert peak <= 2.5 * REAL_STATE_16
 
 
 def test_a_sampled_run_that_fails_and_restores_holds_two_states():
     program = circuit.parse(_WIDE_PROGRAM)
     # at seed 2 the N1 step on qubit 9 fails once, its reversal restores the
     # state and the retry succeeds
-    record, states = _run_peak_states(program, lambda: circuit.run_sampled(program, seed=2))
+    record, peak = _run_peak(lambda: circuit.run_sampled(program, seed=2))
     assert record.outcome == "success"
     assert [step.reversals for step in record.steps] == [0, 0, 0, 0, 0, 0, 0, 1, 0]
-    assert states <= 2.5
+    assert peak <= 2.5 * REAL_STATE_16
 
 
 def test_the_ensemble_branch_pass_holds_what_a_branch_run_holds():
     program = circuit.parse(_WIDE_PROGRAM)
-    stats, states = _run_peak_states(
-        program, lambda: circuit.run_ensemble(program, seed=1, trials=20))
+    stats, peak = _run_peak(lambda: circuit.run_ensemble(program, seed=1, trials=20))
     assert stats.trials == 20
-    assert states <= 2.5
+    assert peak <= 2.5 * REAL_STATE_16
+
+
+def test_a_real_program_runs_on_float64_states_in_half_the_bytes():
+    program = circuit.parse(_WIDE_PROGRAM)
+    assert program.initial_state.amplitudes.dtype == np.float64
+    record, peak = _run_peak(lambda: circuit.run_branch(program))
+    assert record.final_state.amplitudes.dtype == np.float64
+    assert peak <= 2.5 * 2**16 * 8
+    # the same run from the complex twin of the start needs more than that
+    program.initial_state = StateVector(16, program.initial_state.amplitudes)
+    twin, twin_peak = _run_peak(lambda: circuit.run_branch(program))
+    assert twin.final_state.amplitudes.dtype == np.complex128
+    assert 2.5 * 2**16 * 8 < twin_peak <= 2.5 * 2**16 * 16
 
 
 # a diagonal measured step whose targets span more than MONOMIAL_BLOCK_BITS,
@@ -982,11 +999,11 @@ def test_a_wide_span_diagonal_step_holds_two_states_on_every_runner(runner):
     run = {"branch": lambda: circuit.run_branch(program),
            "sampled": lambda: circuit.run_sampled(program, seed=9),
            "mc": lambda: circuit.run_ensemble(program, seed=1, trials=20)}[runner]
-    result, states = _run_peak_states(program, run)
+    result, peak = _run_peak(run)
     if runner == "sampled":
         assert result.outcome == "success"
         assert [step.reversals for step in result.steps] == [1]
-    assert states <= 2.5
+    assert peak <= 2.5 * REAL_STATE_16
 
 
 def _transposed_sizes(monkeypatch):
@@ -1014,12 +1031,12 @@ def test_transpose_path_steps_hold_no_state_sized_temporary(runner, states, monk
            "sampled": lambda: circuit.run_sampled(program, seed=0),
            "mc": lambda: circuit.run_ensemble(program, seed=1, trials=20)}[runner]
     sizes = _transposed_sizes(monkeypatch)
-    result, peak = _run_peak_states(program, run)
+    result, peak = _run_peak(run)
     assert max(sizes) == 1 << 16
     if runner == "sampled":
         assert result.outcome == "success"
         assert [step.reversals for step in result.steps] == [0, 0, 1, 0, 0]
-    assert peak <= states
+    assert peak <= states * REAL_STATE_16
 
 
 def test_kernel_paths_write_into_out_with_the_same_bits(monkeypatch):
@@ -1047,6 +1064,140 @@ def test_kernel_paths_write_into_out_with_the_same_bits(monkeypatch):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), targets
     # the transpose path ran in one block on 8 qubits and in several on 16
     assert min(sizes) <= qstate.TRANSPOSE_BLOCK_ENTRIES < max(sizes)
+
+
+def _real_kernel_cases(rng):
+    """Real operators and targets on a 10-qubit register that reach every kernel path."""
+    from nuqc import gates, measure
+
+    al = gates.abrams_lloyd().matrix
+    cn1 = measure.build_pair(gates.cn1(0.6), 0.9).m0
+    scaled_swap = np.array([[0.0, -0.5], [2.0, 0.0]], dtype=complex)
+    return [(cn1, (7, 2)), (cn1, (9, 0)), (gates.ckx(2).matrix, (5, 0, 9)),
+            (np.asarray(CNOT), (0, 9)), (scaled_swap, (6,)), (np.asarray(H), (5,)),
+            (al, (7, 6)), (np.asarray(H), (2,)), (al, (3, 0)), (al, (9, 0)),
+            (gates.nand().matrix, (4, 8)), (rng.normal(size=(8, 8)).astype(complex), (2, 9, 0))]
+
+
+_REAL_KERNEL_PATHS = ("_apply_monomial", "_apply_monomial_chunks", "_apply_adjacent_real",
+                      "_apply_low_block", "_apply_transposed")
+
+
+def _spy_paths(monkeypatch):
+    """A set of ``(path, dtype)`` for every kernel path call on a register-sized array from now on."""
+    from nuqc import qstate
+
+    taken = set()
+    for name in _REAL_KERNEL_PATHS:
+        def spy(amps, *args, name=name, path=getattr(qstate, name)):
+            if amps.size >= qstate.COPY_FREE_MIN_SIZE:
+                taken.add((name, amps.dtype))
+            return path(amps, *args)
+        monkeypatch.setattr(qstate, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("block_bits", [14, 4])
+def test_a_float64_state_takes_every_path_with_its_complex_twins_real_parts(block_bits,
+                                                                            monkeypatch):
+    from nuqc import qstate
+
+    # with 4-bit tables the monomial steps whose targets span more are chunked
+    monkeypatch.setattr(qstate, "MONOMIAL_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(qstate, "TRANSPOSE_BLOCK_ENTRIES", 1 << 7)  # several blocks
+    taken = _spy_paths(monkeypatch)
+    rng = np.random.default_rng(71)
+    n = 10
+    real = rng.normal(size=1 << n)
+    twin = real.astype(complex)
+    for op, targets in _real_kernel_cases(rng):
+        got = qstate._apply(real, op, targets)
+        assert got.dtype == np.float64, targets
+        assert np.allclose(got, embedded_matrix(op, targets, n) @ real, rtol=1e-13, atol=1e-13)
+        want = np.ascontiguousarray(qstate._apply(twin, op, targets).real)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), targets
+        out = np.empty(1 << n)
+        assert np.shares_memory(qstate._apply(real, op, targets, out), out)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), targets
+    assert {path for path, dtype in taken if dtype == np.float64} >= set(_REAL_KERNEL_PATHS) - (
+        {"_apply_monomial_chunks"} if block_bits == 14 else set())
+
+
+def test_normalize_gives_a_float64_state_its_complex_twins_real_parts():
+    rng = np.random.default_rng(72)
+    for norm in (1e-12, 0.3, 0.9, 1.0, 2.0, 2.5, 7.3, 1e10):
+        real = rng.normal(size=1 << 10)
+        real *= norm / np.linalg.norm(real)
+        state = StateVector._trusted(10, real)
+        twin = StateVector(10, real)
+        mass = norm_sq(twin)  # ddot and zdotc may round apart; the same mass for both
+        want = np.ascontiguousarray(normalize(twin, mass).amplitudes.real)
+        got = normalize(state, mass).amplitudes
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), norm
+        assert np.allclose(got, real / np.sqrt(mass), rtol=1e-15, atol=0.0)
+        handed_over = StateVector._trusted(10, real.copy())  # made by a run, which gives it up
+        in_place = normalize(handed_over, mass, out=Buffers().out(handed_over)).amplitudes
+        assert np.shares_memory(in_place, handed_over.amplitudes)
+        assert np.array_equal(in_place.view(np.uint64), want.view(np.uint64)), norm
+        assert abs(norm_sq(state) - mass) <= 1e-14 * mass
+
+
+def test_a_complex_step_after_real_steps_gives_the_complex_paths_bits():
+    from nuqc import gates
+
+    rng = np.random.default_rng(73)
+    unitary = np.linalg.qr(_random_amplitudes(rng, (4, 4)))[0]
+    real_steps = [(np.asarray(H), (5,)), (gates.cn1(0.7).matrix, (9, 1)),
+                  (gates.abrams_lloyd().matrix, (3, 0)), (np.asarray(CNOT), (2, 8))]
+    complex_steps = [(unitary, (6, 2)), (np.diag([1.0, 1j]), (4,)), (np.asarray(H), (7,))]
+    start = StateVector._trusted(12, rng.normal(size=1 << 12))
+    state, twin = start, StateVector(12, start.amplitudes)
+    for i, (op, targets) in enumerate(real_steps + complex_steps):
+        state = apply_embedded(state, op, targets)
+        twin = apply_embedded(twin, op, targets)
+        promoted = i >= len(real_steps)
+        assert state.amplitudes.dtype == (np.complex128 if promoted else np.float64)
+        # the real parts while real, then exactly the complex path's bits
+        want = twin.amplitudes if promoted else np.ascontiguousarray(twin.amplitudes.real)
+        assert np.array_equal(state.amplitudes.view(np.uint64), want.view(np.uint64)), i
+
+
+def test_a_float64_spare_never_takes_a_complex_result(monkeypatch):
+    from nuqc import gates, qstate
+
+    real = [StateVector._trusted(10, np.ones(1 << 10)) for _ in range(3)]
+    buffers = Buffers()
+    assert buffers.out(real[0], H) is None  # real[0]'s array is now the spare
+    assert buffers.out(real[1], np.diag([1.0, 1j])) is None  # a complex result
+    # real[1]'s array is the spare now, and a complex state's real step skips it too
+    promoted = StateVector(10, real[2].amplitudes)
+    assert buffers.out(promoted, H) is None
+    assert buffers.out(real[2], H) is None
+    assert buffers.out(StateVector._trusted(10, np.ones(1 << 10)), H) is real[2].amplitudes
+
+    seen = []
+    kernel = qstate._apply
+
+    def recording(amps, op, targets, out=None):
+        result = kernel(amps, op, targets, out)
+        seen.append((amps.dtype, None if out is None else out.dtype, result.dtype))
+        return result
+
+    monkeypatch.setattr(qstate, "_apply", recording)
+    phase = gates.from_matrix(np.diag([1.0, 1j]), "PHASE")
+    parsed = circuit.parse("qubits 12\ninit uniform\ngate H 4\ngate N1(0.6) 3 c=0.9 q=opt k=2\n"
+                           "gate H 9\ngate N1(0.8) 9 c=0.9 q=opt k=2\ngate H 2\n")
+    steps = parsed.steps[:3] + [circuit.CircuitStep(phase, (5,))] + parsed.steps[3:]
+    program = circuit.CircuitProgram(12, steps, parsed.initial_state)
+    assert program.initial_state.amplitudes.dtype == np.float64
+    for record in (circuit.run_branch(program), circuit.run_sampled(program, seed=3)):
+        assert record.outcome == "success"
+        assert record.final_state.amplitudes.dtype == np.complex128
+    assert all(out is None or out == result for _, out, result in seen)
+    assert (np.float64, None, np.complex128) in seen  # the promoting step
+    assert (np.float64, np.float64, np.float64) in seen  # a real array reused before it
+    assert (np.complex128, np.complex128, np.complex128) in seen  # a complex spare after it
 
 
 def test_runs_write_only_into_states_they_made():
