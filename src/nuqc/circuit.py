@@ -20,7 +20,7 @@ import json
 import operator
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, TextIO
 
@@ -450,7 +450,9 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
     basis <i> | uniform | file <path>``, ``scale <s>`` and ``ancillas <q...>``;
     then steps ``[gate] <LABEL> <targets...> [c=] [q=real|opt] [k=]`` or
     ``matrixgate <path> <targets...> [...]``, shorthand for ``gate MAT(<path>)``.
-    ``#`` starts a comment.  Paths resolve relative to ``base_dir``.
+    ``#`` starts a comment.  Paths resolve relative to ``base_dir``.  Every
+    step is prepared before the program is returned, so a step that
+    ``measure`` refuses raises ``CircuitParseError`` on its line.
     """
 
     def resolve(path: str) -> str:
@@ -463,6 +465,7 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
     ancillas: tuple[int, ...] = ()
     headers: set[str] = set()
     steps: list[CircuitStep] = []
+    step_lines: list[int] = []
     # one GateSpec per distinct label, so that its steps share one prepared pair
     known_gates: dict[str, GateSpec] = {}
     for lineno, tokens in numbered_lines(text):
@@ -551,11 +554,18 @@ def parse(text: str, base_dir: str | None = None) -> CircuitProgram:
                 )
             c, q, k = _parse_attributes(attr_tokens, lineno)
             steps.append(CircuitStep(gate, targets, c=c, q=q, max_reversals=k))
+            step_lines.append(lineno)
             continue
         raise CircuitParseError(f"unknown directive {keyword!r}", lineno)
     if n_qubits is None:
         raise CircuitParseError("missing qubits line")
-    return CircuitProgram(n_qubits, steps, init_state, init_label, scale, ancillas)
+    program = CircuitProgram(n_qubits, steps, init_state, init_label, scale, ancillas)
+    for step, lineno in zip(steps, step_lines):
+        try:
+            program.prepared(step)
+        except MeasurementError as exc:
+            raise CircuitParseError(str(exc), lineno) from None
+    return program
 
 
 MatNamer = Callable[[int, np.ndarray], str]
@@ -607,15 +617,21 @@ def parse_file(path) -> CircuitProgram:
         return parse(fh.read(), base_dir=os.path.dirname(os.fspath(path)) or None)
 
 
-def record_to_json(record: RunRecord) -> dict:
-    """JSON-ready view of a run record."""
-    final = None
-    if record.final_state is not None:
-        final = [
-            {"index": i, "re": re, "im": im}
-            for chunk in live_amplitudes(record.final_state)
-            for i, re, im in chunk
-        ]
+# one final_state entry as dumps_json indents it in a record document
+_AMPLITUDE_JSON = '    {\n      "index": %d,\n      "re": %r,\n      "im": %r\n    }'
+_FINAL_STATE_MARK = "\0final_state"
+
+
+def write_record_json(record: RunRecord, out: TextIO, **extra) -> None:
+    """Write a run record and ``extra`` to ``out`` as one ``dumps_json`` document, and a newline.
+
+    The document holds ``outcome``, ``total_probability``, ``per_step``
+    (``label``, ``p`` and ``reversals`` of each step), ``final_state`` (an
+    ``index``, ``re``, ``im`` entry per amplitude above ``DUMP_THRESHOLD``,
+    or null) and, when a step failed, ``failed_step``.  The final state's
+    entries are written a chunk of live amplitudes at a time; as one dict
+    each and one text, a dense 16-qubit state took 64 state sizes.
+    """
     doc = {
         "outcome": record.outcome,
         "total_probability": record.total_probability,
@@ -623,28 +639,10 @@ def record_to_json(record: RunRecord) -> dict:
             {"label": r.label, "p": r.probability, "reversals": r.reversals}
             for r in record.steps
         ],
-        "final_state": final,
+        "final_state": None if record.final_state is None else _FINAL_STATE_MARK,
     }
     if record.failed_step is not None:
         doc["failed_step"] = record.failed_step
-    return doc
-
-
-# one final_state entry as dumps_json indents it in a record document
-_AMPLITUDE_JSON = '    {\n      "index": %d,\n      "re": %r,\n      "im": %r\n    }'
-_FINAL_STATE_MARK = "\0final_state"
-
-
-def write_record_json(record: RunRecord, out: TextIO, **extra) -> None:
-    """Write ``dumps_json`` of ``record_to_json(record)`` plus ``extra``, and a newline.
-
-    The final state's entries are written a chunk of live amplitudes at a
-    time; as one dict each and one text, a dense 16-qubit state took 64
-    state sizes.
-    """
-    doc = record_to_json(replace(record, final_state=None))
-    if record.final_state is not None:
-        doc["final_state"] = _FINAL_STATE_MARK
     text = dumps_json(doc | extra)
     if record.final_state is not None:
         # the keys after final_state hold no gate label, so the mark is the last match

@@ -241,15 +241,19 @@ def _check_operator(n_qubits: int, op,
 # per-row Python cost outweighs the copies they save (one x86-64 core).
 COPY_FREE_MIN_SIZE = 1 << 10
 
-# The low-block path embeds a dense operator in the lowest LOW_BLOCK_BITS
-# qubits: a GEMM against a 16 x 16 matrix costs no more than its memory pass.
+# The low-block path embeds a real dense operator whose targets all lie below
+# LOW_BLOCK_BITS in a block of that many qubits: a GEMM against a 16 x 16
+# matrix costs no more than its memory pass.  It is tried before the batched
+# GEMM below: on a 20-qubit float64 state, H on qubit 0 (a 2 x 2 GEMM over
+# 2^19 rows when embedded in one qubit) took 1.4-1.7 instead of 2.3-3.3 ms,
+# and H on qubit 3 (a batched GEMM over runs of 8) 1.3-1.4 instead of 2.3
+# (best of 11, one BLAS thread, x86-64).
 LOW_BLOCK_BITS = 4
 
 # A real dense operator on adjacent targets listed high to low, the lowest at
 # least REAL_ADJACENT_MIN_BIT, is one batched real GEMM over the float64 view:
-# H at n = 20 took 4.8 instead of 18.0 ms at t = 4, 1.9 instead of 5.9 at
-# t = 8 and about the low block's time at t = 3; at t = 2 and below the low
-# block is twice as fast.
+# AL on (4, 3) of a 20-qubit float64 state took 1.5-1.6 ms on it against
+# 2.8-3.1 on the transpose path.
 REAL_ADJACENT_MIN_BIT = 3
 
 # A monomial operator is one gather over a block of index bits, through a
@@ -281,30 +285,30 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
     ``op`` gives a result of its dtype, a complex ``op`` a complex128 one.
     ``out`` has the result's dtype.  From ``COPY_FREE_MIN_SIZE`` entries on,
     the kernel makes one pass over the array without transposing it: one
-    gather and scale when a real ``op`` is monomial; one batched real GEMM
-    when a real ``op`` is dense on adjacent targets listed high to low, the
-    lowest at least ``REAL_ADJACENT_MIN_BIT`` (C-contiguous arrays only); and
-    for a state one GEMM when a real ``op`` is dense on low targets listed
-    high to low.  All give the transpose path's values exactly (the sign of
-    an exact zero aside): a real coefficient multiplies as zgemm does, and
-    the GEMMs keep zgemm's summation order.  On a float64 array each path
-    gives the real parts of what it gives the array's complex twin.  Complex
-    monomial operators and dense low targets in other orders would round
-    differently, and a batch would need one small GEMM per low block, which
-    is slower.
+    gather and scale when a real ``op`` is monomial; for a state one GEMM
+    when a real ``op`` is dense on targets below ``LOW_BLOCK_BITS`` listed
+    high to low; and one batched real GEMM when a real ``op`` is dense on
+    other adjacent targets listed high to low, the lowest at least
+    ``REAL_ADJACENT_MIN_BIT`` (C-contiguous arrays only).  All give the
+    transpose path's values exactly (the sign of an exact zero aside): a
+    real coefficient multiplies as zgemm does, and the GEMMs keep zgemm's
+    summation order.  On a float64 array each path gives the real parts of
+    what it gives the array's complex twin.  Complex monomial operators and
+    dense low targets in other orders would round differently, and a batch
+    would need one small GEMM per low block, which is slower.
     """
     if amps.size >= COPY_FREE_MIN_SIZE:
         key = op.tobytes()
         real, rows = _structure(key)
         if rows is not None:
             return _apply_monomial(amps, rows, targets, out)
+        if (real and amps.ndim == 1 and targets[0] < LOW_BLOCK_BITS
+                and all(a > b for a, b in zip(targets, targets[1:]))):
+            return _apply_low_block(amps, key, targets, out)
         low = targets[-1]
         if (real and low >= REAL_ADJACENT_MIN_BIT and amps.flags.c_contiguous
                 and targets == tuple(range(targets[0], low - 1, -1))):
             return _apply_adjacent_real(amps, op, targets, out)
-        if (real and amps.ndim == 1 and targets[0] < LOW_BLOCK_BITS
-                and all(a > b for a, b in zip(targets, targets[1:]))):
-            return _apply_low_block(amps, key, targets, out)
     return _apply_transposed(amps, op, targets, out)
 
 
@@ -550,13 +554,13 @@ def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...],
 
 @functools.lru_cache(maxsize=1024)
 def _low_block(key: bytes, targets: tuple[int, ...]) -> np.ndarray:
-    """The real operator in ``key`` embedded on ``targets`` of a ``max(targets) + 1``-qubit block.
+    """The real operator in ``key`` embedded on ``targets`` of a ``LOW_BLOCK_BITS``-qubit block.
 
     float64, which multiplies a complex state as its complex128 twin does.
     """
     k = len(targets)
     op = np.frombuffer(key, dtype=np.complex128).reshape(1 << k, 1 << k)
-    block = _apply_transposed(np.eye(2 << max(targets), dtype=np.complex128), op, targets)
+    block = _apply_transposed(np.eye(1 << LOW_BLOCK_BITS, dtype=np.complex128), op, targets)
     block = np.ascontiguousarray(block.real)
     block.flags.writeable = False
     return block
@@ -759,25 +763,16 @@ def live_amplitudes(state: StateVector, threshold: float = DUMP_THRESHOLD):
         yield list(zip(live.tolist(), values.real.tolist(), values.imag.tolist()))
 
 
-def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD,
-               out: TextIO | None = None) -> str | None:
-    """Text dump, one ``binary_index re im`` line per non-negligible amplitude.
+def dump_state(state: StateVector, threshold: float = DUMP_THRESHOLD, *, out: TextIO) -> None:
+    """Write a text dump to ``out``, one ``binary_index re im`` line per non-negligible amplitude.
 
-    Floats print as ``repr`` does; a real state's ``im`` as 0.0.  Returns the text.  With ``out``, writes
-    the lines to it as they are formatted, ``DUMP_CHUNK`` amplitudes at a
-    time, and returns None: the text, 3.8 state sizes for full-precision
-    amplitudes, is then never held, let alone twice as the joined string
-    and its pieces.  Wide registers should use ``out``, as the CLI does.
-    The returned string is exempt from ``LIVE_STATES``: for a random
-    16-qubit state its peak reaches 7.7 state sizes.
+    Floats print as ``repr`` does; a real state's ``im`` as 0.0.  The lines
+    are written as they are formatted, ``DUMP_CHUNK`` amplitudes at a time,
+    so the text, 3.8 state sizes for full-precision amplitudes, is never held.
     """
     amps = state.amplitudes
-    chunks = (_dump_lines(amps, live, state.n_qubits) for live in _live_chunks(amps, threshold))
-    if out is None:
-        return "".join(chunks)
-    for chunk in chunks:
-        out.write(chunk)
-    return None
+    for live in _live_chunks(amps, threshold):
+        out.write(_dump_lines(amps, live, state.n_qubits))
 
 
 def _live_chunks(amps: np.ndarray, threshold: float):

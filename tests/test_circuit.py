@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -127,6 +128,10 @@ def test_parse_matrixgate(tmp_path):
          "line 2: c must lie in (1e-12, 1 + 1e-12] in magnitude, got 1e-13"),
         ("qubits 1\ngate N1(0.5) 0 c=0.6 q=5e-13 k=1\n", "line 2: q must lie in (1e-12, "
          "sqrt(1-|c|^2) + 1e-12] in magnitude, where sqrt(1-|c|^2) = 0.8, got 5e-13"),
+        # the rule passes, but c times the top singular value rounds to 1: M1 is singular
+        ("qubits 1\ninit uniform\ngate D(1.0000000005,0.5) 0\n"
+         "gate D(1.000000001,0.5) 0 c=0.9999999989999999 k=1\n",
+         "line 4: failure operator has eigenvalue 0.000e+00"),
         ("qubits 2\ngate X a\n", "line 2: bad target list ['a']"),
         ("qubits 2\ninit basis\n", "line 2: expected 'init basis <index>'"),
         ("qubits 2\ninit zero\n",
@@ -378,9 +383,16 @@ def test_ensemble_validation():
         circuit.run_ensemble(prog, jobs=0)
 
 
+def _record_doc(record):
+    """The document ``write_record_json`` writes for ``record``, read back."""
+    out = io.StringIO()
+    circuit.write_record_json(record, out)
+    return json.loads(out.getvalue())
+
+
 def test_record_json_shape():
     record = circuit.run_branch(circuit.parse(NAND_REVERSAL))
-    doc = circuit.record_to_json(record)
+    doc = _record_doc(record)
     assert doc["outcome"] == "success"
     assert doc["per_step"][0]["label"] == "NAND"
     assert doc["final_state"] == [{"index": 0, "re": 1.0, "im": 0.0}]
@@ -392,7 +404,7 @@ def test_record_json_failure_shape(tmp_path):
     state_file.write_text("00 1.0 0.0\n01 -1.0 0.0\n", encoding="utf-8")
     prog = circuit.parse("qubits 2\ninit file wrong.state\ngate NAND 1 0\n",
                          base_dir=str(tmp_path))
-    doc = circuit.record_to_json(circuit.run_branch(prog))
+    doc = _record_doc(circuit.run_branch(prog))
     assert doc["outcome"] == "failure"
     assert doc["failed_step"] == 0
     assert doc["final_state"] is None
@@ -409,9 +421,10 @@ def test_stats_json_round_trips_through_json():
 
 def test_dumps_json_is_stable():
     prog = circuit.parse(NAND_REVERSAL)
-    a = circuit.dumps_json(circuit.record_to_json(circuit.run_sampled(prog, seed=9)))
-    b = circuit.dumps_json(circuit.record_to_json(circuit.run_sampled(prog, seed=9)))
-    assert a == b
+    a, b = io.StringIO(), io.StringIO()
+    circuit.write_record_json(circuit.run_sampled(prog, seed=9), a)
+    circuit.write_record_json(circuit.run_sampled(prog, seed=9), b)
+    assert a.getvalue() == b.getvalue()
 
 
 def test_parse_file_resolves_relative_paths(tmp_path):
@@ -426,9 +439,10 @@ def test_parse_file_resolves_relative_paths(tmp_path):
 
 def test_final_state_dump_is_clean():
     record = circuit.run_branch(circuit.parse("qubits 2\ninit uniform\ngate NAND 1 0\n"))
-    text = dump_state(record.final_state)
+    out = io.StringIO()
+    dump_state(record.final_state, out=out)
     # plain floats only in the dump
-    assert "np." not in text
+    assert "np." not in out.getvalue()
 
 
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")

@@ -208,6 +208,37 @@ def _dump_state_by_loop(state, threshold=DUMP_THRESHOLD):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _dump_text(state, threshold=DUMP_THRESHOLD):
+    """The lines ``dump_state`` writes for ``state``, as one string."""
+    out = io.StringIO()
+    dump_state(state, threshold, out=out)
+    return out.getvalue()
+
+
+def _record_json_by_loop(record, **extra):
+    """The document ``write_record_json`` streams, built whole and per amplitude: its reference."""
+    final = None
+    if record.final_state is not None:
+        final = [{"index": i, "re": float(a.real), "im": float(a.imag)}
+                 for i, a in enumerate(record.final_state.amplitudes) if abs(a) > DUMP_THRESHOLD]
+    doc = {
+        "outcome": record.outcome,
+        "total_probability": record.total_probability,
+        "per_step": [{"label": r.label, "p": r.probability, "reversals": r.reversals}
+                     for r in record.steps],
+        "final_state": final,
+    }
+    if record.failed_step is not None:
+        doc["failed_step"] = record.failed_step
+    return circuit.dumps_json(doc | extra) + "\n"
+
+
+def _record_json_streamed(record, **extra):
+    out = io.StringIO()
+    assert circuit.write_record_json(record, out, **extra) is None
+    return out.getvalue()
+
+
 def edge_amplitudes(n, rng):
     """Amplitudes around DUMP_THRESHOLD, with signed zeros, on an n-qubit register."""
     amps = np.zeros(1 << n, dtype=complex)
@@ -233,12 +264,17 @@ def edge_amplitudes(n, rng):
 def test_dump_state_matches_the_per_amplitude_loop(n):
     rng = np.random.default_rng(n)
     state = StateVector(n, edge_amplitudes(n, rng))
-    text = dump_state(state)
+    text = _dump_text(state)
     assert text == _dump_state_by_loop(state)
     assert "-0.0" in text
-    assert dump_state(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
+    assert _dump_text(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
     empty = StateVector(n, np.zeros(1 << n))
-    assert dump_state(empty) == _dump_state_by_loop(empty) == ""
+    assert _dump_text(empty) == _dump_state_by_loop(empty) == ""
+
+
+def test_dump_state_only_writes():
+    with pytest.raises(TypeError):
+        dump_state(basis_state(2, 1))
 
 
 @pytest.mark.parametrize("n", [1, 3, 12])
@@ -246,16 +282,7 @@ def test_record_json_matches_the_per_amplitude_loop(n):
     rng = np.random.default_rng(100 + n)
     state = StateVector(n, edge_amplitudes(n, rng))
     record = circuit.RunRecord("success", 0.5, [], state)
-    by_loop = [
-        {"index": i, "re": float(a.real), "im": float(a.imag)}
-        for i, a in enumerate(state.amplitudes)
-        if abs(a) > 1e-12
-    ]
-    doc = circuit.record_to_json(record)
-    assert doc["final_state"] == by_loop
-    assert all(type(e["index"]) is int and type(e["re"]) is float for e in doc["final_state"])
-    want = circuit.dumps_json(dict(doc, final_state=by_loop))
-    assert circuit.dumps_json(doc) == want
+    assert _record_json_streamed(record) == _record_json_by_loop(record)
 
 
 def test_dump_load_round_trip():
@@ -263,7 +290,7 @@ def test_dump_load_round_trip():
     amps[1] = 0.6
     amps[6] = -0.8j
     psi = StateVector(3, amps)
-    text = dump_state(psi)
+    text = _dump_text(psi)
     lines = text.strip().splitlines()
     assert lines[0].startswith("001 ")
     again = load_state(text)
@@ -275,7 +302,7 @@ def test_dump_skips_negligible_amplitudes():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
     amps[3] = 1e-15
-    assert len(dump_state(StateVector(2, amps)).strip().splitlines()) == 1
+    assert len(_dump_text(StateVector(2, amps)).strip().splitlines()) == 1
 
 
 def test_load_state_checks_declared_width():
@@ -474,8 +501,31 @@ def test_real_adjacent_gemm_is_bitwise_the_transpose_path(monkeypatch):
                 got = qstate._apply(amps, op, targets)
                 want = qstate._apply_transposed(amps, op, targets)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (op, targets)
-                real_path = low >= qstate.REAL_ADJACENT_MIN_BIT and amps is not strided
+                # a state's targets below LOW_BLOCK_BITS take the low block first
+                real_path = (low >= qstate.REAL_ADJACENT_MIN_BIT and amps is not strided
+                             and not (amps is state and targets[0] < qstate.LOW_BLOCK_BITS))
                 assert len(taken) == real_path, (targets, amps.shape)
+
+
+def test_dense_targets_below_the_low_block_bits_take_the_low_block(monkeypatch):
+    from nuqc import qstate
+
+    taken = []
+    low_block = qstate._apply_low_block
+    monkeypatch.setattr(qstate, "_apply_low_block",
+                        lambda amps, *args: taken.append(amps) or low_block(amps, *args))
+    rng = np.random.default_rng(58)
+    real = rng.normal(size=qstate.COPY_FREE_MIN_SIZE)
+    for op in _real_adjacent_ops(rng):
+        k = op.shape[0].bit_length() - 1
+        for amps in (real, real.astype(complex)):
+            for low in range(qstate.LOW_BLOCK_BITS - k + 1):  # H on qubit 3 among them
+                targets = tuple(range(low + k - 1, low - 1, -1))
+                taken.clear()
+                got = qstate._apply(amps, op, targets)
+                want = qstate._apply_transposed(amps, op, targets)
+                assert len(taken) == 1, (targets, amps.dtype)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (op, targets)
 
 
 def test_dispatch_takes_the_copy_free_paths(monkeypatch):
@@ -765,8 +815,8 @@ def test_dump_state_memo_keeps_repeated_and_signed_values_apart():
     amps.real = rng.choice(values, size=1 << n)
     amps.imag = rng.choice(values, size=1 << n)
     state = StateVector(n, amps)
-    assert dump_state(state) == _dump_state_by_loop(state)
-    assert dump_state(state, threshold=0.3) == _dump_state_by_loop(state, threshold=0.3)
+    assert _dump_text(state) == _dump_state_by_loop(state)
+    assert _dump_text(state, threshold=0.3) == _dump_state_by_loop(state, threshold=0.3)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -778,8 +828,8 @@ def test_dump_state_in_chunks_matches_the_per_amplitude_loop(chunk, monkeypatch)
     state = StateVector(8, edge_amplitudes(8, rng))
     for scan in (1, 24, 1 << 16):
         monkeypatch.setattr(qstate, "DUMP_SCAN", scan)
-        assert dump_state(state) == _dump_state_by_loop(state)
-        assert dump_state(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
+        assert _dump_text(state) == _dump_state_by_loop(state)
+        assert _dump_text(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
 
 
 def _traced_peak(run):
@@ -792,18 +842,6 @@ def _traced_peak(run):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_dump_state_peak_stays_within_the_memory_budget():
-    from nuqc import qstate
-
-    state = qstate.uniform_state(16)
-    text, peak = _traced_peak(lambda: dump_state(state))
-    assert text.count("\n") == 1 << 16
-    # the returned text is exempt from LIVE_STATES: this one is two complex
-    # state sizes, held once as pieces and once joined; the state is float64,
-    # but its text is as long as a complex one's
-    assert peak <= 4.5 * 2**16 * 16
 
 
 def test_streamed_dump_of_a_random_state_stays_within_the_memory_budget():
@@ -827,29 +865,13 @@ def test_streamed_dump_of_a_random_state_stays_within_the_memory_budget():
 
 @pytest.mark.parametrize("chunk", [7, 1 << 14])
 def test_streamed_dump_writes_the_dump_text(chunk, monkeypatch):
-    import io
-
     from nuqc import qstate
 
     monkeypatch.setattr(qstate, "DUMP_CHUNK", chunk)
     state = StateVector(9, edge_amplitudes(9, np.random.default_rng(62)))
     out = io.StringIO()
     assert dump_state(state, out=out) is None
-    assert out.getvalue() == dump_state(state) == _dump_state_by_loop(state)
-
-
-def _record_json_whole(record, **extra):
-    doc = circuit.record_to_json(record)
-    doc.update(extra)
-    return circuit.dumps_json(doc) + "\n"
-
-
-def _record_json_streamed(record, **extra):
-    import io
-
-    out = io.StringIO()
-    assert circuit.write_record_json(record, out, **extra) is None
-    return out.getvalue()
+    assert out.getvalue() == _dump_state_by_loop(state)
 
 
 @pytest.mark.parametrize("scan, chunk", [(64, 5), (1 << 16, 7), (1 << 16, 1 << 12)])
@@ -864,18 +886,18 @@ def test_streamed_record_json_equals_dumps_json(n, scan, chunk, monkeypatch):
     steps = [circuit.StepRecord("\0final_state", (0,), 0.25, 1)]
     record = circuit.RunRecord("success", 0.25, steps, state)
     extra = {"outputs": {"s": 1}, "qubits": n, "qubit_savings": {"saved": 2}}
-    assert _record_json_streamed(record) == _record_json_whole(record)
-    assert _record_json_streamed(record, **extra) == _record_json_whole(record, **extra)
+    assert _record_json_streamed(record) == _record_json_by_loop(record)
+    assert _record_json_streamed(record, **extra) == _record_json_by_loop(record, **extra)
     failed = circuit.RunRecord("failure", 0.0, steps, state, failed_step=0)
-    assert _record_json_streamed(failed, s=None) == _record_json_whole(failed, s=None)
+    assert _record_json_streamed(failed, s=None) == _record_json_by_loop(failed, s=None)
 
 
 def test_streamed_record_json_of_an_empty_or_missing_state():
     empty = circuit.RunRecord("success", 1.0, [], StateVector(2, np.zeros(4)))
     assert '"final_state": [],' in _record_json_streamed(empty, s=0)
-    assert _record_json_streamed(empty, s=0) == _record_json_whole(empty, s=0)
+    assert _record_json_streamed(empty, s=0) == _record_json_by_loop(empty, s=0)
     missing = circuit.RunRecord("failure", 0.0, [], None, failed_step=3)
-    assert _record_json_streamed(missing, s=None) == _record_json_whole(missing, s=None)
+    assert _record_json_streamed(missing, s=None) == _record_json_by_loop(missing, s=None)
 
 
 def test_streamed_record_json_of_a_random_state_stays_within_the_memory_budget():
