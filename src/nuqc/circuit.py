@@ -6,10 +6,11 @@ as a two-outcome measurement, optionally wrapped in the reversal protocol.
 Each runner is one pass along the all-success branch, where a successful
 reversal leaves every trajectory still running: ``run_branch`` multiplies its
 probabilities, ``run_sampled`` draws one trajectory against its masses, and
-``run_ensemble`` draws many seeded trials against them.  The ensemble runs
-in this process as array passes over chunks of trials; it reproduces each
-trial's ``trial_rng`` stream bit for bit, so its output equals that of
-running the trials one by one.
+``run_ensemble`` draws many seeded trials against them.  Every trial draws
+from its own SplitMix64 stream, ``trial_rng(seed, t)``.  The ensemble runs
+in this process as array passes over chunks of trials that advance each
+stream only when its trial draws, so its output equals that of running the
+trials one by one.
 Synthesized netlists are programs too, read and written by the same
 ``parse`` and ``format_program``.
 """
@@ -144,9 +145,55 @@ class EnsembleStats:
     analytic_probability: float
 
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden gamma and mix64's multipliers.
+# The arithmetic stays in uint64 arrays, whose operations wrap silently.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_M64 = (1 << 64) - 1
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * _MIX_A
+    z = (z ^ (z >> np.uint64(27))) * _MIX_B
+    return z ^ (z >> np.uint64(31))
+
+
+class _TrialStreams:
+    """One SplitMix64 stream per trial, for every ``t`` in the uint64 ``indices``.
+
+    The key starts at 0 and takes each 64-bit word of ``seed``, low first
+    (0 is one word): the word is XORed in and the result is replaced by the
+    first SplitMix64 output from it, so seeds below 2^64 get distinct keys.
+    Trial ``t``'s state is output ``t`` of the key's SplitMix64.
+    ``draw(rows)`` adds the golden gamma to each selected trial's state and
+    returns ``(mix64(state) >> 11) * 2**-53``, advancing only those trials.
+    ``random()`` and ``random(k)`` draw from the first trial, as numpy's
+    ``Generator.random`` does.
+    """
+
+    def __init__(self, seed: int, indices: np.ndarray):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        key = np.zeros(1, dtype=np.uint64)
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key = _mix64((key ^ np.uint64(seed >> shift & _M64)) + _GAMMA)
+        self.states = _mix64(key + (indices + np.uint64(1)) * _GAMMA)
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        states = self.states[rows] + _GAMMA
+        self.states[rows] = states
+        return (_mix64(states) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    def random(self, size: int | None = None):
+        drawn = [self.draw(_FIRST)[0] for _ in range(1 if size is None else size)]
+        return float(drawn[0]) if size is None else np.array(drawn)
+
+
+def trial_rng(seed: int, index: int) -> _TrialStreams:
     """Independent, reproducible stream for trial ``index`` under ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+    return _TrialStreams(seed, np.array([index], dtype=np.uint64))
 
 
 def _stages(program: CircuitProgram) -> Iterator[tuple]:
@@ -177,7 +224,7 @@ Plan = list[tuple[int, measure.Thresholds]]
 
 
 def _follow_branch(program: CircuitProgram, plan: Plan | None = None,
-                   rng: np.random.Generator | None = None) -> RunRecord:
+                   rng: _TrialStreams | None = None) -> RunRecord:
     """``run_branch``; with a ``plan`` list, also append each measured step's thresholds.
 
     With an ``rng``, each measured step is drawn against its thresholds as
@@ -223,7 +270,7 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None = None,
 
 
 def run_sampled(program: CircuitProgram, seed: int = 0,
-                rng: np.random.Generator | None = None) -> RunRecord:
+                rng: _TrialStreams | None = None) -> RunRecord:
     """Sample one trajectory; a failed step aborts the run.
 
     Each measured step is drawn from ``rng`` as one trial of
@@ -237,121 +284,6 @@ def run_sampled(program: CircuitProgram, seed: int = 0,
 
 # Trials per array pass: bounds the stream state's memory at any trial count.
 _CHUNK = 1 << 16
-
-_M32 = 0xFFFFFFFF
-# numpy's SeedSequence: O'Neill's seed_seq_fe hash over a pool of 4 words
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# the PCG64 multiplier 0x2360ED051FC65DA44385DF649FCCF645 in 64-bit halves,
-# and the low half in 32-bit limbs
-_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> 32
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of ``value``, as ``SeedSequence`` takes them (0 is one word)."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _M32]
-    while value > _M32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
-
-
-def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One seed_seq_fe hash of the uint32 ``value`` under ``const``, and the next constant."""
-    value = value ^ np.uint32(const)
-    const = const * mult & _M32
-    value = value * np.uint32(const)
-    return value ^ (value >> np.uint32(16)), const
-
-
-def _seed_pool(seed: int, indices: np.ndarray) -> list[np.ndarray]:
-    """The 4-word pool of ``SeedSequence((seed, t))`` for every ``t`` in ``indices``."""
-    n = len(indices)
-    t_high = (indices >> 32).astype(np.uint32)
-    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    entropy += [(indices & _M32).astype(np.uint32), t_high]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value, hash_const = _hash(value, hash_const, _MULT_A)
-        return value
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return result ^ (result >> np.uint32(16))
-
-    # A pool slot without a word hashes 0, so a zero high word of t acts as an
-    # absent one there.  Past the pool it does not: such a word is mixed in
-    # only where t has it.
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint32))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(entropy)):
-        has_word = t_high != 0 if src == len(entropy) - 1 else True
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(has_word, mix(pool[dst], hashmix(entropy[src])), pool[dst])
-    return pool
-
-
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
-              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 state step ``s * multiplier + inc mod 2^128`` on (high, low) halves."""
-    a0, a1 = lo & _M32, lo >> 32
-    p00, p01 = a0 * _PCG_LO0, a0 * _PCG_LO1
-    p10, p11 = a1 * _PCG_LO0, a1 * _PCG_LO1
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    prod_lo = (mid << 32) | (p00 & _M32)
-    prod_hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * _PCG_HI + hi * _PCG_LO
-    new_lo = prod_lo + inc_lo
-    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
-
-
-class _TrialStreams:
-    """The streams of ``trial_rng(seed, t)`` for every ``t`` in the uint64 ``indices``.
-
-    ``draw(rows)`` returns the next ``random()`` of each selected stream and
-    advances only those.  Seeding follows numpy's ``SeedSequence`` and the
-    generator is its PCG64 (XSL-RR 128/64, O'Neill, HMC-CS-2014-0905), so
-    every draw equals the scalar generator's bit for bit.
-    """
-
-    def __init__(self, seed: int, indices: np.ndarray):
-        pool = _seed_pool(seed, indices)
-        # generate_state(4, uint64): 8 words cycled from the pool, paired low word first
-        hash_const = _INIT_B
-        words = []
-        for i in range(8):
-            value, hash_const = _hash(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-            words.append(value.astype(np.uint64))
-        init_hi, init_lo, seq_hi, seq_lo = (words[2 * k] | (words[2 * k + 1] << 32)
-                                            for k in range(4))
-        # srandom: inc = seq << 1 | 1; s = inc; s += initstate; step
-        self._inc_hi = (seq_hi << 1) | (seq_lo >> 63)
-        self._inc_lo = (seq_lo << 1) | 1
-        lo = self._inc_lo + init_lo
-        hi = self._inc_hi + init_hi + (lo < init_lo)
-        self._hi, self._lo = _pcg_step(hi, lo, self._inc_hi, self._inc_lo)
-
-    def draw(self, rows: np.ndarray) -> np.ndarray:
-        hi, lo = _pcg_step(self._hi[rows], self._lo[rows], self._inc_hi[rows],
-                           self._inc_lo[rows])
-        self._hi[rows] = hi
-        self._lo[rows] = lo
-        rot = hi >> 58
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        return (x >> 11).astype(np.float64) * 2.0 ** -53
-
 
 def run_ensemble(program: CircuitProgram, seed: int = 0, trials: int = 10000,
                  jobs: int = 1) -> EnsembleStats:

@@ -4,7 +4,9 @@ The runners compose permutation runs on wide registers; these oracles never
 do, so the tests can hold the runners' states and records to them bit for bit.
 ``replay`` and ``trial`` draw one trial at a time with scalar uniforms.  They
 are the reference for every runner's draw, ``measure.draw_trials``: the
-ensemble's array passes and a sampled run's one-trial draws.  ``n1_search`` is
+ensemble's array passes and a sampled run's one-trial draws.  ``SplitMix64``
+and ``trial_stream`` are the per-trial streams on Python ints, the
+reference for ``circuit._TrialStreams``.  ``n1_search`` is
 the scalar reference for ``synth.approximate_n1``'s chunked search, and
 ``transposed_whole`` the unblocked transpose path.  The search app's test-only
 references and ``is_normalized`` close the module.
@@ -104,6 +106,49 @@ def trial(plan, rng):
         if not passed:
             return i, reversals
     return None, reversals
+
+
+M64 = (1 << 64) - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & M64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) on Python ints.
+
+    ``next()`` adds the golden gamma to the state and returns its ``mix64``;
+    ``random()`` keeps the top 53 bits of that as a uniform in [0, 1).
+    """
+
+    def __init__(self, state):
+        self.state = state & M64
+
+    def next(self):
+        self.state = (self.state + GOLDEN_GAMMA) & M64
+        return mix64(self.state)
+
+    def random(self):
+        return (self.next() >> 11) * 2.0 ** -53
+
+
+def seed_key(seed):
+    """The key of ``seed``: each 64-bit word, low first, XORed in, then one SplitMix64 output."""
+    key = 0
+    while True:
+        key = SplitMix64(key ^ (seed & M64)).next()
+        seed >>= 64
+        if not seed:
+            return key
+
+
+def trial_stream(seed, t):
+    """Trial ``t``'s stream under ``seed``: seeded with output ``t`` of the key's SplitMix64."""
+    return SplitMix64(SplitMix64(seed_key(seed) + t * GOLDEN_GAMMA).next())
 
 
 def n1_search(a, alpha, gamma, epsilon, budget):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -683,24 +684,93 @@ def test_every_sampled_draw_is_one_trial_of_draw_trials(monkeypatch):
         oracle = circuit.trial_rng(seed, 0)
         assert _oracle(prog, oracle) == (record.failed_step,
                                          sum(r.reversals for r in record.steps)), seed
-        assert oracle.bit_generator.state == rng.bit_generator.state, seed
+        assert oracle.states.tolist() == rng.states.tolist(), seed
         ended.add(record.failed_step)
     assert ended == {None, *measured}
 
 
-STREAM_INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7]
+def test_the_reference_splitmix64_gives_the_published_outputs():
+    zero, other = stepwise.SplitMix64(0), stepwise.SplitMix64(1234567)
+    assert [zero.next() for _ in range(3)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                               0x06C45D188009454F]
+    assert [other.next() for _ in range(3)] == [6457827717110365317, 3203168211198807973,
+                                                9817491932198370423]
+
+
+STREAM_INDICES = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**64 + 1])
 def test_trial_streams_draw_what_trial_rng_draws(seed):
-    # seed 2^64 + 1 is 3 words, so t = 2^32 makes 5: one past the pool
-    streams = circuit._TrialStreams(seed, np.array(STREAM_INDICES, dtype=np.uint64))
-    rngs = [circuit.trial_rng(seed, t) for t in STREAM_INDICES]
-    every = np.arange(len(STREAM_INDICES))
-    # streams advance only when drawn from
-    for rows in (every, every, [1, 4], every, [4], [0, 5], every):
-        got = streams.draw(np.array(rows))
-        assert got.tolist() == [rngs[r].random() for r in rows], (seed, rows)
+    # bit for bit the pure-Python reference's draws; the uint64 arithmetic
+    # wraps without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streams = circuit._TrialStreams(seed, np.array(STREAM_INDICES, dtype=np.uint64))
+        refs = [stepwise.trial_stream(seed, t) for t in STREAM_INDICES]
+        every = np.arange(len(STREAM_INDICES))
+        # streams advance only when drawn from
+        for rows in (every, every, [1, 4], every, [4], [0, 6], every):
+            got = streams.draw(np.array(rows))
+            assert got.tolist() == [refs[r].random() for r in rows], (seed, rows)
+        for t in STREAM_INDICES:
+            rng, ref = circuit.trial_rng(seed, t), stepwise.trial_stream(seed, t)
+            drawn = [rng.random(), *rng.random(3).tolist(), *rng.random(0).tolist(), rng.random()]
+            assert drawn == [ref.random() for _ in range(5)], (seed, t)
+
+
+EDGE_SEEDS = [2**64 - 1, 2**64, 2**64 + 1]
+
+
+def test_seeds_at_the_64_bit_edge_run_and_give_distinct_streams():
+    firsts = {tuple(circuit.trial_rng(seed, 0).random(4).tolist()) for seed in EDGE_SEEDS}
+    assert len(firsts) == len(EDGE_SEEDS)
+    prog = circuit.parse(NAND_REVERSAL)
+    for seed in EDGE_SEEDS:
+        assert circuit.run_sampled(prog, seed=seed).outcome in ("success", "failure")
+        assert circuit.run_ensemble(prog, seed=seed, trials=50).trials == 50
+
+
+def test_distinct_seeds_below_2_64_get_distinct_keys():
+    seeds = [*range(4096), *(2**k + d for k in (32, 63) for d in (-1, 0, 1)), 2**64 - 1]
+    # a one-word seed's key is the first SplitMix64 output from it, which is one to one
+    for seed in seeds[::101]:
+        assert stepwise.seed_key(seed) == stepwise.SplitMix64(seed).next()
+    # trial 0's state is mix64(key + gamma), one to one in the key
+    first = np.zeros(1, dtype=np.uint64)
+    states = [int(circuit._TrialStreams(seed, first).states[0]) for seed in seeds]
+    assert len(set(states)) == len(seeds)
+
+
+class _RawWeyl(circuit._TrialStreams):
+    """The same streams with ``mix64`` left out of each draw: a raw Weyl counter."""
+
+    def draw(self, rows):
+        states = self.states[rows] + circuit._GAMMA
+        self.states[rows] = states
+        return (states >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _pair_chi_square(streams, trials, draws):
+    """Chi-square of each trial's consecutive-draw pairs over 16 x 16 bins."""
+    rows = np.arange(trials)
+    bins = np.stack([np.floor(streams.draw(rows) * 16) for _ in range(draws)], axis=1)
+    counts = np.bincount((bins[:, 0::2] * 16 + bins[:, 1::2]).astype(np.intp).ravel(),
+                         minlength=256)
+    expected = trials * draws / 2 / 256
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+# the chi-square with 255 degrees of freedom exceeds this with probability 1e-6
+CHI_SQUARE_255_AT_1E_6 = 377.08
+
+
+def test_consecutive_draws_pass_a_pair_chi_square():
+    # 2^20 draws from 1,024 trial streams
+    indices = np.arange(1024, dtype=np.uint64)
+    assert _pair_chi_square(circuit._TrialStreams(1, indices), 1024, 1024) < CHI_SQUARE_255_AT_1E_6
+    # the statistic can fail: the raw Weyl counter's pairs lie on a few lines
+    assert _pair_chi_square(_RawWeyl(1, indices), 1024, 1024) > 100 * CHI_SQUARE_255_AT_1E_6
 
 
 def _sequential(prog, seed, trials):

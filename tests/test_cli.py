@@ -146,10 +146,33 @@ def test_degenerate_branch_exit_code_from_an_ensemble(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_negative_seed_is_a_usage_error_in_an_ensemble(circuit_file, capsys, jobs):
-    code, out, err = run_cli(capsys, "simulate", str(circuit_file), "--mode", "mc",
-                             "--seed", "-1", "--trials", "5", "--jobs", jobs)
-    assert code == 1
-    assert (out, err) == ("", "error: expected non-negative integer\n")
+    # and in every sampled run
+    for argv in (["simulate", str(circuit_file), "--mode", "mc", "--trials", "5", "--jobs", jobs],
+                 ["simulate", str(circuit_file), "--mode", "sampled"],
+                 ["demo-al", "--table", "0010", "--mode", "sampled"]):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: expected non-negative integer\n"), argv
+
+
+# runs with a seed in a fresh interpreter, which then reports whether numpy.random was imported
+_SEEDED_RUNS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import nuqc.cli
+for argv in (["simulate", sys.argv[2], "--mode", "sampled", "--seed", "3"],
+             ["simulate", sys.argv[2], "--mode", "mc", "--trials", "200", "--seed", "3"],
+             ["demo-al", "--table", "0010", "--mode", "sampled", "--seed", "3"]):
+    assert nuqc.cli.main(argv) in (0, 2), argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_no_seeded_run_imports_numpy_random(circuit_file):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nuqc.__file__)))
+    done = subprocess.run([sys.executable, "-c", _SEEDED_RUNS, src, str(circuit_file)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "False"
 
 
 def test_usage_errors(capsys):

@@ -3,24 +3,27 @@
 ``data/kernel_golden/wide.qc`` sends every state through the kernel's
 wide-register paths: monomial gates on low, high, adjacent and wide-span
 targets and dense gates on low, adjacent high and non-adjacent targets.
-The files beside it hold the stdout of the commands below (one BLAS thread),
-as written when real programs first ran on float64 states: the circuit is
-real, so from its float64 start every squared norm is a ``ddot``, which
-rounds its last digit apart from the ``zdotc`` of the complex start it was
-first written from.  Every sampled run fails at the
-final AL step, whose reversal rarely succeeds, so the sampled files pin the
-per-step probabilities of the sampled path and the branch files its final
-state.  The corpus is checked again with the transpose path's blocks made
-small, so that the same bits must come out of many blocks as of one.
+The files beside it hold the stdout of the commands below (one BLAS thread):
+the branch files as written when real programs first ran on float64 states
+(the circuit is real, so from its float64 start every squared norm is a
+``ddot``, which rounds its last digit apart from the ``zdotc`` of the
+complex start they were first written from), and the sampled files as
+written when each trial first drew from its SplitMix64 stream.  Sampled
+seed 0 succeeds and the other seeds fail at the final AL step, whose
+reversal rarely succeeds, so the sampled files pin the per-step
+probabilities of the sampled path and the branch files its final state.
+The corpus is checked again with the transpose path's blocks made small, so
+that the same bits must come out of many blocks as of one.
 
 ``data/kernel_golden/wide16.qc`` reaches what 13 qubits cannot: the
 transpose path over several full blocks, with a complex (``mix.mat``) and
 real dense operators on non-adjacent targets, and the chunked monomial path
 for targets more than ``MONOMIAL_BLOCK_BITS`` apart, the identity among them.
 Its ``wide16_*`` files hold the stdout of the blocked transpose path as it
-first landed (one BLAS thread); that branch run's final state equals the
-step-by-step reference of ``tests/stepwise.py`` bit for bit.  Sampled seed 0
-succeeds, and seeds 1 and 2 fail at the final AL step.  Its float64 start is
+first landed (one BLAS thread), the sampled ones as redrawn with the
+SplitMix64 streams; that branch run's final state equals the step-by-step
+reference of ``tests/stepwise.py`` bit for bit.  Sampled seed 6 succeeds,
+and the other seeds fail at the final AL step.  Its float64 start is
 promoted to complex128 by the first ``MAT`` step, before any measured step,
 so these files still hold the complex start's bits.
 
@@ -40,17 +43,22 @@ from nuqc.qstate import StateVector
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "kernel_golden")
 CIRCUIT = os.path.join(GOLDEN, "wide.qc")
 WIDE16 = os.path.join(GOLDEN, "wide16.qc")
+SAMPLED_SEEDS = (0, 1, 2, 6)
 RUNS = {"branch": ["--mode", "branch"]}
-RUNS.update({f"sampled_seed{s}": ["--mode", "sampled", "--seed", str(s)] for s in (0, 1, 2)})
+RUNS.update({f"sampled_seed{s}": ["--mode", "sampled", "--seed", str(s)] for s in SAMPLED_SEEDS})
+# corpus file prefix -> circuit
+CORPORA = {"": CIRCUIT, "wide16_": WIDE16}
+
+
+def argv(path, name, fmt):
+    """The command whose stdout the corpus file of run ``name`` in ``fmt`` holds."""
+    return ["simulate", path, *RUNS[name]] + (["--json"] if fmt == "json" else [])
 
 
 def _check_against_the_corpus(name, fmt, capsys, circuit=CIRCUIT, prefix=""):
     with open(os.path.join(GOLDEN, f"{prefix}{name}.{fmt}"), "rb") as fh:
         expected = fh.read()
-    argv = ["simulate", circuit, *RUNS[name]]
-    if fmt == "json":
-        argv.append("--json")
-    code = cli.main(argv)
+    code = cli.main(argv(circuit, name, fmt))
     out, err = capsys.readouterr()
     assert err == ""
     assert code == (2 if b'"outcome": "failure"' in expected
@@ -83,6 +91,15 @@ def test_simulate_stdout_in_small_transpose_blocks_matches_the_corpus(name, fmt,
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_16_qubit_stdout_matches_the_corpus(name, fmt, capsys):
     _check_against_the_corpus(name, fmt, capsys, WIDE16, "wide16_")
+
+
+@pytest.mark.parametrize("path, succeeds", [(CIRCUIT, 0), (WIDE16, 6)], ids=["wide", "wide16"])
+def test_the_sampled_corpus_holds_a_success_and_failures_at_the_final_al_step(path, succeeds):
+    program = circuit.parse_file(path)
+    last = len(program.steps) - 1
+    assert program.steps[last].gate.label == "AL"
+    ended = {s: circuit.run_sampled(program, seed=s).failed_step for s in SAMPLED_SEEDS}
+    assert ended == {s: None if s == succeeds else last for s in SAMPLED_SEEDS}
 
 
 def test_the_16_qubit_circuit_takes_the_paths_it_pins(capsys, monkeypatch):
@@ -134,7 +151,7 @@ def test_a_real_start_prints_what_its_complex_twin_prints(path, name, fmt, capsy
     runs = []
     for twin in (False, True):
         monkeypatch.setattr(circuit, "parse_file", parse_as(twin))
-        code = cli.main(["simulate", path, *RUNS[name]] + (["--json"] if fmt == "json" else []))
+        code = cli.main(argv(path, name, fmt))
         out, err = capsys.readouterr()
         assert err == ""
         runs.append((code, _FLOAT.split(out), [float(x) for x in _FLOAT.findall(out)]))

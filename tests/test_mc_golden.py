@@ -1,7 +1,8 @@
 """Fixed-seed ``--mode mc`` output, byte for byte, against a stored corpus.
 
 The files under ``data/mc_golden`` hold the stdout of each command below as
-the trial-by-trial ensemble printed it, one ``trial_rng`` generator per trial.
+written when each trial first drew from its own SplitMix64 stream,
+``trial_rng(seed, t)``; ``tests/regen_goldens.py`` rewrites them.
 """
 
 import os
@@ -23,6 +24,12 @@ COMMANDS = {
 SEEDS = (0, 7, 2**32 + 3)
 
 
+def argv(name, seed, fmt):
+    """The command whose stdout the corpus file of ``name`` at ``seed`` in ``fmt`` holds."""
+    return ([*COMMANDS[name], "--mode", "mc", "--trials", "3000", "--seed", str(seed)]
+            + (["--json"] if fmt == "json" else []))
+
+
 def test_the_corpus_circuit_is_the_multi_step_test_circuit():
     from test_circuit import MULTI_STEP
 
@@ -36,11 +43,8 @@ def test_the_corpus_circuit_is_the_multi_step_test_circuit():
 def test_mc_stdout_matches_the_corpus(name, seed, fmt, capsys):
     with open(os.path.join(GOLDEN, f"{name}_seed{seed}.{fmt}"), "rb") as fh:
         expected = fh.read()
-    argv = [*COMMANDS[name], "--mode", "mc", "--trials", "3000", "--seed", str(seed)]
-    if fmt == "json":
-        argv.append("--json")
     for jobs in ("1", "2"):
-        code = cli.main([*argv, "--jobs", jobs])
+        code = cli.main([*argv(name, seed, fmt), "--jobs", jobs])
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         assert out.encode() == expected, jobs

@@ -980,9 +980,9 @@ def test_a_branch_run_holds_its_current_state_and_one_spare():
 
 def test_a_sampled_run_that_fails_and_restores_holds_two_states():
     program = circuit.parse(_WIDE_PROGRAM)
-    # at seed 2 the N1 step on qubit 9 fails once, its reversal restores the
+    # at seed 3 the N1 step on qubit 9 fails once, its reversal restores the
     # state and the retry succeeds
-    record, peak = _run_peak(lambda: circuit.run_sampled(program, seed=2))
+    record, peak = _run_peak(lambda: circuit.run_sampled(program, seed=3))
     assert record.outcome == "success"
     assert [step.reversals for step in record.steps] == [0, 0, 0, 0, 0, 0, 0, 1, 0]
     assert peak <= 2.5 * REAL_STATE_16
@@ -1016,10 +1016,10 @@ _WIDE_SPAN_PROGRAM = "qubits 16\ninit uniform\ngate CN1(0.5) 15 1 c=0.9 q=opt k=
 @pytest.mark.parametrize("runner", ["branch", "sampled", "mc"])
 def test_a_wide_span_diagonal_step_holds_two_states_on_every_runner(runner):
     program = circuit.parse(_WIDE_SPAN_PROGRAM)
-    # at seed 9 the step fails once, its reversal restores the state and the
+    # at seed 6 the step fails once, its reversal restores the state and the
     # retry succeeds
     run = {"branch": lambda: circuit.run_branch(program),
-           "sampled": lambda: circuit.run_sampled(program, seed=9),
+           "sampled": lambda: circuit.run_sampled(program, seed=6),
            "mc": lambda: circuit.run_ensemble(program, seed=1, trials=20)}[runner]
     result, peak = _run_peak(run)
     if runner == "sampled":
@@ -1047,10 +1047,10 @@ _TRANSPOSE_PROGRAM = ("qubits 16\ninit uniform\ngate H 4\ngate H 9\n"
 @pytest.mark.parametrize("runner, states", [("branch", 2.5), ("sampled", 2.5), ("mc", 2.5)])
 def test_transpose_path_steps_hold_no_state_sized_temporary(runner, states, monkeypatch):
     program = circuit.parse(_TRANSPOSE_PROGRAM)
-    # at seed 0 the NAND step fails once, its reversal restores the state and
+    # at seed 6 the NAND step fails once, its reversal restores the state and
     # the retry succeeds
     run = {"branch": lambda: circuit.run_branch(program),
-           "sampled": lambda: circuit.run_sampled(program, seed=0),
+           "sampled": lambda: circuit.run_sampled(program, seed=6),
            "mc": lambda: circuit.run_ensemble(program, seed=1, trials=20)}[runner]
     sizes = _transposed_sizes(monkeypatch)
     result, peak = _run_peak(run)
