@@ -81,10 +81,13 @@ class CircuitProgram:
         self._prepared: dict[tuple, tuple[MeasurementPair | None, ReversalPolicy | None]] = {}
 
     def _start(self) -> StateVector:
-        """``initial_state``; ``ShapeError`` if its width is not ``n_qubits``."""
+        """``initial_state``, refused unless ``n_qubits`` wide and of norm 1 (``UNITARY_ATOL``)."""
         if self.initial_state.n_qubits != self.n_qubits:
             raise ShapeError(f"initial state has {self.initial_state.n_qubits} qubits, "
                              f"the program {self.n_qubits}")
+        mass = norm_sq(self.initial_state)
+        if not abs(mass - 1.0) <= gates.UNITARY_ATOL:
+            raise CircuitError(f"initial state has squared norm {mass!r}, not 1")
         return self.initial_state
 
     @property
@@ -235,8 +238,6 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None = None,
     state = program._start()
     buffers = Buffers(state)
     trial = SimpleNamespace(draw=lambda rows: rng.random(rows.size))
-    # the pre-state's squared norm: the initial state's up to the first measured step
-    norm = None if plan is None and rng is None else norm_sq(state)
     records: list[StepRecord] = []
     total = 1.0
     for i, steps, pair, policy, op, targets in _stages(program):
@@ -249,16 +250,14 @@ def _follow_branch(program: CircuitProgram, plan: Plan | None = None,
         mass = norm_sq(branch)
         p = measure.protocol_success(mass, policy)
         reversals = step.max_reversals
-        if norm is not None:
-            th = measure.thresholds(policy, mass, norm)
-            norm = 1.0
-            if plan is not None:
-                plan.append((i, th))
-            if rng is not None:
-                passed, reversals, _ = measure.draw_trials([(i, th)], trial, 1)
-                if not passed:
-                    records.append(StepRecord(step.gate.label, step.targets, p, reversals))
-                    return RunRecord("failure", 0.0, records, None, failed_step=i)
+        th = measure.thresholds(policy, mass)
+        if plan is not None:
+            plan.append((i, th))
+        if rng is not None:
+            passed, reversals, _ = measure.draw_trials([(i, th)], trial, 1)
+            if not passed:
+                records.append(StepRecord(step.gate.label, step.targets, p, reversals))
+                return RunRecord("failure", 0.0, records, None, failed_step=i)
         try:
             state = normalize(branch, mass, out=buffers.out(branch))
         except AnnihilatedStateError:

@@ -159,8 +159,8 @@ def _sample_two_outcome(op_success, op_failure, state, targets, rng) -> tuple[st
 
 
 def sample(pair: MeasurementPair, state: StateVector, targets: Sequence[int],
-           rng: np.random.Generator) -> tuple[str, StateVector]:
-    """Draw one outcome; consumes exactly one uniform variate from ``rng``."""
+           rng) -> tuple[str, StateVector]:
+    """Draw one outcome; consumes one uniform, ``rng.random()``, as from ``trial_rng``."""
     return _sample_two_outcome(pair.m0, pair.m1, state, targets, rng)
 
 
@@ -190,14 +190,14 @@ def build_reversal(pair: MeasurementPair, q: complex | None = None,
 
 
 def sample_reversal(policy: ReversalPolicy, state: StateVector, targets: Sequence[int],
-                    rng: np.random.Generator) -> tuple[str, StateVector]:
+                    rng) -> tuple[str, StateVector]:
     """Draw one reversing-measurement outcome after a failure, as :func:`sample` does."""
     return _sample_two_outcome(policy.r0, policy.r1, state, targets, rng)
 
 
 def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
                       state: StateVector, targets: Sequence[int],
-                      rng: np.random.Generator) -> ProtocolResult:
+                      rng) -> ProtocolResult:
     """Attempt the gate, reversing failures until the budget runs out.
 
     ``attempts`` counts main-measurement samples, ``reversals`` counts
@@ -221,18 +221,18 @@ def run_with_reversal(pair: MeasurementPair, policy: ReversalPolicy | None,
             return ProtocolResult(FAILURE, state, attempts, reversals, first_mass)
 
 
-def thresholds(policy: ReversalPolicy | None, success_mass: float, norm: float) -> Thresholds:
-    """Branch masses of the protocol on a state of squared norm ``norm`` and ``success_mass``.
+def thresholds(policy: ReversalPolicy | None, success_mass: float) -> Thresholds:
+    """Branch masses of the protocol on a unit pre-state whose success mass is ``success_mass``.
 
-    M0^dag M0 + M1^dag M1 = I makes the failure mass ``norm - success_mass``;
-    R0 M1 = q I makes the restore mass |q|^2 norm / failure, clamped at 1, and
+    M0^dag M0 + M1^dag M1 = I makes the failure mass ``1 - success_mass``;
+    R0 M1 = q I makes the restore mass |q|^2 / failure, clamped at 1, and
     restores the state exactly, so the masses hold for every retry.
     """
-    failure = norm - success_mass
+    failure = 1.0 - success_mass
     budget = policy.max_reversals if policy is not None else 0
     if budget == 0 or failure < DEGENERATE_MASS:
         return Thresholds(success_mass, failure, 0.0, 0.0, budget)
-    restore = min(abs(policy.q) ** 2 * norm / failure, 1.0)
+    restore = min(abs(policy.q) ** 2 / failure, 1.0)
     return Thresholds(success_mass, failure, restore, 1.0 - restore, budget)
 
 

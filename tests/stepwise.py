@@ -17,14 +17,18 @@ import math
 import numpy as np
 
 from nuqc import circuit, measure
-from nuqc.errors import SearchBudgetError
+from nuqc.errors import AnnihilatedStateError, SearchBudgetError
 from nuqc.qstate import StateVector, apply_embedded, fidelity, norm_sq, normalize
 
 NORM_ATOL = 1e-10
 
 
 def branch(program):
-    """``(final state, per-step records)`` of the all-success branch."""
+    """``(final state, per-step records)`` of the all-success branch.
+
+    As ``run_branch`` does, a step that annihilates the branch ends it: its
+    record has ``p = 0.0`` and no reversals, and the state is ``None``.
+    """
     state = program.initial_state
     records = []
     for step in program.steps:
@@ -35,10 +39,14 @@ def branch(program):
             continue
         branch_state = apply_embedded(state, pair.m0, step.targets)
         mass = norm_sq(branch_state)
+        try:
+            state = normalize(branch_state, mass)
+        except AnnihilatedStateError:
+            records.append(circuit.StepRecord(step.gate.label, step.targets, 0.0, 0))
+            return None, records
         p = measure.protocol_success(mass, policy)
         records.append(circuit.StepRecord(step.gate.label, step.targets, p,
                                           step.max_reversals))
-        state = normalize(branch_state, mass)
     return state, records
 
 

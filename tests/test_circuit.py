@@ -264,31 +264,35 @@ def test_a_start_of_another_width_is_refused():
             run(prog)
 
 
-def test_run_sampled_is_trial_zero_from_an_unnormalized_start():
-    parsed = circuit.parse(
-        "qubits 11\ngate H 7\ngate N1(0.6) 3 c=0.9 q=opt k=3\n"
-        "gate CN1(0.7) 10 0 c=0.9 q=opt k=3\ngate CNOT 0 10\n")
+def test_a_start_that_is_not_a_unit_vector_is_refused():
+    # one N1(0.5) step from StateVector(1, [3, 0]) used to report total_probability 8.6751
+    step = circuit.parse("qubits 1\nN1(0.5) 0 c=0.9 q=opt k=1\n").steps[0]
     rng = np.random.default_rng(60)
     amps = rng.normal(size=1 << 11) + 1j * rng.normal(size=1 << 11)
-    # squared norm 0.09: the first measured step's masses carry it, the later ones do not
-    start = StateVector(11, 0.3 * amps / np.linalg.norm(amps))
-    prog = circuit.CircuitProgram(11, parsed.steps, start)
-    assert all(_is_trial_zero(prog, seed) for seed in range(300))
-    # the drawn masses are those the operators give on each step's pre-state
-    state = qstate.apply_embedded(start, prog.steps[0].gate.matrix, (7,))
-    plan = _plan(prog)
-    assert [i for i, _ in plan] == [1, 2]
-    for (_, th), step in zip(plan, prog.steps[1:]):
-        pair, policy = prog.prepared(step)
-        failed = qstate.apply_embedded(state, pair.m1, step.targets)
-        assert th.failure == pytest.approx(qstate.norm_sq(failed), rel=1e-12)
-        restored = qstate.apply_embedded(qstate.normalize(failed), policy.r0, step.targets)
-        assert th.restore == pytest.approx(qstate.norm_sq(restored), rel=1e-12)
-        state = qstate.normalize(qstate.apply_embedded(state, pair.m0, step.targets))
-    records = [circuit.run_sampled(prog, seed=seed) for seed in range(300)]
-    # the seeds reach both outcomes, and the reversals restore as well as spoil
-    assert {r.outcome for r in records} == {"success", "failure"}
-    assert {sum(s.reversals for s in r.steps) for r in records if r.outcome == "success"} != {0}
+    unit = amps / np.linalg.norm(amps)
+    tol = gates.UNITARY_ATOL
+    refused = [(1, [3.0, 0.0], "9.0"), (1, [1e200, 1e200], "inf"),
+               (11, 0.3 * unit, "0.0899"), (11, np.sqrt(1 + 10 * tol) * unit, "1.00000001"),
+               (11, np.sqrt(1 - 10 * tol) * unit, "0.99999998")]
+    for n, amplitudes, shown in refused:
+        with pytest.raises(CircuitError, match=f"^initial state has squared norm {shown}.*, not 1$"):
+            circuit.CircuitProgram(n, [step], StateVector(n, amplitudes))
+    # a start reassigned after construction is refused where a run starts
+    prog = circuit.CircuitProgram(1, [step])
+    prog.initial_state = StateVector(1, [3.0, 0.0])
+    for run in (circuit.run_branch, circuit.run_sampled,
+                lambda p: circuit.run_ensemble(p, trials=10)):
+        with pytest.raises(CircuitError, match="^initial state has squared norm 9.0, not 1$"):
+            run(prog)
+    # within UNITARY_ATOL of 1, a start is accepted
+    for scale in (1 + 0.5 * tol, 1 - 0.5 * tol):
+        prog.initial_state = StateVector(1, [np.sqrt(scale), 0.0])
+        assert circuit.run_branch(prog).total_probability == pytest.approx(0.9639, rel=1e-9)
+    net = apps.parse_nand_netlist("inputs 2\nt = NAND in0 in1\noutputs t\n")
+    with pytest.raises(CircuitError, match="^initial state has squared norm 2.0, not 1$"):
+        apps.compile_nand(net, 1, c=0.8, input_state=StateVector(2, [1.0, 1.0, 0.0, 0.0]))
+    prog, _ = apps.compile_nand(net, 1, c=0.8, input_state=StateVector(2, [0.6, 0.8, 0.0, 0.0]))
+    assert circuit.run_branch(prog).outcome == "success"
 
 
 def test_a_sampled_run_that_reversed_ends_in_the_branch_state():
@@ -1029,6 +1033,15 @@ def test_a_composed_run_differs_from_its_reversed_order():
     reversed_runs = circuit.CircuitProgram(
         prog.n_qubits, [prog.steps[i] for i in (1, 0, 2, 5, 4, 3, 6, 7, 9, 8)], prog.initial_state)
     assert not _same_bits(stepwise.branch(prog)[0], stepwise.branch(reversed_runs)[0])
+
+
+def test_the_stepwise_branch_ends_at_an_annihilated_step_as_run_branch_does():
+    prog = circuit.parse("qubits 1\ninit basis 1\nN1(0.0) 0 c=0.5\n")
+    record = circuit.run_branch(prog)
+    state, records = stepwise.branch(prog)
+    assert (record.outcome, record.failed_step, record.final_state, state) == (
+        "failure", 0, None, None)
+    assert records == record.steps == [circuit.StepRecord("N1(0.0)", (0,), 0.0, 0)]
 
 
 def test_runs_split_at_the_block_width_and_target_bounds(monkeypatch):

@@ -246,7 +246,7 @@ def test_thresholds_follow_the_reversal_identity():
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi = StateVector(2, amps / np.linalg.norm(amps))
     p = measure.success_prob(pair, psi, (1, 0))
-    th = measure.thresholds(policy, p, 1.0)
+    th = measure.thresholds(policy, p)
     assert th.success == p and th.budget == 2
     assert th.restore == q * q / (1.0 - p)
     # the reference: the masses of the branches the operators make
@@ -262,7 +262,7 @@ def test_thresholds_follow_the_reversal_identity():
     # fail, restore, succeed
     assert stepwise.replay(th, FixedRng([0.99, 0.0, 0.0])) == (True, 1)
     # without a budget the failure branch ends the protocol and no reversal is drawn
-    bare = measure.thresholds(None, p, 1.0)
+    bare = measure.thresholds(None, p)
     assert (bare.restore, bare.spoil, bare.budget) == (0.0, 0.0, 0)
     assert stepwise.replay(bare, FixedRng([0.99])) == (False, 0)
 
@@ -273,29 +273,27 @@ def test_thresholds_at_their_edges():
     for c in (0.6, 0.9, 0.99):
         pair = measure.build_pair(gates.n1(0.5), c)
         policy = measure.build_reversal(pair, max_reversals=2)
-        for amp in (0.3, 0.7, 1.0):
-            # on the top singular vector of N1, s = |c|^2 n: every reversal restores
+        for amp in (1.0, 1j, -1.0):
+            # on the top singular vector of N1, s = |c|^2: every reversal restores
             psi = StateVector(1, np.array([amp, 0.0]))
-            n, s = norm_sq(psi), measure.success_prob(pair, psi, (0,))
-            th = measure.thresholds(policy, s, n)
+            s = measure.success_prob(pair, psi, (0,))
+            th = measure.thresholds(policy, s)
             assert th.restore == pytest.approx(1.0, abs=1e-15) and th.restore <= 1.0
             assert th.spoil == 1.0 - th.restore
-            if abs(policy.q) ** 2 * n / (n - s) > 1.0:  # rounded above 1
+            if abs(policy.q) ** 2 / (1.0 - s) > 1.0:  # rounded above 1
                 clamped = True
                 assert (th.restore, th.spoil) == (1.0, 0.0), (c, amp)
                 # fail, restore on the highest uniform, succeed
                 assert _one_trial(th, [almost_one, almost_one, 0.0]) == (True, 1)
     assert clamped
-    # a pre-state of squared norm 3e-12: success mass above DEGENERATE_MASS, failure below
-    pair = measure.build_pair(gates.n1(0.5), 0.9)
-    policy = measure.build_reversal(pair, max_reversals=2)
-    psi = StateVector(1, np.array([np.sqrt(3e-12), 0.0]))
-    th = measure.thresholds(policy, measure.success_prob(pair, psi, (0,)), norm_sq(psi))
+    # a success mass within 3e-13 of 1 leaves a failure mass below DEGENERATE_MASS
+    policy = measure.build_reversal(measure.build_pair(gates.n1(0.5), 0.9), max_reversals=2)
+    th = measure.thresholds(policy, 1.0 - 3e-13)
     assert th.failure < measure.DEGENERATE_MASS <= th.success
     assert (th.restore, th.spoil, th.budget) == (0.0, 0.0, 2)
     assert _one_trial(th, [0.0]) == (True, 0)
     with pytest.raises(DegenerateBranchError, match="failure"):
-        _one_trial(th, [0.5])
+        _one_trial(th, [almost_one])
 
 
 def test_analytic_success_zero_reversals_is_plain_probability():

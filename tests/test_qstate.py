@@ -733,6 +733,14 @@ def test_normalize_and_sample_leave_their_inputs_unchanged():
     assert np.array_equal(kept.amplitudes.view(np.uint64), kept_saved.view(np.uint64))
 
 
+def _almost_unit_start(rng, n):
+    """A random start of squared norm 1 + 2e-11: accepted, yet not fixed by normalizing."""
+    amps = _random_amplitudes(rng, 1 << n)
+    start = StateVector(n, amps * np.sqrt((1.0 + 2e-11) / np.vdot(amps, amps).real))
+    assert normalize(start).amplitudes.tobytes() != start.amplitudes.tobytes()
+    return start
+
+
 def test_runs_leave_the_program_state_unchanged():
     from nuqc import gates, measure
 
@@ -740,8 +748,8 @@ def test_runs_leave_the_program_state_unchanged():
     parsed = circuit.parse(
         "qubits 11\ngate H 7\ngate N1(0.6) 3 c=0.9 q=opt k=3\n"
         "gate CN1(0.7) 10 0 c=0.9 q=opt k=3\ngate CNOT 0 10\n")
-    # an unnormalized start, so that normalizing it in place would show
-    start = StateVector(11, 3.0 * _random_amplitudes(rng, 1 << 11))
+    # a start of squared norm 1 + 2e-11, so that normalizing it in place would show
+    start = _almost_unit_start(rng, 11)
     saved = start.amplitudes.copy()
     program = circuit.CircuitProgram(11, parsed.steps, start)
     circuit.run_branch(program)
@@ -750,7 +758,6 @@ def test_runs_leave_the_program_state_unchanged():
         circuit.run_sampled(program, seed=int(rng.integers(1 << 30)))
     pair = measure.build_pair(gates.n1(0.6), 0.9)
     policy = measure.build_reversal(pair, max_reversals=3)
-    measure.thresholds(policy, 0.5, norm_sq(start))
     for seed in range(8):
         measure.run_with_reversal(pair, policy, start, (3,), np.random.default_rng(seed))
     assert np.array_equal(start.amplitudes.view(np.uint64), saved.view(np.uint64))
@@ -1229,9 +1236,9 @@ def test_runs_write_only_into_states_they_made():
     parsed = circuit.parse(
         "qubits 12\ngate N1(0.6) 3 c=0.9 q=opt k=3\ngate CN1(0.7) 10 0 c=0.9 q=opt k=3\n"
         "gate H 7\ngate CNOT 0 10\ngate X 2\ngate AL 9 0 c=0.9 q=opt k=2\ngate N1(0.5) 5\n")
-    # the first step is a diagonal on the initial state itself, and the start
-    # is unnormalized, so that writing over it or normalizing it would show
-    start = StateVector(12, 3.0 * _random_amplitudes(rng, 1 << 12))
+    # the first step is a diagonal on the initial state itself, and the start's
+    # squared norm is 1 + 2e-11, so that writing over it or normalizing it would show
+    start = _almost_unit_start(rng, 12)
     saved = start.amplitudes.copy()
     program = circuit.CircuitProgram(12, parsed.steps, start)
     runs = [lambda: circuit.run_branch(program)]
@@ -1261,7 +1268,6 @@ def test_runs_write_only_into_states_they_made():
     for seed in range(8):
         measure.run_with_reversal(pair, policy, caller, (3,), np.random.default_rng(seed))
         measure.sample_reversal(policy, caller, (3,), np.random.default_rng(seed))
-    measure.thresholds(policy, 0.5, 1.0)
     assert np.array_equal(caller.amplitudes.view(np.uint64), caller_saved.view(np.uint64))
     assert np.array_equal(start.amplitudes.view(np.uint64), saved.view(np.uint64))
     # no later run wrote into a final state a caller holds
