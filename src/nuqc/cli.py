@@ -301,35 +301,49 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser with the subcommand ``argv[0]`` names, or with all of them.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments of command ``name``."""
+    for argument, keywords in _COMMANDS[name][1]:
+        parser.add_argument(argument, **keywords)
+    return parser
 
-    Only help and errors printed when ``argv[0]`` names no command list every
-    subcommand; an unrecognized argument prints the usage line, whose
-    metavar keeps the full list.
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every subcommand.
+
+    Built only for top-level help, a missing or unknown command, and
+    arguments that a command's parser leaves over, whose messages list every
+    subcommand or print its usage line.
     """
     parser = argparse.ArgumentParser(
         prog="nuqc",
         description="Simulate and synthesize measurement-driven nonunitary circuits.",
     )
-    if argv and argv[0] in _COMMANDS:
-        names = argv[:1]
-        metavar = "{" + ",".join(_COMMANDS) + "}"
-    else:
-        names, metavar = list(_COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, arguments, _ = _COMMANDS[name]
-        command = sub.add_parser(name, help=help_text)
-        for argument, keywords in arguments:
-            command.add_argument(argument, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv``: by the parser of the command ``argv[0]`` names, if it names one.
+
+    That parser gives the help, usage and errors the subcommand of the
+    top-level parser would.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return _top_parser().parse_args(argv)
+    parser = _add_arguments(argparse.ArgumentParser(prog=f"nuqc {argv[0]}"), argv[0])
+    args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        _top_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

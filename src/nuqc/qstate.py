@@ -272,7 +272,8 @@ FOLD_BITS = 10
 # an array this small is one block.  On 14-qubit states blocks of 2^13
 # entries took AL on (11, 0) in 66 us and of 2^14 (one block) in 168 us,
 # against 79 us before blocking; from 16 qubits on, 2^14 was up to 10%
-# faster (one x86-64 core).
+# faster (one x86-64 core).  The pair path's blocks hold as many float64
+# entries.
 TRANSPOSE_BLOCK_ENTRIES = 1 << 13
 
 
@@ -287,8 +288,10 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
     the kernel makes one pass over the array without transposing it: one
     gather and scale when a real ``op`` is monomial; for a state one GEMM
     when a real ``op`` is dense on targets below ``LOW_BLOCK_BITS`` listed
-    high to low; and one batched real GEMM when a real ``op`` is dense on
-    other adjacent targets listed high to low, the lowest at least
+    high to low; for a float64 state one GEMM per block of amplitude pairs
+    when a real ``op`` is dense on other targets, the last of them qubit 0;
+    and one batched real GEMM when a real ``op`` is dense on other adjacent
+    targets listed high to low, the lowest at least
     ``REAL_ADJACENT_MIN_BIT`` (C-contiguous arrays only).  All give the
     transpose path's values exactly (the sign of an exact zero aside): a
     real coefficient multiplies as zgemm does, and the GEMMs keep zgemm's
@@ -306,6 +309,8 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
                 and all(a > b for a, b in zip(targets, targets[1:]))):
             return _apply_low_block(amps, key, targets, out)
         low = targets[-1]
+        if real and low == 0 and amps.ndim == 1 and amps.dtype == np.float64:
+            return _apply_pairs(amps, op, targets, out)
         if (real and low >= REAL_ADJACENT_MIN_BIT and amps.flags.c_contiguous
                 and targets == tuple(range(targets[0], low - 1, -1))):
             return _apply_adjacent_real(amps, op, targets, out)
@@ -374,6 +379,53 @@ def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray, targets: tuple[int, .
     blocks = reals.reshape(-1, op.shape[0], reals.size // amps.size * run)
     into = None if out is None else out.view(np.float64).reshape(blocks.shape)
     return np.matmul(op.real, blocks, out=into).view(amps.dtype).reshape(amps.shape)
+
+
+def _apply_pairs(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """A real dense operator whose last target is qubit 0, on a float64 state, one GEMM per block.
+
+    Viewed as complex128, each element of the state is a pair: its
+    amplitudes at bit 0 = 0 and 1, the operator's local indices ``2h`` and
+    ``2h + 1`` for the local index ``h`` of the other targets.  A block's
+    rows are the lowest other bits, as many as fit in
+    ``TRANSPOSE_BLOCK_ENTRIES >> k`` rows.  Per index of the other bits
+    above them, the block's ``2**(k-1)`` slabs of pairs, one per ``h`` and
+    each made of contiguous runs, are copied side by side into a ``rows x
+    2**k`` float64 buffer, multiplied by ``op.T`` in one GEMM and written
+    into place.  Each result sums its ``2**k`` products in the transpose
+    path's order, so the bits are that path's, without its gather, whose
+    every read skips an amplitude.
+    """
+    k = len(targets)
+    pairs = amps.view(np.complex128)
+    m = pairs.size.bit_length() - 1  # the pair index's bits: qubits 1 to n - 1
+    low = min(m - k + 1, max((TRANSPOSE_BLOCK_ENTRIES >> k).bit_length() - 1, 0))
+    # per pair index bit, high to low, the axis it joins: a run of other bits
+    # above the rows (-2) or of rows (-1), or target j's own (j)
+    others = [b for b in range(m) if b + 1 not in targets]
+    axis = (dict.fromkeys(others[low:], -2) | dict.fromkeys(others[:low], -1)
+            | {t - 1: j for j, t in enumerate(targets[:-1])})
+    runs = [(key, len(list(bits))) for key, bits
+            in itertools.groupby(axis[b] for b in range(m - 1, -1, -1))]
+    shape = [1 << size for _, size in runs]
+    order = sorted(range(len(runs)), key=lambda a: runs[a][0])  # stable: high to low in a kind
+    above = sum(key == -2 for key, _ in runs)
+    moved = pairs.reshape(shape).transpose(order)
+    result = np.empty(amps.shape, dtype=amps.dtype) if out is None else out
+    into = result.view(np.complex128).reshape(shape).transpose(order)
+    block = np.empty(moved.shape[above:], dtype=np.complex128)
+    product = np.empty_like(block)
+    rows_in, rows_out = (a.reshape(1 << low, -1).view(np.float64) for a in (block, product))
+    op_t = np.ascontiguousarray(op.real.T)
+    slabs = [(Ellipsis, *h) for h in itertools.product((0, 1), repeat=k - 1)]
+    for index in itertools.product(*map(range, moved.shape[:above])):
+        source = moved[index]
+        for h in slabs:
+            block[h] = source[h]
+        np.matmul(rows_in, op_t, out=rows_out)
+        into[index] = product
+    return result
 
 
 @functools.lru_cache(maxsize=1024)
@@ -783,27 +835,39 @@ def _live_chunks(amps: np.ndarray, threshold: float):
             yield live[first:first + DUMP_CHUNK]
 
 
+# the 8 binary digits of each byte value, in ASCII, as one 8-byte word
+_BYTE_DIGITS = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+                + ord("0")).view(np.uint64).reshape(-1)
+
+
 def _dump_lines(amps: np.ndarray, live: np.ndarray, n_qubits: int) -> str:
     """The :func:`dump_state` lines of the amplitudes at the basis indices ``live``.
 
     Each distinct float is formatted once, keyed by its bit pattern, which
-    keeps ``-0.0`` apart from ``0.0``, and each distinct ``re im`` pair once;
-    the lines are assembled as bytes.
+    keeps ``-0.0`` apart from ``0.0``, and on a complex state each distinct
+    ``re im`` pair once; the lines are assembled as bytes.
     """
-    # the index's big-endian bytes unpacked to bits, the last n_qubits of them
-    index_bytes = live.astype(">u4").view(np.uint8).reshape(-1, 4)
-    digits = np.unpackbits(index_bytes, axis=1)[:, 32 - n_qubits:] + ord("0")
-    values = amps[live].astype(np.complex128, copy=False)
-    floats, float_of = np.unique(values.view(np.uint64), return_inverse=True)
+    # the digits of the index's big-endian bytes, one word per byte, the last n_qubits of them
+    width = (n_qubits + 7) // 8
+    index_bytes = live.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - width:]
+    digits = np.take(_BYTE_DIGITS, index_bytes).view(np.uint8)[:, 8 * width - n_qubits:]
+    values = amps[live]
+    floats, tail_of = np.unique(values.view(np.uint64), return_inverse=True)
     texts = [repr(x) for x in floats.view(np.float64).tolist()]
-    pairs, pair_of = np.unique(float_of[0::2] * floats.size + float_of[1::2],
-                               return_inverse=True)
-    tails = np.array([f" {texts[p // floats.size]} {texts[p % floats.size]}\n"
-                      for p in pairs.tolist()], dtype=bytes)
-    lines = np.concatenate([digits, tails.view(np.uint8).reshape(tails.size, -1)[pair_of]],
-                           axis=1)
-    # a tail shorter than the longest is padded with NUL bytes, which no line contains
-    return lines.tobytes().replace(b"\0", b"").decode("ascii")
+    if values.dtype == np.float64:
+        tails = [f" {text} 0.0\n" for text in texts]
+    else:
+        pairs, tail_of = np.unique(tail_of[0::2] * floats.size + tail_of[1::2],
+                                   return_inverse=True)
+        tails = [f" {texts[p // floats.size]} {texts[p % floats.size]}\n"
+                 for p in pairs.tolist()]
+    table = np.array(tails, dtype=bytes)
+    lines = np.concatenate([digits, np.take(table.view(np.uint8).reshape(table.size, -1),
+                                            tail_of, axis=0)], axis=1).tobytes()
+    if len(set(map(len, tails))) > 1:
+        # a tail shorter than the longest is padded with NUL bytes, which no line contains
+        lines = lines.replace(b"\0", b"")
+    return lines.decode("ascii")
 
 
 def load_state(text: str, n_qubits: int | None = None) -> StateVector:

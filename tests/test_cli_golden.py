@@ -61,41 +61,49 @@ def test_json_runs_match_the_corpus(name, capsys):
     assert out.encode() == expected
 
 
-def _count_subparsers(monkeypatch) -> list[str]:
+def _count_parsers(monkeypatch) -> list[str]:
+    """The ``prog`` of every ``ArgumentParser`` built from now on, subcommand parsers included."""
     made = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
-        made.append(name)
-        return add_parser(self, name, **kwargs)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     return made
 
 
 @pytest.mark.parametrize("argv", [["probe", "NAND"], ["approx", "--a", "0.5"],
                                   ["simulate", "-h"]])
 def test_a_named_command_builds_only_its_own_parser(argv, monkeypatch, capsys):
-    made = _count_subparsers(monkeypatch)
+    made = _count_parsers(monkeypatch)
     cli.main(argv)
     capsys.readouterr()
-    assert made == argv[:1]
+    assert made == [f"nuqc {argv[0]}"]
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["-x", "simulate"]])
 def test_top_level_help_and_command_errors_build_every_parser(argv, monkeypatch, capsys):
-    made = _count_subparsers(monkeypatch)
+    made = _count_parsers(monkeypatch)
     cli.main(argv)
     capsys.readouterr()
-    assert made == list(cli._COMMANDS)
+    assert made == ["nuqc"] + [f"nuqc {name}" for name in cli._COMMANDS]
+
+
+def test_leftover_arguments_are_reported_by_the_top_level_parser(monkeypatch, capsys):
+    made = _count_parsers(monkeypatch)
+    assert cli.main(["probe", "X", "extra"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("nuqc: error: unrecognized arguments: extra\n")
+    assert made == ["nuqc probe", "nuqc"] + [f"nuqc {name}" for name in cli._COMMANDS]
 
 
 def test_no_parser_outlives_a_call(monkeypatch, capsys):
-    made = _count_subparsers(monkeypatch)
+    made = _count_parsers(monkeypatch)
     for _ in range(2):
         assert cli.main(["probe", "X"]) == 0
     capsys.readouterr()
-    assert made == ["probe", "probe"]
+    assert made == ["nuqc probe", "nuqc probe"]
 
 
 def test_main_reads_sys_argv_without_an_argument(monkeypatch, capsys):

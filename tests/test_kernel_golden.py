@@ -12,8 +12,9 @@ written when each trial first drew from its SplitMix64 stream.  Sampled
 seed 0 succeeds and the other seeds fail at the final AL step, whose
 reversal rarely succeeds, so the sampled files pin the per-step
 probabilities of the sampled path and the branch files its final state.
-The corpus is checked again with the transpose path's blocks made small, so
-that the same bits must come out of many blocks as of one.
+The corpus is checked again with the blocks of the pair path, which serves
+its dense step on (7, 0), made small, so that the same bits must come out
+of many blocks as of one.
 
 ``data/kernel_golden/wide16.qc`` reaches what 13 qubits cannot: the
 transpose path over several full blocks, with a complex (``mix.mat``) and
@@ -22,7 +23,8 @@ for targets more than ``MONOMIAL_BLOCK_BITS`` apart, the identity among them.
 Its ``wide16_*`` files hold the stdout of the blocked transpose path as it
 first landed (one BLAS thread), the sampled ones as redrawn with the
 SplitMix64 streams; that branch run's final state equals the step-by-step
-reference of ``tests/stepwise.py`` bit for bit.  Sampled seed 6 succeeds,
+reference of ``tests/stepwise.py`` bit for bit.  They are checked again in
+small transpose-path blocks.  Sampled seed 6 succeeds,
 and the other seeds fail at the final AL step.  Its float64 start is
 promoted to complex128 by the first ``MAT`` step, before any measured step,
 so these files still hold the complex start's bits.
@@ -72,19 +74,34 @@ def test_simulate_stdout_matches_the_corpus(name, fmt, capsys):
     _check_against_the_corpus(name, fmt, capsys)
 
 
+def _sizes_in_small_blocks(monkeypatch, path):
+    """Blocks of 2^9 entries on both blocked paths, and a list of the array size of every call of ``path``."""
+    monkeypatch.setattr(qstate, "TRANSPOSE_BLOCK_ENTRIES", 1 << 9)
+    sizes = []
+    kernel = getattr(qstate, path)
+    monkeypatch.setattr(qstate, path, lambda amps, *args: sizes.append(amps.size) or kernel(amps, *args))
+    return sizes
+
+
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_simulate_stdout_in_small_transpose_blocks_matches_the_corpus(name, fmt, capsys,
                                                                        monkeypatch):
-    # blocks of 2^9 entries: the dense CU1 step on (7, 0), which the transpose
-    # path serves, crosses 16 of them instead of filling one
-    monkeypatch.setattr(qstate, "TRANSPOSE_BLOCK_ENTRIES", 1 << 9)
-    sizes = []
-    transposed = qstate._apply_transposed
-    monkeypatch.setattr(qstate, "_apply_transposed",
-                        lambda amps, *args: sizes.append(amps.size) or transposed(amps, *args))
+    # the dense CU1 step on (7, 0) of the float64 state, which the pair path
+    # serves, crosses 16 blocks of 2^7 pairs instead of filling one
+    sizes = _sizes_in_small_blocks(monkeypatch, "_apply_pairs")
     _check_against_the_corpus(name, fmt, capsys)
     assert max(sizes) == 1 << 13
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_16_qubit_stdout_in_small_transpose_blocks_matches_the_corpus(name, fmt, capsys,
+                                                                      monkeypatch):
+    # the complex dense steps, which the transpose path serves, cross 128 blocks
+    sizes = _sizes_in_small_blocks(monkeypatch, "_apply_transposed")
+    _check_against_the_corpus(name, fmt, capsys, WIDE16, "wide16_")
+    assert max(sizes) == 1 << 16
 
 
 @pytest.mark.parametrize("fmt", ["txt", "json"])

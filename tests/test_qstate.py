@@ -199,13 +199,12 @@ def test_apply_columns_validation():
 
 
 def _dump_state_by_loop(state, threshold=DUMP_THRESHOLD):
-    """The per-amplitude loop dump_state replaced, kept as its reference."""
+    """``dump_state``'s text, one f-string per printed amplitude: its reference."""
     n = state.n_qubits
-    lines = []
-    for idx, amp in enumerate(state.amplitudes):
-        if abs(amp) > threshold:
-            lines.append(f"{idx:0{n}b} {float(amp.real)!r} {float(amp.imag)!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    live = np.flatnonzero(np.abs(state.amplitudes) > threshold)
+    values = state.amplitudes[live].astype(complex)
+    return "".join(f"{i:0{n}b} {re!r} {im!r}\n" for i, re, im
+                   in zip(live.tolist(), values.real.tolist(), values.imag.tolist()))
 
 
 def _dump_text(state, threshold=DUMP_THRESHOLD):
@@ -270,6 +269,48 @@ def test_dump_state_matches_the_per_amplitude_loop(n):
     assert _dump_text(state, threshold=0.5) == _dump_state_by_loop(state, threshold=0.5)
     empty = StateVector(n, np.zeros(1 << n))
     assert _dump_text(empty) == _dump_state_by_loop(empty) == ""
+
+
+def _dump_cases(n, rng):
+    """``(what, amplitudes)`` on n qubits for the byte tables of ``dump_state``, float64 and complex."""
+    above = np.nextafter(DUMP_THRESHOLD, 1.0)
+    edge = np.array([0.0, -0.0, 5e-320, -5e-320, DUMP_THRESHOLD, -DUMP_THRESHOLD, above, -above,
+                     0.5, -0.25, 1 / 3])
+    size = 1 << min(n, 17)  # on 20 qubits, only the lowest 2^17 amplitudes are nonzero
+
+    def parts(values):
+        amps = np.zeros(1 << n)
+        amps[:size] = rng.choice(values, size=size)
+        return amps
+
+    def complex_of(re, im):
+        amps = np.empty(1 << n, dtype=complex)
+        amps.real, amps.imag = re, im
+        return amps
+
+    mixed = np.concatenate([edge, rng.normal(size=edge.size)])
+    short = np.array([0.1, 0.2, 0.5, 0.7])  # every tail of one length
+    yield "mixed parts", parts(mixed)
+    yield "mixed parts", complex_of(parts(mixed), parts(mixed))
+    yield "equal tails", parts(short)
+    yield "equal tails", complex_of(parts(short), parts(short))
+    if n >= 13:
+        # 4,095 to 4,097 live amplitudes in one scan: one chunk short of, at and past DUMP_CHUNK
+        for live in (4095, 4096, 4097):
+            index = rng.choice(1 << 16, size=live, replace=False)
+            for values in (short, mixed[mixed > 0.5]):
+                amps = np.zeros(1 << n)
+                amps[index] = rng.choice(values, size=live)
+                yield f"{live} live", amps
+                yield f"{live} live", complex_of(amps, -amps[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 10, 16, 17, 20])
+def test_dump_state_is_the_per_line_reference(n):
+    rng = np.random.default_rng(60 + n)
+    for what, amps in _dump_cases(n, rng):
+        state = StateVector._trusted(n, amps)
+        assert _dump_text(state) == _dump_state_by_loop(state), (what, amps.dtype)
 
 
 def test_dump_state_only_writes():
@@ -528,6 +569,60 @@ def test_dense_targets_below_the_low_block_bits_take_the_low_block(monkeypatch):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (op, targets)
 
 
+def _pair_path_cases(rng, n):
+    """Random real operators whose last target is qubit 0: on (i, 0) for every i, and on three targets."""
+    zero_column = rng.normal(size=(4, 4)).astype(complex)
+    zero_column[:, 2] = 0.0
+    equal_rows = rng.normal(size=(4, 4)).astype(complex)
+    equal_rows[3] = equal_rows[1]
+    for i in range(1, n):
+        yield rng.normal(size=(4, 4)).astype(complex), (i, 0)
+        if i % 4 == 1:
+            yield zero_column, (i, 0)
+            yield equal_rows, (i, 0)
+    for _ in range(3):
+        i, j = (int(t) for t in rng.permutation(np.arange(1, n))[:2])
+        yield rng.normal(size=(8, 8)).astype(complex), (i, j, 0)
+
+
+@pytest.mark.parametrize("n", [10, 13, 16, 20])
+def test_pair_path_is_bitwise_the_transpose_path(n, monkeypatch):
+    from nuqc import qstate
+
+    taken = []
+    pairs = qstate._apply_pairs
+    monkeypatch.setattr(qstate, "_apply_pairs",
+                        lambda amps, op, targets, *args: taken.append(targets)
+                        or pairs(amps, op, targets, *args))
+    rng = np.random.default_rng(80 + n)
+    # on 10 and 13 qubits also in blocks of 2^7 entries, whose rows stop below
+    # qubit i, take in bits above it too, or hold every other bit
+    for block in (qstate.TRANSPOSE_BLOCK_ENTRIES, 1 << 7)[:1 + (n <= 13)]:
+        monkeypatch.setattr(qstate, "TRANSPOSE_BLOCK_ENTRIES", block)
+        states = [rng.normal(size=1 << n)]
+        if n <= 16:  # signed zeros and subnormals, whose exact zeros show the sums' order
+            states.append(_zero_rich_amplitudes(rng, 1 << n).real.copy())
+        for amps in states:
+            for op, targets in _pair_path_cases(rng, n):
+                want = qstate._apply_transposed(amps, op, targets)
+                out = np.empty(1 << n)
+                for got in (pairs(amps, op, targets), pairs(amps, op, targets, out)):
+                    assert got.dtype == np.float64
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (targets,
+                                                                                        block)
+                assert np.shares_memory(got, out)
+                taken.clear()
+                qstate._apply(amps, op, targets)
+                # dense targets below LOW_BLOCK_BITS listed high to low take the low block
+                low_block = (targets[0] < qstate.LOW_BLOCK_BITS
+                             and list(targets) == sorted(targets, reverse=True))
+                assert taken == ([] if low_block else [targets]), targets
+                if n <= 13:
+                    taken.clear()
+                    qstate._apply(amps.astype(complex), op, targets)
+                    assert taken == []  # a complex state keeps the transpose path
+
+
 def test_dispatch_takes_the_copy_free_paths(monkeypatch):
     from nuqc import gates, qstate
 
@@ -544,11 +639,10 @@ def test_dispatch_takes_the_copy_free_paths(monkeypatch):
     for op, targets in ((np.asarray(CNOT), (0, 13)), (gates.ckx(2).matrix, (5, 0, 9)),
                         (np.asarray(H), (2,)), (gates.abrams_lloyd().matrix, (3, 0)),
                         (np.asarray(H), (9,)), (gates.abrams_lloyd().matrix, (6, 5)),
-                        (np.asarray(H), (4,))):
+                        (np.asarray(H), (4,)), (gates.abrams_lloyd().matrix, (9, 0))):
         apply_embedded(state, op, targets)
     complex_dense = _random_amplitudes(np.random.default_rng(55), (4, 4))
-    for op, targets in ((gates.abrams_lloyd().matrix, (0, 3)),
-                        (gates.abrams_lloyd().matrix, (9, 0)), (np.diag([1.0, 1j]), (4,)),
+    for op, targets in ((gates.abrams_lloyd().matrix, (0, 3)), (np.diag([1.0, 1j]), (4,)),
                         (complex_dense, (6, 5))):
         with pytest.raises(AssertionError, match="transpose path"):
             apply_embedded(state, op, targets)
@@ -1046,13 +1140,17 @@ def _transposed_sizes(monkeypatch):
     return sizes
 
 
-# dense measured steps with reversals that only the transpose path serves
+# dense measured steps with reversals on the blocked paths: NAND on (9, 2),
+# which only the transpose path serves, and AL on (12, 0), which the pair path
+# serves on the float64 state
 _TRANSPOSE_PROGRAM = ("qubits 16\ninit uniform\ngate H 4\ngate H 9\n"
                       "gate NAND 9 2 c=0.9 q=opt k=2\ngate AL 12 0 c=0.9 q=opt k=2\ngate H 1\n")
 
 
 @pytest.mark.parametrize("runner, states", [("branch", 2.5), ("sampled", 2.5), ("mc", 2.5)])
 def test_transpose_path_steps_hold_no_state_sized_temporary(runner, states, monkeypatch):
+    from nuqc import qstate
+
     program = circuit.parse(_TRANSPOSE_PROGRAM)
     # at seed 6 the NAND step fails once, its reversal restores the state and
     # the retry succeeds
@@ -1060,8 +1158,13 @@ def test_transpose_path_steps_hold_no_state_sized_temporary(runner, states, monk
            "sampled": lambda: circuit.run_sampled(program, seed=6),
            "mc": lambda: circuit.run_ensemble(program, seed=1, trials=20)}[runner]
     sizes = _transposed_sizes(monkeypatch)
+    paired = []
+    pairs = qstate._apply_pairs
+    monkeypatch.setattr(qstate, "_apply_pairs", lambda amps, op, targets, *args: paired.append(
+        (amps.size, targets)) or pairs(amps, op, targets, *args))
     result, peak = _run_peak(run)
     assert max(sizes) == 1 << 16
+    assert set(paired) == {(1 << 16, (12, 0))}
     if runner == "sampled":
         assert result.outcome == "success"
         assert [step.reversals for step in result.steps] == [0, 0, 1, 0, 0]
@@ -1109,7 +1212,7 @@ def _real_kernel_cases(rng):
 
 
 _REAL_KERNEL_PATHS = ("_apply_monomial", "_apply_monomial_chunks", "_apply_adjacent_real",
-                      "_apply_low_block", "_apply_transposed")
+                      "_apply_low_block", "_apply_pairs", "_apply_transposed")
 
 
 def _spy_paths(monkeypatch):
