@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from . import shares
 from .errors import AnnihilatedStateError, ShapeError, StateMemoryError
 
 MAX_QUBITS = 24
@@ -35,7 +36,12 @@ MAX_QUBITS = 24
 # measured step whose targets span more than MONOMIAL_BLOCK_BITS, such as
 # CN1 on (15, 1).  The step that promotes a float64 state peaks at 3.3
 # complex states: the float64 start and input, the input's complex copy,
-# the result and the transpose path's blocks.
+# the result and the transpose path's blocks.  Each worker thread that takes
+# a share of a pass (see shares.in_shares) writes into that pass's result and
+# allocates nothing state-sized, only numpy's scratch for its broadcasting
+# multiply (about 130 KiB).  At 18, 19 and 20 qubits a branch run over every
+# split path peaked at 3.15, 3.07 and 3.04 float64 or 3.08, 3.04 and 3.02
+# complex states on one thread, and up to 0.06 state higher with two workers.
 LIVE_STATES = 4
 
 # Norms below this are treated as an annihilated (fully suppressed) state.
@@ -179,6 +185,7 @@ def normalize(state: StateVector, mass: float | None = None, *,
     writeable array for the result, such as ``state.amplitudes`` itself.
     Raises ``AnnihilatedStateError`` on a vanishing norm and ``ShapeError``
     on a non-finite one, which is how an overflow in the kernel surfaces.
+    The elementwise pass runs in shares (see :func:`shares.in_shares`).
     """
     nrm = np.sqrt(norm_sq(state) if mass is None else mass)
     if not np.isfinite(nrm):
@@ -189,9 +196,9 @@ def normalize(state: StateVector, mass: float | None = None, *,
     if amps.dtype == np.float64:
         # numpy's complex divide multiplies by s = 1/nrm (below), so the real
         # parts of a complex state come out as re * s; a true division would not
-        scale = 1.0 / nrm
+        ufunc, operand = np.multiply, 1.0 / nrm
     elif nrm >= 2.0:
-        return StateVector._trusted(state.n_qubits, np.divide(amps, nrm, out=out))
+        ufunc, operand = np.divide, nrm
     else:
         # bit for bit ``amplitudes / nrm``, at a third of its cost: numpy
         # divides by a real as by complex(nrm, 0), computing (re + im*0) * s
@@ -199,8 +206,11 @@ def normalize(state: StateVector, mass: float | None = None, *,
         # adds the same zero terms after the products instead of before,
         # which gives the same bits unless a nonzero part underflows to
         # zero, and that needs s <= 0.5
-        scale = complex(1.0 / nrm, -0.0)
-    return StateVector._trusted(state.n_qubits, np.multiply(amps, scale, out=out))
+        ufunc, operand = np.multiply, complex(1.0 / nrm, -0.0)
+    result = np.empty_like(amps) if out is None else out
+    shares.in_shares(amps.size, amps.size,
+                     lambda lo, hi: ufunc(amps[lo:hi], operand, out=result[lo:hi]))
+    return StateVector._trusted(state.n_qubits, result)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -299,6 +309,13 @@ def _apply(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
     what it gives the array's complex twin.  Complex monomial operators and
     dense low targets in other orders would round differently, and a batch
     would need one small GEMM per low block, which is slower.
+
+    The monomial, low-block and batched GEMM paths run in row shares (see
+    :func:`shares.in_shares`), at most one per usable core and none below
+    ``shares.SHARE_MIN_ENTRIES`` entries.  A share gathers, scales or sums
+    each of its entries as the whole pass would, so the bits never depend on
+    the share count.  The pair and transpose paths, whose per-block Python
+    work holds the GIL, run on the calling thread.
     """
     if amps.size >= COPY_FREE_MIN_SIZE:
         key = op.tobytes()
@@ -372,13 +389,22 @@ def _apply_adjacent_real(amps: np.ndarray, op: np.ndarray, targets: tuple[int, .
     In the float64 view of a complex array each amplitude is two adjacent
     reals that the same entries of ``op`` multiply, so the blocks are twice
     as long; zgemm adds only exact zeros, ``0 * im`` and ``0 * re``, to the
-    same products.  A float64 array is its own view.
+    same products.  A float64 array is its own view.  Shares take ranges of
+    the blocks, or of their columns when there is one block.
     """
     run = (amps.size >> (amps.shape[0].bit_length() - 1)) << targets[-1]
     reals = amps.view(np.float64)
     blocks = reals.reshape(-1, op.shape[0], reals.size // amps.size * run)
-    into = None if out is None else out.view(np.float64).reshape(blocks.shape)
-    return np.matmul(op.real, blocks, out=into).view(amps.dtype).reshape(amps.shape)
+    into = (np.empty(blocks.shape) if out is None
+            else out.view(np.float64).reshape(blocks.shape))
+    op = op.real
+    if blocks.shape[0] > 1:
+        shares.in_shares(blocks.shape[0], amps.size,
+                         lambda lo, hi: np.matmul(op, blocks[lo:hi], out=into[lo:hi]))
+    else:
+        shares.in_shares(blocks.shape[2], amps.size, lambda lo, hi: np.matmul(
+            op, blocks[..., lo:hi], out=into[..., lo:hi]))
+    return into.view(amps.dtype).reshape(amps.shape)
 
 
 def _apply_pairs(amps: np.ndarray, op: np.ndarray, targets: tuple[int, ...],
@@ -547,7 +573,8 @@ def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...],
     The array is viewed as ``(A, B, C)``: ``B`` is the :func:`_block_span`
     and ``C`` the rest below, columns included.  The factors are float64,
     which multiply a complex array as complex factors with zero imaginary
-    parts do.
+    parts do.  Shares take ranges of ``A``, or of ``B`` through slices of the
+    tables when ``A`` is 1.
     """
     n = amps.shape[0].bit_length() - 1
     run = amps.size >> n
@@ -558,14 +585,24 @@ def _apply_monomial(amps: np.ndarray, rows, targets: tuple[int, ...],
         return _apply_monomial_chunks(view.reshape(-1, run << low), rows, targets,
                                       _into(out, (-1, run << low))).reshape(amps.shape)
     index, factor = _monomial_block(rows, targets, width)
-    into = _into(out, view.shape)
-    if index is None:  # np.positive copies the identity bit for bit
-        result = (np.positive(view, out=into) if factor is None
-                  else np.multiply(view, factor[:, None], out=into))
-    else:
-        result = np.take(view, index, axis=1, mode="clip", out=into)
+    result = np.empty(view.shape, dtype=view.dtype) if out is None else _into(out, view.shape)
+    on_b = view.shape[0] == 1
+
+    def share(lo, hi):
+        part = (slice(None), slice(lo, hi)) if on_b else slice(lo, hi)
+        shared = slice(lo, hi) if on_b else slice(None)
+        into = result[part]
+        if index is None:  # np.positive copies the identity bit for bit
+            if factor is None:
+                np.positive(view[part], out=into)
+            else:
+                np.multiply(view[part], factor[shared, None], out=into)
+            return
+        np.take(view if on_b else view[part], index[shared], axis=1, mode="clip", out=into)
         if factor is not None:
-            result *= factor[:, None]
+            into *= factor[shared, None]
+
+    shares.in_shares(view.shape[1] if on_b else view.shape[0], amps.size, share)
     return result.reshape(amps.shape)
 
 
@@ -574,34 +611,42 @@ def _apply_monomial_chunks(view: np.ndarray, rows, targets: tuple[int, ...],
     """:func:`_apply_monomial` on a ``(A * B, C)`` view whose block is too wide for one table.
 
     A chunk of ``2**MONOMIAL_BLOCK_BITS`` rows fixes the target bits above
-    it.  The chunks go in order of those bits, and the tables for one value
-    of them, built here over uint16 positions, serve its chunks and are
-    dropped before the next are built: at most one set is alive, and none
-    outlives the call.
+    it.  The chunks go in groups, one per value of those bits, in order of
+    it.  The tables for one value, built here over uint16 positions, serve
+    its chunks and are dropped before the next are built: at most one set is
+    alive, and none outlives the call.  Shares take ranges of a group's
+    chunks.
     """
     size = 1 << MONOMIAL_BLOCK_BITS
     high = sum(1 << t for t in targets if t >= MONOMIAL_BLOCK_BITS)
     positions = np.arange(size, dtype=np.min_scalar_type(size - 1))
     if out is None:
         out = np.empty(view.shape, dtype=view.dtype)
-    fixed = None
-    for start in sorted(range(0, view.shape[0], size), key=lambda s: s & high):
-        if start & high != fixed:
-            fixed, base = start & high, 0
-            index = factor = None  # freed before the next tables are built
-            local = _local_index(targets, positions) | _local_index(targets, fixed)
-            index, factor = _gather_tables(rows, targets, positions, local)
+    starts = sorted(range(0, view.shape[0], size), key=lambda s: s & high)
+    for fixed, group in itertools.groupby(starts, key=lambda s: s & high):
+        group = list(group)
+        index = factor = None  # freed before the next tables are built
+        local = _local_index(targets, positions) | _local_index(targets, fixed)
+        index, factor = _gather_tables(rows, targets, positions, local)
+        shares.in_shares(len(group), len(group) * size * view.shape[1], functools.partial(
+            _gather_chunks, view, out, group, high, index, factor))
+    return out
+
+
+def _gather_chunks(view: np.ndarray, out: np.ndarray, starts: list[int], high: int,
+                   index, factor, lo: int, hi: int) -> None:
+    """The chunks of :func:`_apply_monomial_chunks` at ``starts[lo:hi]``, of one group."""
+    size = 1 << MONOMIAL_BLOCK_BITS
+    for start in starts[lo:hi]:
         part = slice(start, start + size)
         source = view[part]
         if index is not None:
-            index += (start & ~high) - base  # the rows of the chunk's other high bits
-            base = start & ~high
-            source = np.take(view, index, axis=0, mode="clip", out=out[part])
+            # from the first row of the chunk's other high bits on
+            source = np.take(view[start & ~high:], index, axis=0, mode="clip", out=out[part])
         if factor is not None:
             np.multiply(source, factor[:, None], out=out[part])
         elif index is None:
             out[part] = source
-    return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -620,10 +665,16 @@ def _low_block(key: bytes, targets: tuple[int, ...]) -> np.ndarray:
 
 def _apply_low_block(amps: np.ndarray, key: bytes, targets: tuple[int, ...],
                      out: np.ndarray | None = None) -> np.ndarray:
-    """A real dense operator on low targets of a state, as one GEMM over contiguous index blocks."""
-    block = _low_block(key, targets)
+    """A real dense operator on low targets of a state, as one GEMM over contiguous index blocks.
+
+    Shares take ranges of the blocks.
+    """
+    block = _low_block(key, targets).T
     rows = amps.reshape(-1, block.shape[0])
-    return np.matmul(rows, block.T, out=_into(out, rows.shape)).reshape(-1)
+    into = np.empty(rows.shape, dtype=amps.dtype) if out is None else _into(out, rows.shape)
+    shares.in_shares(rows.shape[0], amps.size,
+                     lambda lo, hi: np.matmul(rows[lo:hi], block, out=into[lo:hi]))
+    return into.reshape(-1)
 
 
 def apply_embedded(state: StateVector, op, targets: Sequence[int],

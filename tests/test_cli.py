@@ -175,6 +175,32 @@ def test_no_seeded_run_imports_numpy_random(circuit_file):
     assert done.stdout.split("\n")[-2] == "False"
 
 
+# a 20-qubit run in a fresh interpreter, its kernel passes split in two
+_SHARED_RUN = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+import nuqc.cli
+from nuqc import shares
+shares.CORES = 2
+code = nuqc.cli.main(["simulate", sys.argv[2]])
+print(code, sum(t.name == "nuqc-share" and t.daemon for t in threading.enumerate()))
+"""
+
+
+def test_a_run_with_a_share_worker_exits_promptly(tmp_path):
+    path = tmp_path / "wide.qc"
+    path.write_text("qubits 20\ninit basis 0\ngate X 19\ngate N1(0.7) 19 c=0.9 q=opt k=1\n"
+                    "gate CNOT 19 0\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nuqc.__file__)))
+    done = subprocess.run([sys.executable, "-c", _SHARED_RUN, src, str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.split("\n")
+    assert [line.split()[0] for line in lines if line.endswith(" 0.0")] == ["1" + "0" * 18 + "1"]
+    # the worker that took the other shares was alive and did not hold the exit
+    assert lines[-2] == "0 1"
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys)[0] == 1

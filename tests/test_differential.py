@@ -19,7 +19,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nuqc import circuit, gates, qstate
+from nuqc import circuit, gates, qstate, shares
 from nuqc.errors import CircuitError, DegenerateBranchError
 from nuqc.qstate import StateVector, dump_state, fidelity
 
@@ -297,3 +297,36 @@ def test_float64_runs_print_what_their_complex_twins_print(monkeypatch):
                                _sampled(circuit.run_sampled, twin, s)), f"seed {s} of {where}"
     # the wide programs' float64 starts reach the pair path
     assert twins >= 20 and len(paired) >= 100
+
+
+def _outputs(record):
+    """Everything a run reports, its final state as bytes; ``"degenerate"`` stays as it is."""
+    if record == "degenerate":
+        return record
+    final = record.final_state
+    return (record.outcome, record.failed_step, record.steps, record.total_probability,
+            None if final is None else (final.amplitudes.dtype, final.amplitudes.tobytes()))
+
+
+def test_wide_programs_give_the_one_share_bits_in_two_shares(monkeypatch):
+    wide = [entry for entry in _corpus() if entry[0] >= PROGRAMS]
+
+    def runs():
+        return [[_outputs(circuit.run_branch(program))]
+                + [_outputs(_sampled(circuit.run_sampled, program, s)) for s in SAMPLED_SEEDS]
+                for _, _, _, program in wide]
+
+    # every kernel pass of 2^11 to 2^13 entries is split in two
+    monkeypatch.setattr(shares, "SHARE_MIN_ENTRIES", qstate.COPY_FREE_MIN_SIZE)
+    monkeypatch.setattr(shares, "CORES", 1)
+    one = runs()
+    monkeypatch.setattr(shares, "CORES", 2)
+    split = []
+    in_shares = shares.in_shares
+    monkeypatch.setattr(shares, "in_shares", lambda length, entries, share: in_shares(
+        length, entries, lambda lo, hi: split.append(lo > 0) or share(lo, hi)))
+    two = runs()
+    for (seed, kind, text, _), a, b in zip(wide, one, two):
+        assert a == b, _where(seed, kind, text)
+    # 427 passes ran in two shares
+    assert sum(split) >= 400
