@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import apps, circuit, gates, measure, synth
-from .errors import DegenerateBranchError, NuqcError
+from .errors import CircuitError, DegenerateBranchError, NuqcError
 from .linops import format_matrix, read_matrix
 from .qstate import dump_state
 
@@ -64,6 +64,8 @@ def _print_stats(stats: circuit.EnsembleStats, as_json: bool) -> None:
 
 def _run(program: circuit.CircuitProgram, args):
     """Run ``program`` in ``args.mode``; mc prints its statistics and returns None."""
+    if args.jobs < 1:
+        raise CircuitError(f"jobs must be >= 1, got {args.jobs}")
     if args.mode == "mc":
         stats = circuit.run_ensemble(program, seed=args.seed, trials=args.trials,
                                      jobs=args.jobs)

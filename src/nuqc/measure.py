@@ -296,11 +296,15 @@ def protocol_success(p: float, policy: ReversalPolicy | None) -> float:
 
     With k allowed reversals it grows to p * (1 - |q|^(2k+2)) / (1 - |q|^2);
     at the optimal q this approaches the strength-1 probability as k grows.
+    Where |q|^2 is exactly 1 (1 - |c|^2 rounds to 1 for |c| below about 1e-8),
+    it is the limit p * (k + 1).
     """
     if policy is None or policy.max_reversals == 0:
         return p
     q_sq = abs(policy.q) ** 2
     k = policy.max_reversals
+    if q_sq == 1.0:
+        return p * (k + 1)
     return p * (1.0 - q_sq ** (k + 1)) / (1.0 - q_sq)
 
 

@@ -182,9 +182,11 @@ def normalize(state: StateVector, mass: float | None = None, *,
 
     ``mass``, when given, is ``norm_sq(state)`` as the caller computed it,
     which saves a pass over the amplitudes.  ``out``, as in numpy, is a
-    writeable array for the result, such as ``state.amplitudes`` itself.
-    Raises ``AnnihilatedStateError`` on a vanishing norm and ``ShapeError``
-    on a non-finite one, which is how an overflow in the kernel surfaces.
+    writeable, C-contiguous ``(2**n,)`` array of the state's dtype for the
+    result, such as ``state.amplitudes`` itself; any other raises
+    ``ShapeError``.  Raises ``AnnihilatedStateError`` on a vanishing norm and
+    ``ShapeError`` on a non-finite one, which is how an overflow in the
+    kernel surfaces.
     The elementwise pass runs in shares (see :func:`shares.in_shares`).
     """
     nrm = np.sqrt(norm_sq(state) if mass is None else mass)
@@ -193,6 +195,8 @@ def normalize(state: StateVector, mass: float | None = None, *,
     if nrm < ANNIHILATION_THRESHOLD:
         raise AnnihilatedStateError(f"cannot normalize state with norm {nrm:.3e}")
     amps = state.amplitudes
+    if out is not None:
+        _check_out(out, amps.size, amps.dtype)
     if amps.dtype == np.float64:
         # numpy's complex divide multiplies by s = 1/nrm (below), so the real
         # parts of a complex state come out as re * s; a true division would not
@@ -211,6 +215,14 @@ def normalize(state: StateVector, mass: float | None = None, *,
     shares.in_shares(amps.size, amps.size,
                      lambda lo, hi: ufunc(amps[lo:hi], operand, out=result[lo:hi]))
     return StateVector._trusted(state.n_qubits, result)
+
+
+def _check_out(out, size: int, dtype) -> None:
+    """Refuse an ``out=`` that is not a writeable, C-contiguous ``(size,)`` ndarray of ``dtype``."""
+    if not (isinstance(out, np.ndarray) and out.shape == (size,) and out.dtype == dtype
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ShapeError(f"out must be a writeable, C-contiguous ({size},) "
+                         f"{np.dtype(dtype)} ndarray")
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -689,13 +701,16 @@ def apply_embedded(state: StateVector, op, targets: Sequence[int],
     overflow, which :func:`normalize` reports.
 
     The result is float64 when the state is and ``op`` is real, else
-    complex128.  ``out``, as in numpy, is a writeable ``(2**n,)`` array of
-    the result's dtype; for a real diagonal ``op`` it may be
-    ``state.amplitudes`` itself.
+    complex128.  ``out``, as in numpy, is a writeable, C-contiguous
+    ``(2**n,)`` array of the result's dtype, else ``ShapeError`` is raised;
+    for a real diagonal ``op`` it may be ``state.amplitudes`` itself.
     """
     n = state.n_qubits
     op, targets = _check_operator(n, op, targets)
-    return StateVector._trusted(n, _apply(state.amplitudes, op, targets, out))
+    amps = state.amplitudes
+    if out is not None:
+        _check_out(out, amps.size, np.complex128 if op.imag.any() else amps.dtype)
+    return StateVector._trusted(n, _apply(amps, op, targets, out))
 
 
 # On a register of at least COPY_FREE_MIN_SIZE amplitudes, a run of

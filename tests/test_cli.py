@@ -154,6 +154,32 @@ def test_negative_seed_is_a_usage_error_in_an_ensemble(circuit_file, capsys, job
         assert (code, out, err) == (1, "", "error: expected non-negative integer\n"), argv
 
 
+@pytest.mark.parametrize("mode", ["branch", "sampled", "mc"])
+def test_jobs_below_one_is_a_usage_error_in_every_mode(circuit_file, netlist_file, capsys, mode):
+    for argv, jobs in ((["simulate", str(circuit_file)], "0"),
+                       (["demo-nand", "--netlist", str(netlist_file), "--m", "2"], "-3")):
+        code, out, err = run_cli(capsys, *argv, "--mode", mode, "--trials", "5", "--jobs", jobs)
+        assert (code, out, err) == (1, "", f"error: jobs must be >= 1, got {jobs}\n"), argv
+
+
+@pytest.mark.parametrize("mode", ["branch", "sampled", "mc"])
+@pytest.mark.parametrize("c,q", [("1e-11", "opt"), ("7e-9", "opt"), ("1.4e-6", "1")])
+def test_a_reversal_strength_of_one_runs_in_every_mode(tmp_path, capsys, mode, c, q):
+    # 1 - |c|^2 rounds to 1, so |q|^2 is exactly 1: the closed form is its limit p (k + 1)
+    path = tmp_path / "edge.qc"
+    path.write_text(f"qubits 1\ngate N1(0.5) 0 c={c} q={q} k=1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path), "--mode", mode, "--trials", "20",
+                             "--json")
+    assert code == (2 if mode == "sampled" else 0) and err == ""
+    doc = json.loads(out)
+    p = 2 * float(c) ** 2
+    if mode == "mc":
+        assert doc["analytic_probability"] == pytest.approx(p, rel=1e-12)
+        assert (doc["successes"], doc["mean_reversals"]) == (0, 1.0)
+    else:
+        assert doc["per_step"][0]["p"] == pytest.approx(p, rel=1e-12)
+
+
 # runs with a seed in a fresh interpreter, which then reports whether numpy.random was imported
 _SEEDED_RUNS = """
 import sys

@@ -9,6 +9,12 @@ steps are AL, NAND or CU1 on ``(i, 0)`` with ``i >= 4``, which the kernel's
 pair path serves on the float64 states that ``init`` starts there.  Every
 program with a float64 start is also run from its complex128 twin.  Every
 failure names the program's seed and prints its text.
+
+``EDGE_PROGRAMS`` more sit at the edges of what parsing accepts: strengths at
+the bounds of ``measure.check_strengths``, ``D(...)`` and rotated ``MAT`` gates
+whose largest singular value is 1 or just above it, and ``init file`` starts.
+Each is either refused by ``parse`` or run by every runner without an error
+other than ``DegenerateBranchError``.
 """
 
 import functools
@@ -19,14 +25,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nuqc import circuit, gates, qstate, shares
-from nuqc.errors import CircuitError, DegenerateBranchError
+from nuqc import circuit, gates, measure, qstate, shares
+from nuqc.errors import CircuitError, CircuitParseError, DegenerateBranchError
+from nuqc.linops import write_matrix
 from nuqc.qstate import StateVector, dump_state, fidelity
 
 import stepwise
 
 PROGRAMS = 200
 WIDE_PROGRAMS = 40
+EDGE_PROGRAMS = 400
+EDGE_TRIALS = 200
 SAMPLED_SEEDS = (0, 1, 2)
 STARTS = ("basis 0", "basis", "uniform", "real", "complex")
 
@@ -330,3 +339,88 @@ def test_wide_programs_give_the_one_share_bits_in_two_shares(monkeypatch):
         assert a == b, _where(seed, kind, text)
     # 427 passes ran in two shares
     assert sum(split) >= 400
+
+
+
+def _edge_strengths():
+    """``c=`` and ``q=`` fields at the bounds of the strength rule."""
+    slack = measure.STRENGTH_SLACK
+    fields = []
+    for c in (1.0 + slack / 2, 1.0 - slack / 2, 1e-11, 2e-12, 0.9):
+        fields += [f"c={c!r}", f"c={c!r} q=opt"]
+        if c <= 1.0:
+            fields.append(f"c={c!r} q={math.sqrt(1.0 - c * c) + slack / 2!r}")
+    return fields
+
+
+def _edge_gates(rng, directory):
+    """``(label, arity)`` of plain gates, and of ``D(...)`` and ``MAT`` gates near the bound.
+
+    Each ``D(...)`` and ``MAT`` gate's largest singular value is 1 plus 0, 0.5, 1
+    or 1.5 ``UNITARY_ATOL``; a ``MAT`` gate is such a diagonal in a random basis,
+    written to a matrix file in ``directory``.
+    """
+    labels = [("N1(0.5)", 1), ("H", 1), ("X", 1), ("NAND", 2), ("AL", 2), ("CN1(0.3)", 2)]
+    for i, top in enumerate(1.0 + gates.UNITARY_ATOL * np.array([0.0, 0.5, 1.0, 1.5])):
+        labels.append((f"D({top!r},0.5)", 1))
+        for arity in (1, 2):
+            dim = 1 << arity
+            basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            values = np.r_[top, rng.uniform(0.1, 1.0, dim - 1)]
+            path = f"edge{i}_{arity}.mat"
+            write_matrix(str(directory / path), (basis * values) @ basis.conj().T)
+            labels.append((f"MAT({path})", arity))
+    return labels
+
+
+def _edge_program(seed, labels, directory):
+    """The text of edge program ``seed``; an ``init file`` start is written in ``directory``."""
+    rng = np.random.default_rng(10_000 + seed)
+    n = int(rng.integers(1, 12) if rng.random() < 0.2 else rng.integers(1, 4))
+    lines = [f"qubits {n}"]
+    start = rng.integers(3)
+    if start == 1:
+        lines.append("init uniform")
+    elif start == 2:
+        amps = rng.normal(size=1 << n)
+        if rng.random() < 0.5:
+            amps = amps + 1j * rng.normal(size=1 << n)
+        with open(directory / f"start{seed}.txt", "w", encoding="utf-8") as fh:
+            dump_state(StateVector(n, amps / np.linalg.norm(amps)), out=fh)
+        lines.append(f"init file start{seed}.txt")
+    fitting = [(label, arity) for label, arity in labels if arity <= n]
+    strengths = _edge_strengths()
+    for _ in range(rng.integers(1, 5)):
+        label, arity = fitting[rng.integers(len(fitting))]
+        targets = " ".join(map(str, rng.permutation(n)[:arity]))
+        lines.append(f"{label} {targets} {strengths[rng.integers(len(strengths))]} "
+                     f"k={(0, 1, 3)[rng.integers(3)]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_what_parse_accepts_every_runner_runs(tmp_path):
+    labels = _edge_gates(np.random.default_rng(9_999), tmp_path)
+    outcomes = Counter()
+    for seed in range(EDGE_PROGRAMS):
+        text = _edge_program(seed, labels, tmp_path)
+        try:
+            program = circuit.parse(text, base_dir=str(tmp_path))
+        except CircuitParseError:
+            outcomes["refused"] += 1
+            continue
+        runs = [functools.partial(circuit.run_sampled, program, s) for s in SAMPLED_SEEDS]
+        runs += [lambda: circuit.run_branch(program),
+                 lambda: circuit.run_ensemble(program, seed=seed, trials=EDGE_TRIALS)]
+        for run in runs:
+            try:
+                run()
+            except DegenerateBranchError:
+                pass
+            except Exception as exc:  # any other error breaks the rule
+                pytest.fail(f"{type(exc).__name__}: {exc}\nedge program {seed}:\n{text}")
+        outcomes["run"] += 1
+        outcomes["|q| = 1"] += any(policy is not None and abs(policy.q) ** 2 == 1.0
+                                   for _, policy in map(program.prepared, program.steps))
+    # both sides of the rule are reached, and so are reversals of strength exactly 1
+    assert outcomes["refused"] >= 100 and outcomes["run"] >= 100, outcomes
+    assert outcomes["|q| = 1"] >= 20, outcomes

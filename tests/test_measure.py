@@ -315,6 +315,20 @@ def test_analytic_success_geometric_series():
         assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("c,q", [(1e-11, None), (7e-9, None), (1.4e-6, 1.0)])
+def test_the_closed_form_takes_its_limit_where_q_is_one(c, q):
+    # 1 - |c|^2 rounds to 1, so |q|^2 is exactly 1 and the series sums k + 1 equal terms
+    pair = measure.build_pair(gates.n1(0.5), c)
+    for k in (1, 3):
+        policy = measure.build_reversal(pair, q=q, max_reversals=k)
+        assert abs(policy.q) ** 2 == 1.0
+        assert measure.protocol_success(0.25, policy) == 0.25 * (k + 1)
+    # just below |q|^2 = 1 the formula keeps its own bits
+    policy = measure.build_reversal(measure.build_pair(gates.n1(0.5), 1e-6), max_reversals=3)
+    q_sq = abs(policy.q) ** 2
+    assert measure.protocol_success(0.25, policy) == 0.25 * (1.0 - q_sq ** 4) / (1.0 - q_sq)
+
+
 def test_empirical_rate_matches_analytic():
     pair = measure.build_pair(gates.nand(), 0.6)
     policy = measure.build_reversal(pair, max_reversals=3)

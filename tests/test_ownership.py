@@ -3,8 +3,9 @@
 ``qstate`` owns the state kernel and its rule for which unitary steps fuse
 into one pass; ``measure`` owns the protocol draw and the strength rule.  The
 other modules use them through public names only, so a test that patches an
-owner's constant changes what every caller does.  The package's export list
-has one owner too: the import blocks of ``nuqc/__init__.py``.  Each numerical
+owner's constant changes what every caller does.  Each name has one path:
+callers import the modules, and the package binds none of their names but
+the two ``bench/tests`` reads through it.  Each numerical
 tolerance is one public constant, assigned in one module and listed in the
 README's table.
 """
@@ -15,9 +16,13 @@ import os
 import re
 import types
 
+import subprocess
+import sys
+
 import pytest
 
 import nuqc
+from nuqc import qstate
 
 SRC = os.path.dirname(nuqc.__file__)
 MODULES = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
@@ -73,19 +78,23 @@ def test_circuit_leaves_the_fusion_rule_to_qstate():
     assert not kernel_bounds & set(_reads("circuit", "qstate"))
 
 
-def test_the_export_list_is_what_star_import_binds():
-    namespace = {}
-    exec("from nuqc import *", namespace)
-    del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(nuqc.__all__)
-    assert len(set(nuqc.__all__)) == len(nuqc.__all__)
-    assert nuqc.__all__ == sorted(nuqc.__all__[:-1]) + ["__version__"]
-    for name in nuqc.__all__:
-        assert not name.startswith("_") or name == "__version__", name
-        assert not isinstance(getattr(nuqc, name), types.ModuleType), name
+def test_the_package_binds_no_second_name_for_a_module_name():
+    own = {name for name, value in vars(nuqc).items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert own == {"basis_state", "normalize"} and isinstance(nuqc.__version__, str)
+    assert not hasattr(nuqc, "__all__")
+    assert nuqc.basis_state is qstate.basis_state and nuqc.normalize is qstate.normalize
     for gone in ("qubit_savings", "QubitSavings", "annotations", "SearchResult"):
-        assert gone not in nuqc.__all__
         assert not hasattr(nuqc, gone)
+
+
+def test_a_bare_package_import_loads_only_the_state_modules():
+    code = ("import sys, nuqc; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'nuqc')))")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": os.path.dirname(SRC)},
+                            timeout=120, check=True).stdout.split()
+    assert loaded == ["nuqc", "nuqc.errors", "nuqc.qstate", "nuqc.shares"]
 
 
 @pytest.mark.parametrize("module,gone", [

@@ -1198,6 +1198,35 @@ def test_kernel_paths_write_into_out_with_the_same_bits(monkeypatch):
     assert min(sizes) <= qstate.TRANSPOSE_BLOCK_ENTRIES < max(sizes)
 
 
+def _bad_outs(size, dtype):
+    """``out=`` arrays that each break one rule: dtype, shape, length, stride, writeability."""
+    other = np.complex128 if dtype == np.float64 else np.float64
+    read_only = np.zeros(size, dtype=dtype)
+    read_only.flags.writeable = False
+    return {"dtype": np.zeros(size, dtype=other), "2-D": np.zeros((size // 2, 2), dtype=dtype),
+            "short": np.zeros(10, dtype=dtype), "strided": np.zeros(2 * size, dtype=dtype)[::2],
+            "read-only": read_only, "list": [0.0] * size}
+
+
+def test_every_kernel_path_and_normalize_refuse_a_bad_out(monkeypatch):
+    taken = _spy_paths(monkeypatch)
+    rng = np.random.default_rng(66)
+    n = 16
+    for state in (uniform_state(n), StateVector(n, _random_amplitudes(rng, 1 << n))):
+        for op, targets in _kernel_path_cases():
+            dtype = apply_embedded(state, op, targets).amplitudes.dtype
+            for name, out in _bad_outs(1 << n, dtype).items():
+                with pytest.raises(ShapeError, match="out must be"):
+                    apply_embedded(state, op, targets, out=out)
+                assert not isinstance(out, np.ndarray) or not out.any(), (name, targets)
+        for out in _bad_outs(1 << n, state.amplitudes.dtype).values():
+            with pytest.raises(ShapeError, match="out must be"):
+                normalize(state, out=out)
+    # the good calls above reached every path, on both dtypes
+    assert {path for path, _ in taken} == set(_REAL_KERNEL_PATHS)
+    assert {dtype for _, dtype in taken} == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+
 def _real_kernel_cases(rng):
     """Real operators and targets on a 10-qubit register that reach every kernel path."""
     from nuqc import gates, measure
