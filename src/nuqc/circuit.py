@@ -17,7 +17,6 @@ Synthesized netlists are programs too, read and written by the same
 
 from __future__ import annotations
 
-import json
 import operator
 import os
 from collections import Counter
@@ -77,18 +76,27 @@ class CircuitProgram:
     def __post_init__(self):
         if self.initial_state is None:
             self.initial_state = basis_state(self.n_qubits, 0)
+        self._checked_start = None
         self._start()
         self._prepared: dict[tuple, tuple[MeasurementPair | None, ReversalPolicy | None]] = {}
 
     def _start(self) -> StateVector:
-        """``initial_state``, refused unless ``n_qubits`` wide and of norm 1 (``UNITARY_ATOL``)."""
-        if self.initial_state.n_qubits != self.n_qubits:
-            raise ShapeError(f"initial state has {self.initial_state.n_qubits} qubits, "
+        """``initial_state``, refused unless ``n_qubits`` wide and of norm 1 (``UNITARY_ATOL``).
+
+        A state vector is immutable, so the one that passed is not checked
+        again; one assigned in its place is.
+        """
+        start = self.initial_state
+        if start is self._checked_start:
+            return start
+        if start.n_qubits != self.n_qubits:
+            raise ShapeError(f"initial state has {start.n_qubits} qubits, "
                              f"the program {self.n_qubits}")
-        mass = norm_sq(self.initial_state)
+        mass = norm_sq(start)
         if not abs(mass - 1.0) <= gates.UNITARY_ATOL:
             raise CircuitError(f"initial state has squared norm {mass!r}, not 1")
-        return self.initial_state
+        self._checked_start = start
+        return start
 
     @property
     def gate_count(self) -> int:
@@ -577,7 +585,7 @@ def write_record_json(record: RunRecord, out: TextIO, **extra) -> None:
     text = dumps_json(doc | extra)
     if record.final_state is not None:
         # the keys after final_state hold no gate label, so the mark is the last match
-        head, _, tail = text.rpartition(json.dumps(_FINAL_STATE_MARK))
+        head, _, tail = text.rpartition(dumps_json(_FINAL_STATE_MARK))
         out.write(head + "[")
         sep = "\n"
         for chunk in live_amplitudes(record.final_state):
@@ -595,4 +603,6 @@ def stats_to_json(stats: EnsembleStats) -> dict:
 
 def dumps_json(doc) -> str:
     """Deterministic JSON rendering (stable key order, shortest float repr)."""
+    import json  # here, so that runs without --json never import it
+
     return json.dumps(doc, indent=2)

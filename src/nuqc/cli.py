@@ -8,12 +8,13 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 
 import numpy as np
 
-from . import apps, circuit, gates, measure, synth
+from . import circuit, gates, measure
 from .errors import CircuitError, DegenerateBranchError, NuqcError
 from .linops import format_matrix, read_matrix
 from .qstate import dump_state
@@ -23,6 +24,28 @@ EXIT_USAGE = 1
 EXIT_RUN_FAILED = 2
 EXIT_DEGENERATE = 3
 
+
+def _lazy(name: str):
+    """Module ``nuqc.<name>``, compiled and run only at its first attribute access.
+
+    It is in ``sys.modules`` and on the package from here on, as an eager
+    import would put it; a module already imported is returned as it is.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+# only synth, approx, demo-nand and demo-al use these two, so simulate, probe
+# and mc runs never compile them
+apps = _lazy("apps")
+synth = _lazy("synth")
 
 _JOBS_HELP = "accepted for compatibility (must be >= 1); mc runs in this process"
 
@@ -89,9 +112,10 @@ def _cmd_synth(args) -> int:
     gate = gates.normalize_gate(read_matrix(args.matrix), label=f"MAT({name})")
     netlist = synth.synthesize(gate, mode=args.mode)
     residual = synth.reconstruction_residual(netlist, gate.matrix)
-    if not residual <= args.tolerance:  # a nan residual fails too
+    tolerance = synth.RESIDUAL_ATOL if args.tolerance is None else args.tolerance
+    if not residual <= tolerance:  # a nan residual fails too
         print(f"error: reconstruction residual {residual!r} exceeds tolerance "
-              f"{args.tolerance!r}; nothing written", file=sys.stderr)
+              f"{tolerance!r}; nothing written", file=sys.stderr)
         return EXIT_USAGE
     body = None
     if args.out:
@@ -128,8 +152,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    budget = synth.DEFAULT_EXPONENT_BUDGET if args.budget is None else args.budget
     m, l, netlist = synth.approximate_n1(args.a, args.alpha, args.gamma, args.eps,
-                                         budget=args.budget)
+                                         budget=budget)
     realized = float(args.alpha ** (m * args.gamma + l))
     residual = float(abs(np.log(args.a) / np.log(args.alpha) - (m * args.gamma + l)))
     if args.json:
@@ -268,7 +293,7 @@ _COMMANDS = {
         ("matrix", {"help": "matrix file path"}),
         ("--mode", {"choices": ["bare", "ancilla"], "default": "bare"}),
         ("--out", {"help": "netlist output path"}),
-        ("--tolerance", {"type": float, "default": synth.RESIDUAL_ATOL}),
+        ("--tolerance", {"type": float}),  # None: synth.RESIDUAL_ATOL
         _JSON,
     ), _cmd_synth),
     "approx": ("two-gate approximation of diag(1, a)", (
@@ -276,7 +301,7 @@ _COMMANDS = {
         ("--alpha", {"type": float, "required": True}),
         ("--gamma", {"type": float, "required": True}),
         ("--eps", {"type": float, "required": True}),
-        ("--budget", {"type": int, "default": synth.DEFAULT_EXPONENT_BUDGET}),
+        ("--budget", {"type": int}),  # None: synth.DEFAULT_EXPONENT_BUDGET
         _JSON,
     ), _cmd_approx),
     "demo-nand": ("compile and run a NAND netlist", (

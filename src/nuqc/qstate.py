@@ -149,11 +149,16 @@ def start_state(n_qubits: int, index, values) -> StateVector:
     ``index`` selects amplitudes as in numpy (an index, an index array or a
     slice).  Real ``values`` make a float64 state from ``COPY_FREE_MIN_SIZE``
     amplitudes on; every other start is complex128.  Memory is checked before
-    the array is allocated.
+    the array is allocated.  A slice over every amplitude is written in the
+    one pass that allocates the array.
     """
     check_memory(n_qubits)
-    real = 1 << n_qubits >= COPY_FREE_MIN_SIZE and not np.iscomplexobj(values)
-    amps = np.zeros(1 << n_qubits, dtype=np.float64 if real else np.complex128)
+    size = 1 << n_qubits
+    real = size >= COPY_FREE_MIN_SIZE and not np.iscomplexobj(values)
+    dtype = np.float64 if real else np.complex128
+    if isinstance(index, slice) and index.indices(size) == (0, size, 1):
+        return StateVector._trusted(n_qubits, np.full(size, values, dtype=dtype))
+    amps = np.zeros(size, dtype=dtype)
     amps[index] = values
     return StateVector._trusted(n_qubits, amps)
 

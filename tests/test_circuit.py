@@ -295,6 +295,34 @@ def test_a_start_that_is_not_a_unit_vector_is_refused():
     assert circuit.run_branch(prog).outcome == "success"
 
 
+def test_a_start_is_checked_once_per_state_object(monkeypatch):
+    measured = []
+    norm_sq = circuit.norm_sq
+
+    def spy(state):
+        measured.append(state)
+        return norm_sq(state)
+
+    monkeypatch.setattr(circuit, "norm_sq", spy)
+    prog = circuit.parse("qubits 11\ninit uniform\nN1(0.5) 0 c=0.9 q=opt k=1\n")
+    start = prog.initial_state
+    assert [s is start for s in measured] == [True]
+    for run in (circuit.run_branch, circuit.run_sampled,
+                lambda p: circuit.run_ensemble(p, trials=10)):
+        del measured[:]
+        run(prog)
+        assert measured and not any(s is start for s in measured)
+    # a start assigned in its place is checked at the next run, and only there
+    prog.initial_state = StateVector(11, 2 * basis_state(11, 0).amplitudes)
+    with pytest.raises(CircuitError, match="^initial state has squared norm 4.0, not 1$"):
+        circuit.run_branch(prog)
+    prog.initial_state = StateVector(11, start.amplitudes)
+    del measured[:]
+    circuit.run_branch(prog)
+    circuit.run_branch(prog)
+    assert sum(s is prog.initial_state for s in measured) == 1
+
+
 def test_a_sampled_run_that_reversed_ends_in_the_branch_state():
     prog = _random_program(PERMUTATION_RUNS, 70)
     branch = circuit.run_branch(prog)

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -227,6 +229,65 @@ def test_a_run_with_a_share_worker_exits_promptly(tmp_path):
     assert lines[-2] == "0 1"
 
 
+# runs in a fresh interpreter, reporting after each whether nuqc.synth and
+# nuqc.apps have executed and whether json is imported
+_LAZY_RUNS = """
+import contextlib, io, os, sys
+sys.path.insert(0, sys.argv[1])
+import nuqc.cli
+
+def executed():
+    # reading the namespace this way does not trigger a lazy module's load
+    return [name for name, probe in (("synth", "synthesize"), ("apps", "compile_nand"))
+            if probe in object.__getattribute__(sys.modules["nuqc." + name], "__dict__")]
+
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = nuqc.cli.main(list(argv))
+    return code, buf.getvalue(), executed(), "json" in sys.modules
+
+seen = {"import": executed()}
+seen["mc"] = run("simulate", sys.argv[2], "--mode", "mc", "--trials", "50")
+seen["probe"] = run("probe", "NAND")
+os.chdir(sys.argv[3])
+seen["synth"] = run("synth", "m2.mat", "--out", "bare2.nl", "--json")
+seen["demo-al"] = run("demo-al", "--table", "00000100", "--json")
+print(repr(seen))
+"""
+
+
+def test_simulate_and_probe_never_execute_synth_or_apps(circuit_file, tmp_path):
+    golden = os.path.join(os.path.dirname(__file__), "data")
+    shutil.copy(os.path.join(golden, "synth_golden", "m2.mat"), tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nuqc.__file__)))
+    done = subprocess.run([sys.executable, "-c", _LAZY_RUNS, src, str(circuit_file),
+                           str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = ast.literal_eval(done.stdout)
+    assert seen["import"] == []
+    code, out, executed, has_json = seen["mc"]
+    assert (code, executed, has_json) == (0, [], False) and out.startswith("trials: 50\n")
+    code, out, executed, has_json = seen["probe"]
+    assert (code, executed, has_json) == (0, [], False) and out.startswith("label: NAND\n")
+    # the first synth and demo-al calls load the modules and print what an eager import does
+    code, out, executed, _ = seen["synth"]
+    assert (code, executed) == (0, ["synth"])
+    with open(os.path.join(golden, "synth_golden", "bare2.json"), encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = json.loads(out)
+    assert got.pop("residual") <= 1e-12
+    want.pop("residual")
+    assert got == want
+    for name in ("bare2.nl", "bare2.nl.g0.mat", "bare2.nl.g26.mat"):
+        with open(os.path.join(golden, "synth_golden", name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
+    code, out, executed, _ = seen["demo-al"]
+    assert (code, executed) == (0, ["synth", "apps"])
+    with open(os.path.join(golden, "cli_golden", "demo_al_branch.json"), "rb") as fh:
+        assert out.encode() == fh.read()
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys)[0] == 1
@@ -326,6 +387,34 @@ def test_synth_nonfinite_residual_writes_nothing(tmp_path, capsys, monkeypatch, 
                    f"{synth.RESIDUAL_ATOL!r}; nothing written\n")
     assert not out_path.exists()
     assert not list(tmp_path.glob("m.netlist.g*.mat"))
+
+
+def test_synth_and_approx_read_their_defaults_when_they_run(tmp_path, capsys, monkeypatch):
+    # the parser leaves --tolerance and --budget at None, so building it touches no synth name
+    from nuqc import synth
+    monkeypatch.setattr(synth, "reconstruction_residual", lambda netlist, target: 2e-8)
+    mat = tmp_path / "nand.mat"
+    write_matrix(mat, gates.nand().matrix)
+    out_path = tmp_path / "nand.netlist"
+    code, _, err = run_cli(capsys, "synth", str(mat), "--out", str(out_path))
+    assert (code, err) == (1, "error: reconstruction residual 2e-08 exceeds tolerance "
+                              "1e-08; nothing written\n")
+    assert not out_path.exists()
+    code, _, err = run_cli(capsys, "synth", str(mat), "--out", str(out_path), "--tolerance", "1e-7")
+    assert (code, err) == (0, "") and out_path.exists()
+    budgets = []
+    approximate = synth.approximate_n1
+
+    def spy(*args, budget):
+        budgets.append(budget)
+        return approximate(*args, budget=budget)
+
+    monkeypatch.setattr(synth, "approximate_n1", spy)
+    argv = ("approx", "--a", "0.3", "--alpha", "0.5", "--gamma", str(np.sqrt(2.0)),
+            "--eps", "0.01")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--budget", "1000")[0] == 0
+    assert budgets == [synth.DEFAULT_EXPONENT_BUDGET, 1000]
 
 
 def test_approx_reference_point(capsys):
@@ -520,3 +609,31 @@ def test_the_benchmark_tracer_wraps_a_fresh_cli_import():
     assert done.returncode == 0, done.stderr
     code, cli_calls, sampled_calls = done.stdout.split("\n")[-2].split()
     assert code in ("0", "2") and (cli_calls, sampled_calls) == ("1", "1")
+
+
+# the tracer, loaded by path, around a probe call after an mc call, which
+# executed neither synth nor apps; then the name bench/run.py reads
+_TRACED_AFTER_MC = """
+import importlib.util, sys
+sys.path.insert(0, sys.argv[1])
+import nuqc.cli
+assert nuqc.cli.main(["simulate", sys.argv[3], "--mode", "mc", "--trials", "50"]) == 0
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[2])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+with tracer.Tracer().patched(nuqc) as t:
+    code = nuqc.cli.main(["probe", "NAND"])
+    inside = hasattr(nuqc.synth.synthesize, "__wrapped__")
+print(code, inside, hasattr(nuqc.synth.synthesize, "__wrapped__"),
+      t.layer_totals()["cli.main"][0], nuqc.synth.read_netlist.__module__)
+"""
+
+
+def test_the_benchmark_tracer_wraps_modules_no_command_has_used(circuit_file):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nuqc.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_AFTER_MC, src, os.path.join(root, "bench", "tracer.py"),
+         str(circuit_file)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "0 True False 1 nuqc.synth"

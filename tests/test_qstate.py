@@ -83,6 +83,23 @@ def test_uniform_state():
     assert is_normalized(psi)
 
 
+@pytest.mark.parametrize("n", [9, 10, 20])
+@pytest.mark.parametrize("value", [2.0 ** -5, 0.6 - 0.8j])
+def test_a_start_over_every_amplitude_has_the_bits_of_zeros_then_a_write(n, value):
+    from nuqc import qstate
+    real = 1 << n >= qstate.COPY_FREE_MIN_SIZE and isinstance(value, float)
+    for index in (slice(None), slice(1 << n)):
+        for v in (value, np.full(1 << n, value)):
+            want = np.zeros(1 << n, dtype=np.float64 if real else np.complex128)
+            want[index] = v
+            got = qstate.start_state(n, index, v).amplitudes
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    want = np.zeros(1 << n, dtype=np.float64 if n >= 10 else np.complex128)
+    want[:] = 1.0 / np.sqrt(1 << n)
+    got = uniform_state(n).amplitudes
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_normalize():
     psi = StateVector(1, [3.0, 4.0])
     unit = normalize(psi)
